@@ -40,6 +40,7 @@ from .scheduler import (
     critical_path,
     graph_to_dot,
     initial_durations,
+    lower,
     optimize_durations,
     run_framework,
     topological_order,
@@ -80,6 +81,7 @@ __all__ = [
     "update_cpm",
     "optimize_durations",
     "create_schedule",
+    "lower",
     "run_framework",
     "graph_to_dot",
     "Schedule",

@@ -19,18 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuit as circ
-from .circuit import Circuit, decompose_dynamic, decompose_static, merge_virtual_z
-from .clifford import CLIFFORD_1Q, ECR_AS_CX_WORDS, Tableau, synthesize_identity
+from .circuit import Circuit
+from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
 from .errors import ConfigError
 from .gateset import DYNAMIC, STATIC, GateSet
-from .scheduler import (
-    FREE_FLOAT,
-    build_graph,
-    cpm,
-    create_schedule,
-    initial_durations,
-    optimize_durations,
-)
+from .scheduler import FREE_FLOAT, lower, run_framework
 from .sim import NoiseModel, ScheduleSimulator
 
 HALF_PI = math.pi / 2.0
@@ -86,11 +79,11 @@ def _emit_word(specs, word, qubit):
 
 def _emit_cx(specs, c, t):
     """CX as its ECR dressing, in circuit order."""
-    _emit_word(specs, ("h",), c)
-    _emit_word(specs, ("s", "s", "h"), t)
+    _emit_word(specs, CX_DRESSING["pre_c"], c)
+    _emit_word(specs, CX_DRESSING["pre_t"], t)
     specs.append((circ.ECR, (c, t), ()))
-    _emit_word(specs, ("h", "s"), c)
-    _emit_word(specs, ("s", "h"), t)
+    _emit_word(specs, CX_DRESSING["post_c"], c)
+    _emit_word(specs, CX_DRESSING["post_t"], t)
 
 
 def random_clifford_circuit(n_qubits: int, length: int, seed) -> Circuit:
@@ -170,30 +163,6 @@ class RBResult:
         return True
 
 
-def _decompose_for_mode(c: Circuit, mode: str) -> Circuit:
-    lowered = decompose_static(c) if mode == STATIC else decompose_dynamic(c)
-    return merge_virtual_z(lowered)
-
-
-def schedule_both_policies(c: Circuit, gs: GateSet):
-    """(fixed schedule, optimized schedule, fixed graph, optimized graph).
-
-    The fixed arm keeps every gate at its minimum duration.  The optimized
-    arm stretches gates only into their free float (see
-    ``scheduler.optimize_durations``), so both schedules have the same
-    makespan and every pulse starts at the same time in both: a stretch
-    fills idle time before the next gate and never keeps a qubit busy where
-    the fixed arm would have finished its sequence.
-    """
-    durations = initial_durations(c, gs)
-    g_fixed = build_graph(c, durations)
-    cpm(g_fixed)
-    g_opt = build_graph(c, durations)
-    cpm(g_opt)
-    optimize_durations(g_opt, gs, float=FREE_FLOAT)
-    return create_schedule(g_fixed, gs), create_schedule(g_opt, gs), g_fixed, g_opt
-
-
 def _pulse_durations(graph) -> list[int]:
     return [
         n.duration
@@ -205,9 +174,13 @@ def _pulse_durations(graph) -> list[int]:
 def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = False) -> RBResult:
     """Schedule and simulate every circuit under both policies.
 
-    The OPTIMIZED policy is ``schedule_both_policies``' free-float stretch:
-    paired FIXED and OPTIMIZED schedules have equal makespans and identical
-    pulse start times, and differ only in pulse durations.
+    Each circuit is lowered once and scheduled by ``scheduler.run_framework``
+    twice: the FIXED arm keeps every gate at its minimum duration, and the
+    OPTIMIZED arm stretches gates only into their free float.  Paired
+    schedules therefore have equal makespans and identical pulse start
+    times, and differ only in pulse durations: a stretch fills idle time
+    before the next gate and never keeps a qubit busy where the fixed arm
+    would have finished its sequence.
 
     RNG streams are spawned per circuit from the master seed, so results are
     reproducible and independent of execution order.  Mean P(0) uses the
@@ -215,6 +188,8 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     histogram output.  ideal_pulses replaces integrated pulse unitaries by
     their nominal rotations (the noiseless-identity baseline).
     """
+    if gs.mode != cfg.mode:
+        raise ConfigError(f"gate set mode {gs.mode!r} does not match RB mode {cfg.mode!r}")
     result = RBResult(config=cfg, dt_ns=gs.dt_ns)
     result.durations = {FIXED: Counter(), OPTIMIZED: Counter()}
     sim = ScheduleSimulator(nm, gs.dt_ns, ideal_pulses)
@@ -225,14 +200,9 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
         for idx in range(cfg.circuits_per_length):
             gen_ss, fixed_ss, opt_ss = children[k].spawn(3)
             k += 1
-            raw = random_clifford_circuit(cfg.n_qubits, length, gen_ss)
-            lowered = _decompose_for_mode(raw, cfg.mode)
-            sch_fixed, sch_opt, g_fixed, g_opt = schedule_both_policies(lowered, gs)
-            assert sch_fixed.makespan == sch_opt.makespan, "latency invariance violated"
-            for policy, sch, graph, ss in (
-                (FIXED, sch_fixed, g_fixed, fixed_ss),
-                (OPTIMIZED, sch_opt, g_opt, opt_ss),
-            ):
+            lowered = lower(random_clifford_circuit(cfg.n_qubits, length, gen_ss), gs)
+            for policy, float_policy, ss in ((FIXED, None, fixed_ss), (OPTIMIZED, FREE_FLOAT, opt_ss)):
+                graph, sch = run_framework(lowered, gs, float_policy)
                 run = sim.run(sch, shots=cfg.shots, seed=ss)
                 result.rows.append(
                     RBRow(

@@ -18,6 +18,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import CircuitSyntaxError
 
 U3 = "u3"
@@ -206,6 +208,20 @@ def circuit_to_json(c: Circuit) -> dict:
             for g in c.gates
         ],
     }
+
+
+def u3_angles(u) -> tuple[float, float, float]:
+    """(theta, phi, lam) with U3(theta, phi, lam) equal to the 2x2 block u up to
+    global phase and scale, so a sub-unitary block (a qubit block of a leaky
+    propagator) decomposes too.  theta = 0 puts the relative phase in lam,
+    theta = pi puts it in phi."""
+    a00, a01, a10 = u[0, 0], u[0, 1], u[1, 0]
+    if abs(a10) < 1e-12:
+        return 0.0, 0.0, float(np.angle(u[1, 1]) - np.angle(a00))
+    if abs(a00) < 1e-12:
+        return math.pi, float(np.angle(a10) - np.angle(-a01)), 0.0
+    theta = 2.0 * math.atan2(abs(a10), abs(a00))
+    return theta, float(np.angle(a10) - np.angle(a00)), float(np.angle(-a01) - np.angle(a00))
 
 
 def _theta_cases(theta):

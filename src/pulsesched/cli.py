@@ -12,16 +12,18 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .circuit import decompose_dynamic, decompose_static, merge_virtual_z, parse_circuit
+from .circuit import parse_circuit
 from .errors import ConfigError, PulseschedError
 from .gateset import (
+    DEFAULT_STATIC_DURATIONS,
     DYNAMIC,
     STATIC,
     GateSet,
     build_dynamic_gateset,
     build_static_gateset,
 )
-from .scheduler import build_graph, cpm, graph_to_dot, initial_durations, optimize_durations, create_schedule
+from .scheduler import TOTAL_FLOAT, graph_to_dot, lower, run_framework
+from .scheduler import build_graph  # noqa: F401  perfbench/test_harness.py patches it through cli
 from .sim import NoiseModel, simulate_rabi, write_rabi_csv
 
 
@@ -58,19 +60,13 @@ def _cmd_schedule(args) -> int:
         gs = GateSet.load(args.gateset)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise ConfigError(f"cannot read gate set: {exc}") from exc
-    c = parse_circuit(text)
-    lowered = decompose_static(c) if gs.mode == STATIC else decompose_dynamic(c)
-    lowered = merge_virtual_z(lowered)
-    g = build_graph(lowered, initial_durations(lowered, gs))
-    makespan = cpm(g)
-    if not args.no_optimize:
-        optimize_durations(g, gs)
-    sch = create_schedule(g, gs)
+    lowered = lower(parse_circuit(text), gs)
+    g, sch = run_framework(lowered, gs, None if args.no_optimize else TOTAL_FLOAT)
     sch.write_json(args.out)
     if args.dot:
         Path(args.dot).write_text(graph_to_dot(g))
     print(f"scheduled {len(lowered.gates)} gates on {lowered.width} qubits; "
-          f"makespan {makespan} dt ({makespan * gs.dt_ns:.1f} ns) -> {args.out}")
+          f"makespan {sch.makespan} dt ({sch.makespan * gs.dt_ns:.1f} ns) -> {args.out}")
     return 0
 
 
@@ -121,12 +117,10 @@ def _cmd_rb(args) -> int:
         gs = GateSet.load(args.gateset)
         gs.min_duration = cfg.min_duration
         gs.max_duration = cfg.max_duration
-        if gs.mode != cfg.mode:
-            raise ConfigError(f"gate set mode {gs.mode!r} does not match --mode {cfg.mode!r}")
         gs.validate_coverage(cfg.n_qubits)
     elif cfg.mode == STATIC:
         gs = build_static_gateset(
-            [d for d in (32, 48, 64, 120, 256, 512) if d >= cfg.min_duration],
+            [d for d in DEFAULT_STATIC_DURATIONS if d >= cfg.min_duration],
             nm, cfg.n_qubits, min_duration=cfg.min_duration, max_duration=cfg.max_duration,
         )
     else:

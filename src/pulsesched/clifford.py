@@ -21,7 +21,6 @@ import numpy as np
 from . import circuit as circ
 
 HALF_PI = math.pi / 2.0
-PI = math.pi
 
 # ---------------------------------------------------------------------------
 # dense 2x2 references used to derive tables at import time
@@ -47,19 +46,6 @@ def _pauli_image(u, p):
 
 def _clifford_key(u):
     return (_pauli_image(u, _X), _pauli_image(u, _Z))
-
-
-def _u3_angles(u):
-    """Extract (theta, phi, lam) with U3(theta, phi, lam) ~ u up to global phase."""
-    a00, a01, a10 = u[0, 0], u[0, 1], u[1, 0]
-    theta = 2.0 * math.atan2(abs(a10), abs(a00))
-    if abs(a10) < 1e-9:
-        return 0.0, 0.0, float(np.angle(u[1, 1]) - np.angle(a00))
-    if abs(a00) < 1e-9:
-        return PI, float(np.angle(a10) - np.angle(-a01)), 0.0
-    phi = float(np.angle(a10) - np.angle(a00))
-    lam = float(np.angle(-a01) - np.angle(a00))
-    return theta, phi, lam
 
 
 def _snap_quarter(a):
@@ -89,7 +75,7 @@ def _build_clifford_table():
     table = []
     for word in words:
         u = mats[word]
-        theta, phi, lam = (_snap_quarter(a) for a in _u3_angles(u))
+        theta, phi, lam = (_snap_quarter(a) for a in circ.u3_angles(u))
         table.append((word, (theta, phi, lam)))
     assert len(table) == 24
     return tuple(table)
@@ -99,10 +85,12 @@ def _build_clifford_table():
 CLIFFORD_1Q = _build_clifford_table()
 
 #: CX = (post_c (x) post_t) . ECR . (pre_c (x) pre_t), words in circuit order
-_CX_PRE_C = ("h",)
-_CX_PRE_T = ("s", "s", "h")
-_CX_POST_C = ("h", "s")
-_CX_POST_T = ("s", "h")
+CX_DRESSING = {
+    "pre_c": ("h",),
+    "pre_t": ("s", "s", "h"),
+    "post_c": ("h", "s"),
+    "post_t": ("s", "h"),
+}
 
 
 def _invert_word(word):
@@ -115,12 +103,7 @@ def _invert_word(word):
 
 #: ECR as a circuit around a CX: undo the CX dressing on the way in and out,
 #: i.e. apply the inverted pre-words, the CX, then the inverted post-words
-ECR_AS_CX_WORDS = {
-    "pre_c": _invert_word(_CX_PRE_C),
-    "pre_t": _invert_word(_CX_PRE_T),
-    "post_c": _invert_word(_CX_POST_C),
-    "post_t": _invert_word(_CX_POST_T),
-}
+ECR_AS_CX_WORDS = {part: _invert_word(word) for part, word in CX_DRESSING.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ class GateImpl:
         if self.kind == circ.ECR:
             return f"ecr_d{self.duration}"
         if self.kind == circ.RX:
-            return f"rx{self.angle:+.6f}_q{self.qubit}_d{self.duration}"
+            return f"rx{_angle_key(self.angle):+.9f}_q{self.qubit}_d{self.duration}"
         return f"{self.kind}_q{self.qubit}_d{self.duration}"
 
 
@@ -252,16 +252,9 @@ def dynamic_amplitude(theta: float, duration: int, table: RabiTable, dt_ns: floa
 
 def _zxz_angles(block: np.ndarray) -> tuple[float, float, float]:
     """Decompose a (possibly sub-unitary) 2x2 block as Rz(a).Rx(b).Rz(c)."""
-    b00, b01, b10 = block[0, 0], block[0, 1], block[1, 0]
-    beta = 2.0 * math.atan2(abs(b10), abs(b00))
-    if abs(b10) < 1e-12:
-        return float(np.angle(block[1, 1]) - np.angle(b00)), 0.0, 0.0
-    if abs(b00) < 1e-12:
-        return float(np.angle(b10) - np.angle(-b01)) + HALF_PI, math.pi, -HALF_PI
-    phi = float(np.angle(b10) - np.angle(b00))
-    lam = float(np.angle(-b01) - np.angle(b00))
+    theta, phi, lam = circ.u3_angles(block)
     # U3(t, p, l) = Rz(p + pi/2) . Rx(t) . Rz(l - pi/2) up to global phase
-    return phi + HALF_PI, beta, lam - HALF_PI
+    return phi + HALF_PI, theta, lam - HALF_PI
 
 
 def _rz2(a: float) -> np.ndarray:
@@ -419,13 +412,6 @@ class GateSet:
             if d > current:
                 return d
         return current
-
-    @property
-    def n_d(self) -> int:
-        """Worst-case allowed-duration count (dynamic: up to 2*pi rotations)."""
-        if self.mode == STATIC:
-            return len(self.allowed_durations(circ.SX))
-        return len(range(8 * math.ceil(self.min_duration * 4 / 8.0), 8 * math.floor(self.max_duration * 4 / 8.0) + 1, 8))
 
     # -- implementations ----------------------------------------------------
 

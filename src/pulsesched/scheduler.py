@@ -1,15 +1,22 @@
 """Dependency-graph construction, the Critical Path Method, and latency-neutral
 duration optimization.
 
+``lower`` and ``run_framework`` are the one compile-to-schedule pipeline:
+lower a circuit into the gate set's basis, build its dependency graph at
+minimum durations, run CPM, stretch off-critical-path gates, and place the
+pulses.  Every caller (the CLI, the RB harness) goes through them.
+
 All times are integer dt counts; comparisons are exact.  The optimizer
 stretches off-critical-path gates into idle slack without moving the overall
-makespan, under one of two CPM float policies:
+makespan.  ``run_framework``'s ``float`` picks the policy: ``None`` keeps
+every gate at its minimum duration (the fixed baseline), otherwise one of
+two CPM float policies applies:
 
-- total float (the default, the paper's fixed point): repeatedly take the
+- ``"total"`` float (the default, the paper's fixed point): repeatedly take the
   non-critical gate with the highest rotation-to-duration ratio and step its
   duration to the next allowed value whenever the stretched gate still
   finishes by its late-finish time LF.  A stretch may push successors later.
-- free float: each gate grows, independently, to the longest allowed
+- ``"free"`` float: each gate grows, independently, to the longest allowed
   duration that still finishes by the earliest start of its successors (the
   makespan at a sink), so no start time moves.
 """
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import circuit as circ
 from .errors import ConfigError, MalformedGraphError
-from .gateset import GateSet
+from .gateset import STATIC, GateSet
 from .schedule import FrameShift, PulsePlacement, Schedule
 
 #: float policies of optimize_durations
@@ -324,19 +331,28 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
     )
 
 
-def run_framework(c: circ.Circuit, s: GateSet, optimize: bool = True) -> Schedule:
-    """Build the dependency graph at minimum durations, run CPM, optionally
-    stretch off-critical-path gates, and emit the pulse schedule.
+def lower(c: circ.Circuit, s: GateSet) -> circ.Circuit:
+    """Decompose U3 gates for the gate set's mode and fuse adjacent virtual Rz."""
+    lowered = circ.decompose_static(c) if s.mode == STATIC else circ.decompose_dynamic(c)
+    return circ.merge_virtual_z(lowered)
 
-    The returned schedule's makespan always equals the minimum-duration
-    makespan; with optimize=False it is the fixed-duration baseline.
+
+def run_framework(
+    c: circ.Circuit, s: GateSet, float: str | None = TOTAL_FLOAT
+) -> tuple[DepGraph, Schedule]:
+    """Build the dependency graph of a lowered circuit at minimum durations,
+    run CPM, stretch off-critical-path gates under the ``float`` policy, and
+    emit the pulse schedule; returns (graph, schedule).
+
+    The schedule's makespan always equals the minimum-duration makespan;
+    ``float=None`` skips stretching and gives the fixed-duration baseline.
     """
     g = build_graph(c, initial_durations(c, s))
     before = cpm(g)
-    if optimize:
-        optimize_durations(g, s)
+    if float is not None:
+        optimize_durations(g, s, float)
         assert g.makespan == before, "latency invariance violated"
-    return create_schedule(g, s)
+    return g, create_schedule(g, s)
 
 
 def graph_to_dot(g: DepGraph) -> str:

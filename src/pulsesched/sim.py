@@ -75,6 +75,8 @@ def _per_qubit(value, qubit):
         return None
     if np.isscalar(value):
         return float(value)
+    if qubit >= len(value):
+        raise NoiseConfigError(f"per-qubit noise list of {len(value)} has no entry for qubit {qubit}")
     return None if value[qubit] is None else float(value[qubit])
 
 
@@ -413,9 +415,13 @@ class ScheduleSimulator:
     same map as playing a zero-amplitude waveform of t samples.
 
     With ideal_pulses=True every drive pulse acts as its exact nominal
-    rotation (decoherence still applies); this isolates decoherence and
-    scheduling effects from pulse-integration error, and makes noiseless
-    randomized-benchmarking sequences compose to the identity exactly.
+    rotation (decoherence still applies), and the frame shifts a calibrated
+    implementation plays around its pulse (pre/post frames, which share the
+    pulse's seq) are skipped, since they only null the integrated pulse's
+    phase error; the circuit's own virtual Rz frames still apply.  This
+    isolates decoherence and scheduling effects from pulse-integration
+    error, and makes noiseless randomized-benchmarking sequences compose to
+    the identity exactly.
     """
 
     def __init__(self, nm: NoiseModel, dt_ns: float = 0.5, ideal_pulses: bool = False):
@@ -459,6 +465,7 @@ class ScheduleSimulator:
             return RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots)
         state = DensityState.ground(sch.width)
         t_last = [0] * sch.width
+        pulse_seqs = {p.seq for p in sch.placements} if self.ideal_pulses else set()
 
         def idle_to(q, t):
             gap = t - t_last[q]
@@ -468,6 +475,8 @@ class ScheduleSimulator:
 
         for ev in sch.events():
             if isinstance(ev, FrameShift):
+                if ev.seq in pulse_seqs:
+                    continue
                 state.apply_local_unitary(_frame_unitary(ev.angle), (ev.qubit,))
                 continue
             assert isinstance(ev, PulsePlacement)

@@ -28,7 +28,6 @@ from pulsesched.bench import (
     min_duration_fraction,
     random_clifford_circuit,
     run_rb,
-    _decompose_for_mode,
 )
 from pulsesched.circuit import (
     Circuit,
@@ -57,6 +56,7 @@ from pulsesched.scheduler import (
     cpm,
     critical_path,
     initial_durations,
+    lower,
     optimize_durations,
 )
 from pulsesched.sim import (
@@ -158,7 +158,7 @@ def test_criterion_1_latency_invariance():
             for length in lengths:
                 for idx in range(10):
                     raw = random_clifford_circuit(n_qubits, length, (n_qubits, length, idx))
-                    c = _decompose_for_mode(raw, "static")
+                    c = lower(raw, gs)
                     g = build_graph(c, initial_durations(c, gs))
                     before = cpm(g)
                     optimize_durations(g, gs)

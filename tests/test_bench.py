@@ -18,14 +18,13 @@ from pulsesched.bench import (
     min_duration_fraction,
     random_clifford_circuit,
     run_rb,
-    schedule_both_policies,
     write_durations_csv,
     write_rbresult_csv,
     write_timescale_csv,
-    _decompose_for_mode,
 )
 from pulsesched.errors import ConfigError
 from pulsesched.gateset import GateSet
+from pulsesched.scheduler import FREE_FLOAT, lower, run_framework
 from pulsesched.sim import NoiseModel, run_schedule
 
 
@@ -68,8 +67,9 @@ class TestRandomCliffordCircuit:
         nm = NoiseModel.noiseless()
         for seed, length in enumerate((1, 5, 11)):
             raw = random_clifford_circuit(2, length, seed)
-            lowered = _decompose_for_mode(raw, "static")
-            sch_fixed, sch_opt, _, _ = schedule_both_policies(lowered, gs)
+            lowered = lower(raw, gs)
+            _, sch_fixed = run_framework(lowered, gs, None)
+            _, sch_opt = run_framework(lowered, gs, FREE_FLOAT)
             for sch in (sch_fixed, sch_opt):
                 res = run_schedule(sch, nm, shots=1, seed=0, ideal_pulses=True)
                 assert res.p0 == pytest.approx(1.0, abs=1e-6)
@@ -80,8 +80,8 @@ class TestRandomCliffordCircuit:
         gs = ideal_static(2)
         nm = NoiseModel.noiseless()
         raw = random_clifford_circuit(2, 5, 1)
-        lowered = _decompose_for_mode(raw, "static")
-        _, sch_opt, _, _ = schedule_both_policies(lowered, gs)
+        lowered = lower(raw, gs)
+        _, sch_opt = run_framework(lowered, gs, FREE_FLOAT)
         res = run_schedule(sch_opt, nm, shots=1, seed=0)
         assert res.p0 > 0.98
 
@@ -91,8 +91,9 @@ class TestRandomCliffordCircuit:
         gs = GateSet.ideal("static", 3, static_durations=(32, 48, 64, 120, 256, 512), min_duration=32)
         stretched = 0
         for seed, (n, length) in enumerate([(2, 1), (2, 41), (3, 3), (3, 7)]):
-            lowered = _decompose_for_mode(random_clifford_circuit(n, length, seed), "static")
-            sch_fixed, sch_opt, _, g_opt = schedule_both_policies(lowered, gs)
+            lowered = lower(random_clifford_circuit(n, length, seed), gs)
+            _, sch_fixed = run_framework(lowered, gs, None)
+            _, sch_opt = run_framework(lowered, gs, FREE_FLOAT)
             assert sch_fixed.makespan == sch_opt.makespan
             fixed = {p.seq: p for p in sch_fixed.placements}
             opt = {p.seq: p for p in sch_opt.placements}
@@ -118,6 +119,11 @@ class TestRBConfig:
             RBConfig(n_qubits=2, clifford_lengths=(1,), circuits_per_length=0)
         with pytest.raises(ConfigError):
             RBConfig(n_qubits=2, clifford_lengths=(1,), mode="adaptive")
+
+    def test_gate_set_mode_must_match(self):
+        cfg = RBConfig(n_qubits=1, clifford_lengths=(1,), mode="dynamic")
+        with pytest.raises(ConfigError):
+            run_rb(cfg, ideal_static(1), NoiseModel())
 
 
 @pytest.fixture(scope="module")

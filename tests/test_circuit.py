@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIG2_TEXT,
@@ -30,8 +32,10 @@ from pulsesched.circuit import (
     normalize_angle,
     parse_circuit,
     pulse_rotation,
+    u3_angles,
 )
 from pulsesched.errors import CircuitSyntaxError
+from pulsesched.gateset import _zxz_angles
 
 HALF_PI = math.pi / 2
 
@@ -264,3 +268,50 @@ class TestRotationAttribute:
         assert pulse_rotation(Gate(id=0, kind="rx", qubits=(0,), angles=(-1.2,))) == pytest.approx(1.2)
         assert pulse_rotation(Gate(id=0, kind="measure", qubits=(0,))) == 0.0
         assert pulse_rotation(Gate(id=0, kind="barrier", qubits=(0,))) == 0.0
+
+
+_QUATERNION = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 1e-3
+)
+_PHASE = st.floats(-math.pi, math.pi)
+
+
+def _su2(q):
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+class TestU3Angles:
+    """u3_angles, and _zxz_angles on top of it, reproduce any 2x2 block up to
+    global phase and scale."""
+
+    @staticmethod
+    def assert_reproduces(u, scale=1.0):
+        target = u / scale
+        assert equal_up_to_phase(u3_matrix(*u3_angles(u)), target, tol=1e-9)
+        a, b, c = _zxz_angles(u)
+        assert equal_up_to_phase(rz_matrix(a) @ rx_matrix(b) @ rz_matrix(c), target, tol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_QUATERNION)
+    def test_random_su2(self, q):
+        self.assert_reproduces(_su2(q))
+
+    @settings(deadline=None)
+    @given(_QUATERNION, st.floats(0.05, 1.0))
+    def test_scaled_sub_unitary_block(self, q, scale):
+        self.assert_reproduces(scale * _su2(q), scale)
+
+    @settings(deadline=None)
+    @given(_PHASE, _PHASE)
+    def test_theta_zero_branch(self, alpha, beta):
+        u = np.diag([np.exp(1j * alpha), np.exp(1j * beta)])
+        assert u3_angles(u)[0] == 0.0
+        self.assert_reproduces(u)
+
+    @settings(deadline=None)
+    @given(_PHASE, _PHASE)
+    def test_theta_pi_branch(self, alpha, beta):
+        u = np.array([[0.0, np.exp(1j * alpha)], [np.exp(1j * beta), 0.0]])
+        assert u3_angles(u)[0] == math.pi
+        self.assert_reproduces(u)

@@ -151,6 +151,19 @@ class TestRBCommand:
         ])
         assert code == 2
 
+    def test_short_noise_list_is_config_error(self, tmp_path):
+        gs_path = tmp_path / "gs.json"
+        GateSet.ideal("dynamic", 2).write_json(gs_path)
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"t1_ns": [180e3]}))
+        code = main([
+            "rb", "--qubits", "2", "--lengths", "1", "--mode", "dynamic",
+            "--min-dur", "32", "--max-dur", "128", "--shots", "8",
+            "--circuits-per-length", "1", "--gateset", str(gs_path),
+            "--noise", str(noise), "--out-dir", str(tmp_path / "rb"),
+        ])
+        assert code == 2
+
     def test_bad_qubit_count_config_error(self, tmp_path):
         code = main([
             "rb", "--qubits", "5", "--lengths", "1", "--out-dir", str(tmp_path / "rb"),

@@ -8,6 +8,7 @@ import pytest
 from conftest import ECR_MATRIX, equal_up_to_phase, u3_matrix
 from pulsesched.clifford import (
     CLIFFORD_1Q,
+    CX_DRESSING,
     ECR_AS_CX_WORDS,
     Tableau,
     synthesize_identity,
@@ -135,8 +136,9 @@ class TestCliffordTable:
 
 class TestEcrDressing:
     def test_cx_identity(self):
-        pre = embed(word_matrix(("h",)), [0], 2) @ embed(word_matrix(("s", "s", "h")), [1], 2)
-        post = embed(word_matrix(("h", "s")), [0], 2) @ embed(word_matrix(("s", "h")), [1], 2)
+        w = CX_DRESSING
+        pre = embed(word_matrix(w["pre_c"]), [0], 2) @ embed(word_matrix(w["pre_t"]), [1], 2)
+        post = embed(word_matrix(w["post_c"]), [0], 2) @ embed(word_matrix(w["post_t"]), [1], 2)
         assert equal_up_to_phase(post @ ECR_MATRIX @ pre, CX, tol=1e-12)
 
     def test_inverse_words_give_ecr_from_cx(self):

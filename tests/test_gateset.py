@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsesched.circuit import Gate
+from pulsesched.circuit import Gate, parse_circuit
 from pulsesched.errors import (
     ExtrapolationWarning,
     GateSetError,
@@ -25,6 +25,7 @@ from pulsesched.gateset import (
     interpolate_amplitude,
     sigma_of_duration,
 )
+from pulsesched.scheduler import lower, run_framework
 from pulsesched.sim import NoiseModel, propagate_waveform, simulate_rabi
 
 HALF_PI = math.pi / 2
@@ -296,3 +297,21 @@ class TestDynamicAmplitude:
         impl = gs.impl_for(0, "rx", -HALF_PI, 64)
         assert impl.shape.phase == pytest.approx(math.pi)
         assert impl.amplitude > 0
+
+
+class TestWaveformIds:
+    # rx ids once printed 6 decimals while the catalog keys on 9, so two
+    # distinct rotations shared one id and the second played the first's pulse
+    def test_rx_id_follows_angle_key(self):
+        gs = GateSet.ideal("dynamic", 1)
+        a = gs.impl_for(0, "rx", 1.2345671, 32)
+        b = gs.impl_for(0, "rx", 1.2345674, 32)
+        assert a.waveform_id() != b.waveform_id()
+        assert gs.impl_for(0, "rx", 1.2345671 + 1e-12, 32).waveform_id() == a.waveform_id()
+
+    def test_close_angles_schedule_distinct_waveforms(self):
+        gs = GateSet.ideal("dynamic", 1)
+        _, sch = run_framework(lower(parse_circuit("rx q0 1.2345671\nrx q0 1.2345674"), gs), gs)
+        assert len(sch.waveforms) == 2
+        peaks = {float(np.max(np.abs(w.samples))) for w in sch.waveforms.values()}
+        assert len(peaks) == 2

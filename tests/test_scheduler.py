@@ -23,6 +23,7 @@ from pulsesched.errors import ConfigError, MalformedGraphError
 from pulsesched.gateset import GateSet
 from pulsesched.scheduler import (
     FREE_FLOAT,
+    TOTAL_FLOAT,
     DepGraph,
     DepNode,
     build_graph,
@@ -31,6 +32,7 @@ from pulsesched.scheduler import (
     critical_path,
     graph_to_dot,
     initial_durations,
+    lower,
     optimize_durations,
     run_framework,
     topological_order,
@@ -500,7 +502,7 @@ class TestCreateSchedule:
     def test_frame_shifts_recorded(self):
         gs = fixed_gateset()
         c = merge_virtual_z(decompose_static(parse_circuit("u3 q0 1.0,0.5,0.25\nmeasure q0")))
-        sch = run_framework(c, gs)
+        _, sch = run_framework(c, gs)
         assert len(sch.frames) > 0
         assert sch.measured_qubits == (0,)
         # cumulative frame on the second pulse reflects the rz between pulses
@@ -511,15 +513,15 @@ class TestCreateSchedule:
 class TestRunFramework:
     def test_single_gate(self):
         gs = fixed_gateset()
-        sch = run_framework(parse_circuit("sx q0"), gs)
+        _, sch = run_framework(parse_circuit("sx q0"), gs)
         assert len(sch.placements) == 1
         assert sch.placements[0].start == 0
         assert sch.makespan == 64
 
     def test_fig2_zero_added_latency(self, fig2_circuit):
         gs = fixed_gateset()
-        base = run_framework(fig2_circuit, gs, optimize=False)
-        opt = run_framework(fig2_circuit, gs, optimize=True)
+        _, base = run_framework(fig2_circuit, gs, None)
+        _, opt = run_framework(fig2_circuit, gs, TOTAL_FLOAT)
         assert base.makespan == opt.makespan
         durs_opt = sorted(p.duration for p in opt.timeline(1) if p.kind == "sx")
         assert durs_opt == [128, 192]
@@ -530,9 +532,9 @@ class TestRunFramework:
         gs = fixed_gateset((32, 48, 64, 120, 256, 512))
         for seed, (n, length) in enumerate([(2, 11), (2, 21), (3, 3), (3, 5)]):
             raw = random_clifford_circuit(n, length, seed)
-            c = merge_virtual_z(decompose_static(raw))
-            base = run_framework(c, gs, optimize=False)
-            opt = run_framework(c, gs, optimize=True)
+            c = lower(raw, gs)
+            _, base = run_framework(c, gs, None)
+            _, opt = run_framework(c, gs, TOTAL_FLOAT)
             assert base.makespan == opt.makespan
 
 
@@ -549,7 +551,7 @@ class TestExports:
         import json
 
         gs = fixed_gateset()
-        sch = run_framework(fig2_circuit, gs)
+        _, sch = run_framework(fig2_circuit, gs)
         out = tmp_path / "sched.json"
         sch.write_json(out)
         doc = json.loads(out.read_text())

@@ -1,6 +1,7 @@
 """Three-level simulator: propagation, channels, physicality, Rabi sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from pulsesched.errors import NoiseConfigError, SimulationError
 from pulsesched.gateset import GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
 from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
-from pulsesched.scheduler import run_framework
+from pulsesched.bench import random_clifford_circuit
+from pulsesched.circuit import parse_circuit
+from pulsesched.scheduler import lower, run_framework
 from pulsesched.sim import (
     Channel,
     DensityState,
@@ -249,7 +252,7 @@ class TestRunSchedule:
         c = merge_virtual_z(decompose_static(parse_circuit(
             "u3 q0 1.0,0.3,0.2\necr q0 q1\nu3 q1 2.1,0.0,0.4\necr q1 q0\nmeasure q0\nmeasure q1"
         )))
-        sch = run_framework(c, gs)
+        _, sch = run_framework(c, gs)
         run_schedule(sch, DEFAULT, shots=4, seed=3, validate_states=True)
 
     def test_leakage_monotone_in_duration(self):
@@ -260,6 +263,23 @@ class TestRunSchedule:
             u = propagate_waveform(sx_waveform(d, NOISELESS), NOISELESS)
             leaks.append(abs(u[2, 0]) ** 2)
         assert all(a > b for a, b in zip(leaks, leaks[1:]))
+
+    def test_short_per_qubit_noise_list_is_config_error(self):
+        gs = GateSet.ideal("static", 2)
+        _, sch = run_framework(lower(parse_circuit("sx q0\nsx q1"), gs), gs)
+        with pytest.raises(NoiseConfigError):
+            run_schedule(sch, NoiseModel(t1_ns=[180e3]))
+
+    def test_ideal_pulses_skip_calibration_frames(self):
+        # pre/post frames null an integrated pulse's phase error; an ideal
+        # pulse has none, so replaying them would rotate the qubit off course
+        gs = GateSet.ideal("static", 2)
+        gs.impls = {k: replace(i, pre_frame=0.3, post_frame=-0.2) for k, i in gs.impls.items()}
+        _, sch = run_framework(lower(random_clifford_circuit(2, 5, 0), gs), gs)
+        pulse_seqs = {p.seq for p in sch.placements}
+        assert any(f.seq in pulse_seqs for f in sch.frames)
+        res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
+        assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_csv(self, tmp_path):
         w = sx_waveform(64, DEFAULT)
