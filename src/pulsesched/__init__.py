@@ -43,7 +43,6 @@ from .scheduler import (
     lower,
     optimize_durations,
     run_framework,
-    topological_order,
     update_cpm,
 )
 from .sim import (
@@ -75,7 +74,6 @@ __all__ = [
     "DepNode",
     "build_graph",
     "initial_durations",
-    "topological_order",
     "cpm",
     "critical_path",
     "update_cpm",

@@ -345,15 +345,18 @@ def count_pulses(c: Circuit) -> int:
     return sum(1 for g in c.gates if g.kind in PULSE_KINDS)
 
 
-def pulse_rotation(gate: Gate) -> float:
-    """Implemented rotation magnitude used for scheduling priority.
-
-    Sx-family pulses rotate by pi/2; Rx by |theta|; ECR is pinned to pi/2
-    (it is never extended, so the value only orders no-op queue entries);
-    measures and barriers carry no rotation.
-    """
-    if gate.kind in (SX, SXDG, ECR):
-        return HALF_PI
+def pulse_angle(gate: Gate) -> float:
+    """Signed x-rotation a lowered gate's pulse plays: theta for Rx, +pi/2 for
+    Sx, -pi/2 for Sx^-1, and 0 for everything else (ECR, measure, barrier)."""
     if gate.kind == RX:
-        return abs(gate.angles[0])
+        return gate.angles[0]
+    if gate.kind == SX:
+        return HALF_PI
+    if gate.kind == SXDG:
+        return -HALF_PI
     return 0.0
+
+
+def pulse_rotation(gate: Gate) -> float:
+    """Implemented rotation magnitude used for scheduling priority."""
+    return abs(pulse_angle(gate))

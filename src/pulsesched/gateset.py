@@ -44,6 +44,10 @@ DYNAMIC = "dynamic"
 #: calibrated static Sx durations on the reference backend, in dt
 DEFAULT_STATIC_DURATIONS = (32, 48, 64, 120, 256, 512)
 
+#: shortest dynamic single-qubit pulse, in dt: the smallest multiple of 8
+#: above sigma_of_duration's 17.36 dt bound
+MIN_DYNAMIC_DURATION = 24
+
 #: fixed two-qubit gate duration, in dt
 DEFAULT_ECR_DURATION = 1320
 
@@ -373,7 +377,12 @@ class GateSet:
     # -- duration policy ----------------------------------------------------
 
     def allowed_durations(self, kind: str, angle: float = 0.0) -> tuple[int, ...]:
-        """Ascending candidate durations for one operation under this policy."""
+        """Ascending candidate durations for one operation under this policy.
+
+        Dynamic bounds scale with |angle| / (pi/2) and snap inward to the 8-dt
+        grid; both are then floored at ``MIN_DYNAMIC_DURATION``, so a small
+        rotation gets a 24 dt pulse instead of one too short for a Gaussian.
+        """
         if kind == circ.ECR:
             return (self.ecr_duration,)
         if kind == circ.MEASURE:
@@ -391,8 +400,8 @@ class GateSet:
             scale = _rotation_scale(theta)
             if scale <= 0:
                 raise GateSetError("zero rotation has no physical duration")
-            lo = 8 * math.ceil(self.min_duration * scale / 8.0)
-            hi = 8 * math.floor(self.max_duration * scale / 8.0)
+            lo = max(MIN_DYNAMIC_DURATION, 8 * math.ceil(self.min_duration * scale / 8.0))
+            hi = max(MIN_DYNAMIC_DURATION, 8 * math.floor(self.max_duration * scale / 8.0))
             out = tuple(range(lo, hi + 1, 8))
         if not out:
             raise GateSetError(
@@ -400,18 +409,9 @@ class GateSet:
             )
         return out
 
-    def min_duration_for(self, gate: circ.Gate) -> int:
-        return self.allowed_durations(gate.kind, gate.angles[0] if gate.angles else 0.0)[0]
-
-    def max_duration_for(self, gate: circ.Gate) -> int:
-        return self.allowed_durations(gate.kind, gate.angles[0] if gate.angles else 0.0)[-1]
-
-    def next_duration(self, gate: circ.Gate, current: int) -> int:
-        """Smallest allowed duration strictly above current; current if none."""
-        for d in self.allowed_durations(gate.kind, gate.angles[0] if gate.angles else 0.0):
-            if d > current:
-                return d
-        return current
+    def durations_for(self, gate: circ.Gate) -> tuple[int, ...]:
+        """The gate's duration menu: ascending allowed durations of its pulse."""
+        return self.allowed_durations(gate.kind, circ.pulse_angle(gate))
 
     # -- implementations ----------------------------------------------------
 
@@ -479,8 +479,7 @@ class GateSet:
                 self._table(q)
 
     def impl_for_gate(self, gate: circ.Gate, duration: int) -> GateImpl:
-        angle = gate.angles[0] if gate.angles else (HALF_PI if gate.kind == circ.SX else -HALF_PI if gate.kind == circ.SXDG else 0.0)
-        return self.impl_for(gate.qubits[0], gate.kind, angle, duration)
+        return self.impl_for(gate.qubits[0], gate.kind, circ.pulse_angle(gate), duration)
 
     # -- persistence ----------------------------------------------------------
 
@@ -595,21 +594,12 @@ class GateSet:
         if mode == STATIC:
             for q in range(n_qubits):
                 for d in gs.allowed_durations(circ.SX):
-                    shape = _static_sx_shape(d, gs._table(q), dt_ns)
+                    amplitude = dynamic_amplitude(HALF_PI, d, gs._table(q), dt_ns)
+                    shape = dynamic_pulse_shape(HALF_PI, d, amplitude)
                     gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = GateImpl(
                         qubit=q, kind=circ.SX, angle=HALF_PI, duration=d, shape=shape
                     )
         return gs
-
-
-def _static_sx_shape(duration: int, table: RabiTable, dt_ns: float) -> ShapeSpec:
-    sigma = sigma_of_duration(duration)
-    probe = ShapeSpec(shape=GAUSSIAN, amplitude=1.0, duration=duration, sigma=sigma)
-    target_omega = HALF_PI / (4.0 * math.pi * (dt_ns * 1e-9) * envelope_sum(probe))
-    amplitude = interpolate_amplitude(table, target_omega)
-    if amplitude > 1.0:
-        raise InfeasibleDurationError(f"Sx at {duration} dt needs amplitude {amplitude:.4f} > 1")
-    return ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=duration, sigma=sigma)
 
 
 def _ecr_impl(duration: int) -> GateImpl:
@@ -668,7 +658,7 @@ def build_static_gateset(
         table = calibrate_rabi_table(nm, q, dt_ns=dt_ns)
         gs.rabi[q] = table
         for d in durations:
-            shape = _static_sx_shape(d, table, dt_ns)
+            shape = dynamic_pulse_shape(HALF_PI, d, dynamic_amplitude(HALF_PI, d, table, dt_ns))
             impl = GateImpl(qubit=q, kind=circ.SX, angle=HALF_PI, duration=d, shape=shape)
             impl = fine_tune(impl, nm, steps=fine_tune_steps, dt_ns=dt_ns)
             gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl

@@ -57,10 +57,7 @@ class Schedule:
     def validate(self):
         for q in range(self.width):
             prev_end, prev_id = 0, None
-            for p in sorted(
-                (p for p in self.placements if q in p.qubits),
-                key=lambda p: (p.start, p.seq),
-            ):
+            for p in self.timeline(q):
                 if p.start < prev_end:
                     raise ScheduleOverlapError(
                         f"qubit {q}: {p.waveform_id} at {p.start} overlaps {prev_id}"
@@ -105,14 +102,9 @@ class Schedule:
                     for p in self.timeline(q)
                 ]
             )
-        frames = [
-            [
-                {"time_dt": f.time, "angle": f.angle}
-                for f in sorted(self.frames, key=lambda f: (f.time, f.seq))
-                if f.qubit == q
-            ]
-            for q in range(self.width)
-        ]
+        frames = [[] for _ in range(self.width)]
+        for f in sorted(self.frames, key=lambda f: (f.time, f.seq)):
+            frames[f.qubit].append({"time_dt": f.time, "angle": f.angle})
         doc = {
             "dt_ns": self.dt_ns,
             "width": self.width,

@@ -6,6 +6,10 @@ lower a circuit into the gate set's basis, build its dependency graph at
 minimum durations, run CPM, stretch off-critical-path gates, and place the
 pulses.  Every caller (the CLI, the RB harness) goes through them.
 
+The dependency graph's node order is program order, and every edge points
+from an earlier node to a later one, so node order is its topological order:
+CPM sweeps nodes forward by index and back in reverse, with no sort.
+
 All times are integer dt counts; comparisons are exact.  The optimizer
 stretches off-critical-path gates into idle slack without moving the overall
 makespan.  ``run_framework``'s ``float`` picks the policy: ``None`` keeps
@@ -24,7 +28,7 @@ two CPM float policies applies:
 from __future__ import annotations
 
 import heapq
-import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import circuit as circ
@@ -54,21 +58,19 @@ class DepNode:
     def slack(self) -> int:
         return self.lf - self.ef
 
-    @property
-    def on_critical_path(self) -> bool:
-        return self.es == self.ls
-
 
 @dataclass
 class DepGraph:
-    """Activity-on-node DAG: one node per physical gate, edges follow qubit order."""
+    """Activity-on-node DAG: one node per physical gate, edges follow qubit order.
+
+    Invariant: nodes are in program order and every edge (u, v) has u < v, so
+    index order is a topological order.  ``cpm`` rejects a back edge.
+    """
 
     circuit: circ.Circuit
     nodes: list[DepNode] = field(default_factory=list)
     succs: list[list[int]] = field(default_factory=list)
     preds: list[list[int]] = field(default_factory=list)
-    entry: dict[int, int] = field(default_factory=dict)  # qubit -> first node index
-    exit: dict[int, int] = field(default_factory=dict)  # qubit -> last node index
     node_of_gate: dict[int, int] = field(default_factory=dict)
 
     def edges(self):
@@ -114,53 +116,33 @@ def build_graph(c: circ.Circuit, initial_durations) -> DepGraph:
                 if idx not in g.succs[u]:
                     g.succs[u].append(idx)
                     g.preds[idx].append(u)
-            else:
-                g.entry[q] = idx
             last[q] = idx
-    g.exit = dict(last)
     return g
 
 
 def initial_durations(c: circ.Circuit, s: GateSet) -> dict[int, int]:
     """Minimum allowed duration for every physical gate in the circuit."""
     return {
-        gate.id: s.min_duration_for(gate)
+        gate.id: s.durations_for(gate)[0]
         for gate in c.gates
         if gate.kind != circ.RZ
     }
 
 
-def topological_order(g: DepGraph) -> list[int]:
-    """Kahn's algorithm with an id-ordered heap: deterministic, cycle-checked."""
-    indeg = [len(p) for p in g.preds]
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in g.succs[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(g.nodes):
-        raise MalformedGraphError("dependency graph contains a cycle")
-    return order
-
-
 def cpm(g: DepGraph) -> int:
-    """Forward and backward pass; returns the makespan.
+    """Forward pass in node order, backward pass in reverse; returns the makespan.
 
     ES is the largest predecessor EF (0 at sources); LF is the smallest
-    successor LS (makespan at sinks).
+    successor LS (makespan at sinks).  A back edge, the only way a cycle can
+    enter a graph in node order, raises ``MalformedGraphError``.
     """
-    order = topological_order(g)
-    for i in order:
-        n = g.nodes[i]
+    for i, n in enumerate(g.nodes):
+        if any(p >= i for p in g.preds[i]):
+            raise MalformedGraphError(f"dependency graph has a back edge into node {i}")
         n.es = max((g.nodes[p].ef for p in g.preds[i]), default=0)
         n.ef = n.es + n.duration
     makespan = g.makespan
-    for i in reversed(order):
+    for i in range(len(g.nodes) - 1, -1, -1):
         n = g.nodes[i]
         n.lf = min((g.nodes[s].ls for s in g.succs[i]), default=makespan)
         n.ls = n.lf - n.duration
@@ -172,26 +154,23 @@ def critical_path(g: DepGraph) -> set[int]:
     return {n.index for n in g.nodes if n.es == n.ls}
 
 
-def update_cpm(g: DepGraph, changed: DepNode, order: list[int] | None = None):
+def update_cpm(g: DepGraph, changed: DepNode):
     """Re-propagate times after one node's duration grew.
 
-    Sweeps the topological order forward from the changed node raising
-    successor ES/EF, then backward lowering predecessor LF/LS.  Because
-    durations only ever grow, these monotone relaxations reproduce a full
-    forward/backward recomputation exactly.
+    Sweeps node order forward from the changed node raising successor ES/EF,
+    then backward lowering predecessor LF/LS.  Because durations only ever
+    grow, these monotone relaxations reproduce a full forward/backward
+    recomputation exactly.
     """
-    if order is None:
-        order = topological_order(g)
-    pos = order.index(changed.index)
     nodes, succs, preds = g.nodes, g.succs, g.preds
-    for u in order[pos:]:
+    for u in range(changed.index, len(nodes)):
         nu = nodes[u]
         for s in succs[u]:
             ns = nodes[s]
             if nu.ef > ns.es:
                 ns.es = nu.ef
                 ns.ef = ns.es + ns.duration
-    for u in order[pos::-1]:
+    for u in range(changed.index, -1, -1):
         nu = nodes[u]
         for p in preds[u]:
             np_ = nodes[p]
@@ -204,11 +183,12 @@ def update_cpm(g: DepGraph, changed: DepNode, order: list[int] | None = None):
 def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
     """Stretch off-critical-path gates into their float; the makespan is unchanged.
 
-    ``float="total"`` (default): every non-critical node is enqueued at
-    priority rotation/duration.  A dequeued node steps to its next allowed
-    duration when it still finishes by LF; it re-enters the queue until it
-    reaches its maximum duration.  Stretches propagate, so successors may
-    start later than their ES at minimum durations.
+    ``float="total"`` (default): every node with slack and a longer allowed
+    duration is enqueued at priority rotation/duration.  A dequeued node steps
+    to the next duration on its menu when it still finishes by LF; it
+    re-enters the queue until it reaches the end of its menu.  Stretches
+    propagate, so successors may start later than their ES at minimum
+    durations.
 
     ``float="free"``: every node takes the longest allowed duration that
     finishes by its free-float limit, min(successor ES) or the makespan at a
@@ -222,21 +202,24 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
         return
     if float != TOTAL_FLOAT:
         raise ConfigError(f"unknown float policy {float!r}")
-    order = topological_order(g)
+    menus: dict[int, tuple[int, ...]] = {}
     queue: list[tuple[float, int]] = []
     for n in g.nodes:
-        if n.es != n.ls or n.ef != n.lf:
-            heapq.heappush(queue, (-n.rotation / n.duration if n.duration else 0.0, n.index))
+        if n.slack > 0:
+            menu = s.durations_for(n.gate)
+            if menu[-1] > n.duration:
+                menus[n.index] = menu
+                heapq.heappush(queue, (-n.rotation / n.duration if n.duration else 0.0, n.index))
     while queue:
         _, idx = heapq.heappop(queue)
-        n = g.nodes[idx]
-        d = s.next_duration(n.gate, n.duration)
+        n, menu = g.nodes[idx], menus[idx]
+        d = menu[bisect_right(menu, n.duration)]
         if n.es + d <= n.lf:
             n.duration = d
             n.ef = n.es + d
             n.ls = n.lf - d
-            update_cpm(g, n, order)
-            if d < s.max_duration_for(n.gate):
+            update_cpm(g, n)
+            if d < menu[-1]:
                 heapq.heappush(queue, (-n.rotation / d, idx))
 
 
@@ -247,8 +230,7 @@ def _stretch_into_free_float(g: DepGraph, s: GateSet):
         window = limit - n.es
         if window <= n.duration:
             continue
-        angle = n.gate.angles[0] if n.gate.angles else 0.0
-        fits = [d for d in s.allowed_durations(n.gate.kind, angle) if n.duration < d <= window]
+        fits = [d for d in s.durations_for(n.gate) if n.duration < d <= window]
         if fits:
             n.duration = fits[-1]
             n.ef = n.es + n.duration

@@ -31,6 +31,7 @@ from pulsesched.circuit import (
     merge_virtual_z,
     normalize_angle,
     parse_circuit,
+    pulse_angle,
     pulse_rotation,
     u3_angles,
 )
@@ -268,6 +269,17 @@ class TestRotationAttribute:
         assert pulse_rotation(Gate(id=0, kind="rx", qubits=(0,), angles=(-1.2,))) == pytest.approx(1.2)
         assert pulse_rotation(Gate(id=0, kind="measure", qubits=(0,))) == 0.0
         assert pulse_rotation(Gate(id=0, kind="barrier", qubits=(0,))) == 0.0
+
+    def test_pulse_angle_is_signed(self):
+        assert pulse_angle(Gate(id=0, kind="sx", qubits=(0,))) == HALF_PI
+        assert pulse_angle(Gate(id=0, kind="sxdg", qubits=(0,))) == -HALF_PI
+        assert pulse_angle(Gate(id=0, kind="rx", qubits=(0,), angles=(-1.2,))) == -1.2
+        assert pulse_angle(Gate(id=0, kind="rx", qubits=(0,), angles=(2.5,))) == 2.5
+
+    def test_pulse_angle_zero_without_a_rotation(self):
+        for kind, qubits in (("ecr", (0, 1)), ("measure", (0,)), ("barrier", (0, 1))):
+            assert pulse_angle(Gate(id=0, kind=kind, qubits=qubits)) == 0.0
+        assert pulse_rotation(Gate(id=0, kind="ecr", qubits=(0, 1))) == 0.0
 
 
 _QUATERNION = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(

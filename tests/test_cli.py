@@ -58,6 +58,20 @@ class TestScheduleCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["u3 q0 0.2,0,0\n", "rx q0 0.01\n"], ids=["u3", "rx"])
+    def test_small_dynamic_rotation_gets_shortest_pulse(self, text, tmp_path):
+        # |theta| <= pi/4 scales the dynamic window below sigma's 17.36 dt
+        # domain; the menu is floored at 24 dt instead
+        gs = tmp_path / "dynamic.json"
+        GateSet.ideal("dynamic", 1).write_json(gs)
+        circuit = tmp_path / "small.qc"
+        circuit.write_text(text)
+        out = tmp_path / "sched.json"
+        code = main(["schedule", str(circuit), "--gateset", str(gs), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert [e["duration_dt"] for e in doc["qubits"][0]] == [24]
+
     def test_bad_syntax_is_config_error(self, gateset_json, tmp_path):
         bad = tmp_path / "bad.qc"
         bad.write_text("frobnicate q0\n")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsesched.circuit import Gate, parse_circuit
 from pulsesched.errors import (
@@ -91,6 +93,15 @@ class TestAllowedDurations:
         with pytest.raises(GateSetError):
             gs.allowed_durations("sx")
 
+    @given(theta=st.floats(0.0, PI, exclude_min=True))
+    @settings(max_examples=60, deadline=None)
+    def test_dynamic_menu_floored_at_24_and_buildable(self, theta):
+        gs = GateSet.ideal("dynamic", 1)
+        menu = gs.allowed_durations("rx", theta)
+        assert menu
+        assert all(d % 8 == 0 and d >= 24 for d in menu)
+        assert gs.impl_for(0, "rx", theta, menu[0]).duration == menu[0]
+
     def test_rx_rejected_in_static_mode(self):
         gs = GateSet.ideal("static", 1)
         with pytest.raises(GateSetError):
@@ -98,23 +109,27 @@ class TestAllowedDurations:
 
 
 class TestNextDuration:
+    """A gate's next duration is the next entry of its ``durations_for`` menu."""
+
     def test_static_step(self):
         gs = GateSet.ideal("static", 1, min_duration=32)
-        assert gs.next_duration(sx_gate(), 32) == 48
+        assert gs.durations_for(sx_gate()) == (32, 48, 64, 120, 256, 512)
+        assert gs.durations_for(Gate(id=0, kind="sxdg", qubits=(0,))) == gs.durations_for(sx_gate())
 
     def test_at_max_stays(self):
         gs = GateSet.ideal("static", 1)
-        assert gs.next_duration(sx_gate(), 512) == 512
+        assert gs.durations_for(sx_gate())[-1] == 512
 
     def test_dynamic_step(self):
         gs = GateSet.ideal("dynamic", 1, min_duration=32, max_duration=128)
-        assert gs.next_duration(rx_gate(HALF_PI), 40) == 48
+        assert gs.durations_for(rx_gate(HALF_PI)) == tuple(range(32, 129, 8))
+        assert gs.durations_for(rx_gate(-PI)) == tuple(range(64, 257, 8))
+        assert gs.durations_for(sx_gate()) == gs.durations_for(rx_gate(-HALF_PI))
 
     def test_ecr_never_steps(self):
         gs = GateSet.ideal("static", 1)
-        g = Gate(id=0, kind="ecr", qubits=(0, 1))
-        assert gs.next_duration(g, 1320) == 1320
-        assert gs.max_duration_for(g) == 1320
+        assert gs.durations_for(Gate(id=0, kind="ecr", qubits=(0, 1))) == (1320,)
+        assert gs.durations_for(Gate(id=0, kind="barrier", qubits=(0,))) == (0,)
 
 
 class TestFitRabi:

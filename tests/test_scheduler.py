@@ -5,8 +5,11 @@ memoization), so the forward/backward pass and the incremental update are
 checked against an independent computation.
 """
 
+import hashlib
+import json
 import math
 import time
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -35,7 +38,6 @@ from pulsesched.scheduler import (
     lower,
     optimize_durations,
     run_framework,
-    topological_order,
     update_cpm,
 )
 
@@ -89,6 +91,13 @@ def random_dag_graph(rng, n_nodes, max_duration=40):
     return g
 
 
+def next_on_menu(gs, gate, current):
+    """Smallest allowed duration strictly above current; current if none."""
+    menu = gs.durations_for(gate)
+    i = bisect_right(menu, current)
+    return menu[i] if i < len(menu) else current
+
+
 def fixed_gateset(durations=(64, 128, 192, 256, 320), **kw):
     return GateSet.ideal("static", 8, static_durations=tuple(durations), **kw)
 
@@ -119,8 +128,6 @@ class TestBuildGraph:
             (4, 7), (7, 8),               # q1 gate into second ecr
             (8, 9),                        # final q0 gate
         }
-        assert g.entry == {0: 0, 1: 3}
-        assert g.exit == {0: 9, 1: 8}
 
     def test_random_circuits_match_last_writer_scan(self):
         rng = np.random.default_rng(42)
@@ -141,6 +148,7 @@ class TestBuildGraph:
                         expected.add((index_of[last[q]], index_of[gt.id]))
                     last[q] = gt.id
             assert set(g.edges()) == expected
+            assert all(u < v for u, v in g.edges())
 
     def test_rz_excluded_from_nodes(self):
         c = merge_virtual_z(decompose_static(parse_circuit("u3 q0 1.0,0.2,0.3\nsx q0")))
@@ -154,37 +162,14 @@ class TestBuildGraph:
 
 
 class TestTopologicalOrder:
-    def test_chain(self):
-        g = build_graph(parse_circuit("sx q0\nsx q0\nsx q0"), {0: 1, 1: 1, 2: 1})
-        assert topological_order(g) == [0, 1, 2]
-
-    def test_fig2_ecr_after_both_predecessors(self, fig2_circuit):
-        g, _ = fig2_graph(fig2_circuit)
-        order = topological_order(g)
-        pos = {n: i for i, n in enumerate(order)}
-        assert pos[2] < pos[4] and pos[3] < pos[4]
-        assert pos[6] < pos[8] and pos[7] < pos[8]
-
-    def test_random_dags_validate_against_edges(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            g = random_dag_graph(rng, int(rng.integers(1, 13)))
-            order = topological_order(g)
-            pos = {n: i for i, n in enumerate(order)}
-            assert sorted(order) == list(range(len(g.nodes)))
-            for u, v in g.edges():
-                assert pos[u] < pos[v]
+    """Node order is the topological order; a back edge breaks it."""
 
     def test_cycle_detected(self):
         g = build_graph(parse_circuit("sx q0\nsx q0"), {0: 1, 1: 1})
         g.succs[1].append(0)
         g.preds[0].append(1)
         with pytest.raises(MalformedGraphError):
-            topological_order(g)
-
-    def test_deterministic_tie_break_by_id(self):
-        g = build_graph(parse_circuit("sx q1\nsx q0\nsx q2"), {0: 1, 1: 1, 2: 1})
-        assert topological_order(g) == [0, 1, 2]
+            cpm(g)
 
 
 class TestCPM:
@@ -372,7 +357,7 @@ class TestOptimizeDurations:
             cpm(g)
             optimize_durations(g, gs)
             for n in g.nodes:
-                nxt = gs.next_duration(n.gate, n.duration)
+                nxt = next_on_menu(gs, n.gate, n.duration)
                 if nxt > n.duration:
                     assert n.es + nxt > n.lf
 
@@ -448,7 +433,7 @@ class TestFreeFloat:
                 assert n.duration >= initial[n.index]
                 limit = min((g.nodes[v].es for v in g.succs[n.index]), default=before)
                 assert n.ef <= limit
-                nxt = gs.next_duration(n.gate, n.duration)
+                nxt = next_on_menu(gs, n.gate, n.duration)
                 if nxt > n.duration:
                     assert n.es + nxt > limit
             # LS/LF are refreshed: they equal a full CPM pass at the new durations
@@ -537,6 +522,18 @@ class TestRunFramework:
             _, opt = run_framework(c, gs, TOTAL_FLOAT)
             assert base.makespan == opt.makespan
 
+    def test_golden_schedule_json(self):
+        # pins the schedule JSON of a seeded 974-node circuit byte for byte.
+        # Waveform samples are left out: they pass through numpy's vectorized
+        # exp, whose last bit may differ between CPUs.
+        c = random_circuit(np.random.default_rng(56), 5, 1000)
+        gs = GateSet.ideal("static", 5)
+        _, sch = run_framework(lower(c, gs), gs)
+        doc = json.dumps(sch.to_json(include_waveforms=False), indent=1)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "9128b18e412b3698c66458fb6d2fda66a20821ad5dbe7370972a1c84730b001d"
+        )
+
 
 class TestExports:
     def test_dot_output(self, fig2_circuit):
@@ -548,8 +545,6 @@ class TestExports:
         assert "n3 -> n4;" in dot
 
     def test_schedule_json_schema(self, fig2_circuit, tmp_path):
-        import json
-
         gs = fixed_gateset()
         _, sch = run_framework(fig2_circuit, gs)
         out = tmp_path / "sched.json"
