@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -114,9 +115,11 @@ def _cmd_rb(args) -> int:
         shots=args.shots,
     )
     if args.gateset:
-        gs = GateSet.load(args.gateset)
-        gs.min_duration = cfg.min_duration
-        gs.max_duration = cfg.max_duration
+        gs = replace(
+            GateSet.load(args.gateset),
+            min_duration=cfg.min_duration,
+            max_duration=cfg.max_duration,
+        )
         gs.validate_coverage(cfg.n_qubits)
     elif cfg.mode == STATIC:
         gs = build_static_gateset(

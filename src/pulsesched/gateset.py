@@ -372,6 +372,11 @@ class GateSet:
             raise GateSetError(f"unknown scheduling mode {self.mode!r}")
         if self.min_duration > self.max_duration:
             raise GateSetError("min_duration exceeds max_duration")
+        if self.mode == DYNAMIC and self.max_duration < MIN_DYNAMIC_DURATION:
+            raise GateSetError(
+                f"dynamic max_duration {self.max_duration} dt is below the shortest "
+                f"pulse, {MIN_DYNAMIC_DURATION} dt"
+            )
         self.static_durations = tuple(sorted(set(int(d) for d in self.static_durations)))
 
     # -- duration policy ----------------------------------------------------

@@ -55,9 +55,9 @@ class Schedule:
         self.validate()
 
     def validate(self):
-        for q in range(self.width):
+        for q, line in enumerate(self.timelines()):
             prev_end, prev_id = 0, None
-            for p in self.timeline(q):
+            for p in line:
                 if p.start < prev_end:
                     raise ScheduleOverlapError(
                         f"qubit {q}: {p.waveform_id} at {p.start} overlaps {prev_id}"
@@ -82,26 +82,29 @@ class Schedule:
         tagged += [((p.start, 1, p.seq), p) for p in self.placements]
         return [ev for _, ev in sorted(tagged, key=lambda kv: kv[0])]
 
-    def timeline(self, qubit: int) -> list[PulsePlacement]:
-        return sorted(
-            (p for p in self.placements if qubit in p.qubits),
-            key=lambda p: (p.start, p.seq),
-        )
+    def timelines(self) -> list[list[PulsePlacement]]:
+        """Every qubit's placements in (start, seq) order, bucketed in one pass."""
+        lines: list[list[PulsePlacement]] = [[] for _ in range(self.width)]
+        for p in self.placements:
+            for q in p.qubits:
+                lines[q].append(p)
+        for line in lines:
+            line.sort(key=lambda p: (p.start, p.seq))
+        return lines
 
     def to_json(self, include_waveforms: bool = True) -> dict:
-        qubits = []
-        for q in range(self.width):
-            qubits.append(
-                [
-                    {
-                        "start_dt": p.start,
-                        "duration_dt": p.duration,
-                        "waveform_id": p.waveform_id,
-                        "phase_frame": p.phase_frames[p.qubits.index(q)],
-                    }
-                    for p in self.timeline(q)
-                ]
-            )
+        qubits = [
+            [
+                {
+                    "start_dt": p.start,
+                    "duration_dt": p.duration,
+                    "waveform_id": p.waveform_id,
+                    "phase_frame": p.phase_frames[p.qubits.index(q)],
+                }
+                for p in line
+            ]
+            for q, line in enumerate(self.timelines())
+        ]
         frames = [[] for _ in range(self.width)]
         for f in sorted(self.frames, key=lambda f: (f.time, f.seq)):
             frames[f.qubit].append({"time_dt": f.time, "angle": f.angle})

@@ -8,7 +8,10 @@ pulses.  Every caller (the CLI, the RB harness) goes through them.
 
 The dependency graph's node order is program order, and every edge points
 from an earlier node to a later one, so node order is its topological order:
-CPM sweeps nodes forward by index and back in reverse, with no sort.
+CPM sweeps nodes forward by index and back in reverse, with no sort.  After a
+stretch, ``update_cpm`` relaxes only the nodes whose times move, popping them
+from an index heap in the same order, so total float costs about one visit per
+moved node per step instead of a sweep over the graph.
 
 All times are integer dt counts; comparisons are exact.  The optimizer
 stretches off-critical-path gates into idle slack without moving the overall
@@ -155,29 +158,42 @@ def critical_path(g: DepGraph) -> set[int]:
 
 
 def update_cpm(g: DepGraph, changed: DepNode):
-    """Re-propagate times after one node's duration grew.
+    """Re-propagate times after one node's duration grew, by worklist relaxation.
 
-    Sweeps node order forward from the changed node raising successor ES/EF,
-    then backward lowering predecessor LF/LS.  Because durations only ever
-    grow, these monotone relaxations reproduce a full forward/backward
-    recomputation exactly.
+    The caller has already set the changed node's own EF and LS, and the
+    node still finishes by its LF, so the makespan holds.  Forward, a
+    min-heap of node indices starts at the changed node; each popped node
+    raises its successors' ES/EF, and a successor joins the heap (once) only
+    when its ES rose.  Backward, a max-heap lowers predecessors' LF/LS the
+    same way.  Edges point to higher indices, so pops are monotone and every
+    node is final when popped: only nodes whose times move are visited, and
+    because durations only ever grow, the result equals a full CPM pass.
     """
     nodes, succs, preds = g.nodes, g.succs, g.preds
-    for u in range(changed.index, len(nodes)):
-        nu = nodes[u]
-        for s in succs[u]:
-            ns = nodes[s]
-            if nu.ef > ns.es:
-                ns.es = nu.ef
-                ns.ef = ns.es + ns.duration
-    for u in range(changed.index, -1, -1):
-        nu = nodes[u]
+    heap, queued = [changed.index], {changed.index}
+    while heap:
+        u = heapq.heappop(heap)
+        ef = nodes[u].ef
+        for v in succs[u]:
+            nv = nodes[v]
+            if ef > nv.es:
+                nv.es = ef
+                nv.ef = ef + nv.duration
+                if v not in queued:
+                    queued.add(v)
+                    heapq.heappush(heap, v)
+    heap, queued = [-changed.index], {changed.index}
+    while heap:
+        u = -heapq.heappop(heap)
+        ls = nodes[u].ls
         for p in preds[u]:
             np_ = nodes[p]
-            if nu.ls < np_.lf:
-                np_.lf = nu.ls
-                np_.ls = np_.lf - np_.duration
-    return None
+            if ls < np_.lf:
+                np_.lf = ls
+                np_.ls = ls - np_.duration
+                if p not in queued:
+                    queued.add(p)
+                    heapq.heappush(heap, -p)
 
 
 def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):

@@ -104,6 +104,14 @@ class TestCalibrateCommand:
         gs = GateSet.load(out)
         assert gs.mode == "dynamic" and 0 in gs.rabi
 
+    def test_dynamic_max_below_shortest_pulse_is_config_error(self, tmp_path):
+        code = main([
+            "calibrate", "--mode", "dynamic", "--min-dur", "8", "--max-dur", "16",
+            "--qubits", "1", "--out", str(tmp_path / "gs.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "gs.json").exists()
+
     def test_static_without_durations_is_config_error(self, tmp_path):
         code = main(["calibrate", "--mode", "static", "--out", str(tmp_path / "g.json")])
         assert code == 2
@@ -162,6 +170,19 @@ class TestRBCommand:
         code = main([
             "rb", "--qubits", "2", "--lengths", "1", "--min-dur", "32",
             "--gateset", gateset_json, "--out-dir", str(tmp_path / "rb"),
+        ])
+        assert code == 2
+
+    def test_dynamic_max_below_shortest_pulse_overrides_gateset(self, tmp_path):
+        # --min-dur/--max-dur replace a loaded set's bounds; the new bounds
+        # are checked like the set's own
+        gs_path = tmp_path / "gs.json"
+        GateSet.ideal("dynamic", 2).write_json(gs_path)
+        code = main([
+            "rb", "--qubits", "2", "--lengths", "1", "--mode", "dynamic",
+            "--min-dur", "8", "--max-dur", "16", "--shots", "8",
+            "--circuits-per-length", "1", "--gateset", str(gs_path),
+            "--out-dir", str(tmp_path / "rb"),
         ])
         assert code == 2
 

@@ -102,6 +102,17 @@ class TestAllowedDurations:
         assert all(d % 8 == 0 and d >= 24 for d in menu)
         assert gs.impl_for(0, "rx", theta, menu[0]).duration == menu[0]
 
+    @pytest.mark.parametrize("max_duration", [8, 16, 23])
+    def test_dynamic_max_below_shortest_pulse_rejected(self, max_duration):
+        # the 24 dt floor would otherwise lift every menu above the set's own
+        # max_duration: rx 1.5 got (24,) under max_duration=16
+        with pytest.raises(GateSetError, match="max_duration"):
+            GateSet.ideal("dynamic", 1, min_duration=8, max_duration=max_duration)
+
+    def test_dynamic_max_at_shortest_pulse_accepted(self):
+        gs = GateSet.ideal("dynamic", 1, min_duration=8, max_duration=24)
+        assert gs.allowed_durations("sx") == (24,)
+
     def test_rx_rejected_in_static_mode(self):
         gs = GateSet.ideal("static", 1)
         with pytest.raises(GateSetError):

@@ -2,7 +2,8 @@
 
 The CPM oracle enumerates every source-to-node path by brute force (no
 memoization), so the forward/backward pass and the incremental update are
-checked against an independent computation.
+checked against an independent computation.  The worklist ``update_cpm`` is
+also checked against a full-sweep oracle over the whole node order.
 """
 
 import hashlib
@@ -10,11 +11,15 @@ import json
 import math
 import time
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_circuit
+from pulsesched import scheduler
 from pulsesched.circuit import (
     Circuit,
     Gate,
@@ -74,21 +79,63 @@ def brute_force_cpm(g):
     return es, ef, ls, lf
 
 
-def random_dag_graph(rng, n_nodes, max_duration=40):
-    """Random DAG dressed as a DepGraph (edges always point forward)."""
+def sweep_update_cpm(g, changed):
+    """Full-sweep oracle for update_cpm: relax every node after the changed
+    one forward, then every node before it backward, in node order."""
+    nodes, succs, preds = g.nodes, g.succs, g.preds
+    for u in range(changed.index, len(nodes)):
+        nu = nodes[u]
+        for s in succs[u]:
+            ns = nodes[s]
+            if nu.ef > ns.es:
+                ns.es = nu.ef
+                ns.ef = ns.es + ns.duration
+    for u in range(changed.index, -1, -1):
+        nu = nodes[u]
+        for p in preds[u]:
+            np_ = nodes[p]
+            if nu.ls < np_.lf:
+                np_.lf = nu.ls
+                np_.ls = np_.lf - np_.duration
+
+
+def node_times(g):
+    return [(n.duration, n.es, n.ef, n.ls, n.lf) for n in g.nodes]
+
+
+def recomputed(g):
+    """A copy of g with the same durations and edges, after a fresh cpm."""
+    g2 = DepGraph(
+        circuit=g.circuit,
+        nodes=[DepNode(n.index, n.gate, n.duration, n.rotation) for n in g.nodes],
+        succs=[list(s) for s in g.succs],
+        preds=[list(p) for p in g.preds],
+    )
+    cpm(g2)
+    return g2
+
+
+def dag_graph(durations, edges):
+    """A DAG dressed as a DepGraph: one sx node per duration, the given edges."""
+    n_nodes = len(durations)
     c = Circuit(
         width=n_nodes,
         gates=tuple(Gate(id=i, kind="sx", qubits=(i,)) for i in range(n_nodes)),
     )
-    g = build_graph(c, {i: int(rng.integers(1, max_duration)) for i in range(n_nodes)})
+    g = build_graph(c, dict(enumerate(durations)))
     g.succs = [[] for _ in range(n_nodes)]
     g.preds = [[] for _ in range(n_nodes)]
-    for u in range(n_nodes):
-        for v in range(u + 1, n_nodes):
-            if rng.random() < 0.25:
-                g.succs[u].append(v)
-                g.preds[v].append(u)
+    for u, v in edges:
+        g.succs[u].append(v)
+        g.preds[v].append(u)
     return g
+
+
+def random_dag_graph(rng, n_nodes, max_duration=40):
+    """Random DAG dressed as a DepGraph (edges always point forward)."""
+    durations = [int(rng.integers(1, max_duration)) for _ in range(n_nodes)]
+    edges = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes) if rng.random() < 0.25]
+    return dag_graph(durations, edges)
 
 
 def next_on_menu(gs, gate, current):
@@ -275,6 +322,20 @@ class TestUpdateCPM:
         for a, b in zip(g.nodes, g2.nodes):
             assert (a.es, a.ef, a.ls, a.lf) == (b.es, b.ef, b.ls, b.lf)
 
+    def test_node_raised_twice_is_final_when_popped(self):
+        # 0 reaches 3 directly and through 1 -> 2; the stretch raises 3 once
+        # from 0 and again from 2, and 4 must see the second raise (a FIFO
+        # worklist pops 3 between the two); node 5 is the critical path
+        g = dag_graph([10, 5, 5, 5, 5, 100], [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        cpm(g)
+        n = g.nodes[0]
+        n.duration += 20
+        n.ef = n.es + n.duration
+        n.ls = n.lf - n.duration
+        update_cpm(g, n)
+        assert (g.nodes[3].es, g.nodes[4].es) == (40, 45)
+        assert node_times(g) == node_times(recomputed(g))
+
     def test_thousand_random_extensions_equal_full_recompute(self):
         rng = np.random.default_rng(48)
         done = 0
@@ -290,12 +351,30 @@ class TestUpdateCPM:
             n.ef = n.es + n.duration
             n.ls = n.lf - n.duration
             update_cpm(g, n)
-            durations = {m.gate.id: m.duration for m in g.nodes}
-            g2 = DepGraph(circuit=g.circuit, nodes=[DepNode(m.index, m.gate, durations[m.gate.id], m.rotation) for m in g.nodes], succs=[list(s) for s in g.succs], preds=[list(p) for p in g.preds])
-            cpm(g2)
-            for a, b in zip(g.nodes, g2.nodes):
-                assert (a.es, a.ef, a.ls, a.lf) == (b.es, b.ef, b.ls, b.lf)
+            assert node_times(g) == node_times(recomputed(g))
             done += 1
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(2, 8),
+        n_gates=st.integers(50, 2000),
+        mode=st.sampled_from(["static", "dynamic"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_total_float_matches_sweep_oracle(self, seed, n_qubits, n_gates, mode):
+        # lowered circuits of about 50-2000 nodes: total float driven by the
+        # worklist and by the full sweep reach the same durations and times
+        gs = GateSet.ideal(mode, n_qubits)
+        c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
+        runs = []
+        for propagate in (update_cpm, sweep_update_cpm):
+            g = build_graph(c, initial_durations(c, gs))
+            cpm(g)
+            with mock.patch.object(scheduler, "update_cpm", propagate):
+                optimize_durations(g, gs)
+            runs.append(node_times(g))
+        assert runs[0] == runs[1]
+        assert runs[0] == node_times(recomputed(g))
 
 
 class TestOptimizeDurations:
@@ -384,6 +463,20 @@ class TestOptimizeDurations:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"optimization took {elapsed:.2f} s"
 
+    def test_eight_thousand_gate_circuit_under_a_second(self):
+        # stretches relax only the nodes whose times move; a sweep over the
+        # whole order per step took about 42 s here
+        rng = np.random.default_rng(53)
+        c = merge_virtual_z(decompose_static(random_circuit(rng, 20, 8000)))
+        gs = fixed_gateset((32, 48, 64, 120, 256, 512))
+        g = build_graph(c, initial_durations(c, gs))
+        assert len(g.nodes) > 7500
+        start = time.perf_counter()
+        cpm(g)
+        optimize_durations(g, gs)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"optimization took {elapsed:.2f} s"
+
 
 class TestFreeFloat:
     def test_fig2_matches_total_float(self, fig2_circuit):
@@ -455,7 +548,7 @@ class TestCreateSchedule:
         g = build_graph(c, {0: 64, 1: 64})
         cpm(g)
         sch = create_schedule(g, gs)
-        starts = [p.start for p in sch.timeline(0)]
+        starts = [p.start for p in sch.timelines()[0]]
         assert starts == [0, 64]
         assert sch.makespan == 128
 
@@ -464,9 +557,9 @@ class TestCreateSchedule:
         cpm(g)
         optimize_durations(g, gs)
         sch = create_schedule(g, gs)
-        q1 = sch.timeline(1)
+        q1 = sch.timelines()[1]
         assert q1[0].duration == 192 and q1[0].start == g.nodes[3].es
-        assert all(p.start == n.es for p, n in zip(sch.timeline(0), [g.nodes[i] for i in (0, 1, 2, 4, 5, 6, 8, 9)]))
+        assert all(p.start == n.es for p, n in zip(sch.timelines()[0], [g.nodes[i] for i in (0, 1, 2, 4, 5, 6, 8, 9)]))
 
     def test_random_non_overlap_and_start_at_es(self):
         rng = np.random.default_rng(53)
@@ -491,7 +584,7 @@ class TestCreateSchedule:
         assert len(sch.frames) > 0
         assert sch.measured_qubits == (0,)
         # cumulative frame on the second pulse reflects the rz between pulses
-        second = sch.timeline(0)[1]
+        second = sch.timelines()[0][1]
         assert second.phase_frames[0] != 0.0
 
 
@@ -508,7 +601,7 @@ class TestRunFramework:
         _, base = run_framework(fig2_circuit, gs, None)
         _, opt = run_framework(fig2_circuit, gs, TOTAL_FLOAT)
         assert base.makespan == opt.makespan
-        durs_opt = sorted(p.duration for p in opt.timeline(1) if p.kind == "sx")
+        durs_opt = sorted(p.duration for p in opt.timelines()[1] if p.kind == "sx")
         assert durs_opt == [128, 192]
 
     def test_rb_circuits_latency_equality(self):
