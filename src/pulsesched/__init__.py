@@ -9,8 +9,6 @@ and a randomized-benchmarking harness.
 from .circuit import (
     Circuit,
     Gate,
-    circuit_from_json,
-    circuit_to_json,
     circuit_to_text,
     decompose_dynamic,
     decompose_static,
@@ -46,7 +44,6 @@ from .scheduler import (
     update_cpm,
 )
 from .sim import (
-    Channel,
     DensityState,
     NoiseModel,
     RunResult,
@@ -65,8 +62,6 @@ __all__ = [
     "Gate",
     "parse_circuit",
     "circuit_to_text",
-    "circuit_from_json",
-    "circuit_to_json",
     "decompose_static",
     "decompose_dynamic",
     "merge_virtual_z",
@@ -99,7 +94,6 @@ __all__ = [
     "synthesize",
     "pulse_area",
     "NoiseModel",
-    "Channel",
     "DensityState",
     "RunResult",
     "propagate_waveform",

@@ -22,9 +22,9 @@ from . import circuit as circ
 from .circuit import Circuit
 from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
 from .errors import ConfigError
-from .gateset import DYNAMIC, STATIC, GateSet
+from .gateset import GateSet
 from .scheduler import FREE_FLOAT, lower, run_framework
-from .sim import NoiseModel, ScheduleSimulator
+from .sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator
 
 HALF_PI = math.pi / 2.0
 PI = math.pi
@@ -36,30 +36,31 @@ OPTIMIZED = "optimized"
 PAPER_LENGTHS = {2: (1, 41, 81, 121, 161), 3: (1, 3, 5, 7)}
 
 
+def _check_width(n_qubits: int):
+    if not 1 <= n_qubits <= MAX_SIM_QUBITS:
+        raise ConfigError(f"randomized benchmarking supports 1-{MAX_SIM_QUBITS} qubits")
+
+
 @dataclass(frozen=True)
 class RBConfig:
+    """The RB suite's shape; the gate set owns the mode and duration bounds."""
+
     n_qubits: int
     clifford_lengths: tuple[int, ...]
     circuits_per_length: int = 10
-    mode: str = STATIC
-    min_duration: int = 32
-    max_duration: int = 512
     seed: int = 0
     shots: int = 1024
 
     def __post_init__(self):
-        if self.n_qubits not in (1, 2, 3):
-            raise ConfigError("randomized benchmarking supports 1-3 qubits")
+        _check_width(self.n_qubits)
         lens = tuple(self.clifford_lengths)
         if not lens or any(l <= 0 for l in lens) or list(lens) != sorted(lens):
             raise ConfigError("clifford lengths must be positive and ascending")
         object.__setattr__(self, "clifford_lengths", lens)
         if self.circuits_per_length < 1:
             raise ConfigError("need at least one circuit per length")
-        if self.mode not in (STATIC, DYNAMIC):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.min_duration > self.max_duration:
-            raise ConfigError("min_duration exceeds max_duration")
+        if self.shots < 1:
+            raise ConfigError("need at least one shot")
 
 
 _WORD_GATES = {
@@ -93,8 +94,7 @@ def random_clifford_circuit(n_qubits: int, length: int, seed) -> Circuit:
     with quarter-pi angles) and, from two qubits up, one ECR on a random
     ordered pair.  Every qubit is measured at the end.
     """
-    if n_qubits not in (1, 2, 3):
-        raise ConfigError("randomized benchmarking supports 1-3 qubits")
+    _check_width(n_qubits)
     rng = np.random.default_rng(seed)
     tab = Tableau(n_qubits)
     specs: list[tuple] = []
@@ -188,8 +188,6 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     histogram output.  ideal_pulses replaces integrated pulse unitaries by
     their nominal rotations (the noiseless-identity baseline).
     """
-    if gs.mode != cfg.mode:
-        raise ConfigError(f"gate set mode {gs.mode!r} does not match RB mode {cfg.mode!r}")
     result = RBResult(config=cfg, dt_ns=gs.dt_ns)
     result.durations = {FIXED: Counter(), OPTIMIZED: Counter()}
     sim = ScheduleSimulator(nm, gs.dt_ns, ideal_pulses)

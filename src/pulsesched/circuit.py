@@ -1,4 +1,4 @@
-"""Circuit IR, text/JSON parsing, and single-qubit basis decomposition.
+"""Circuit IR, text parsing, and single-qubit basis decomposition.
 
 A circuit is an ordered gate list over indexed qubits.  Two decomposition
 modes rewrite arbitrary U3 gates into the physical basis:
@@ -13,10 +13,9 @@ matrix-product reading of the same sequences does not reproduce U3.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,9 +34,6 @@ KINDS = (U3, RZ, SX, SXDG, RX, ECR, MEASURE, BARRIER)
 
 #: number of angle parameters each kind carries
 _N_ANGLES = {U3: 3, RZ: 1, RX: 1, SX: 0, SXDG: 0, ECR: 0, MEASURE: 0, BARRIER: 0}
-
-#: gate kinds that occupy a dependency-graph node (everything but virtual Rz)
-PHYSICAL_KINDS = (SX, SXDG, RX, ECR, MEASURE, BARRIER)
 
 #: gate kinds that emit an actual drive pulse
 PULSE_KINDS = (SX, SXDG, RX, ECR)
@@ -120,14 +116,13 @@ class Circuit:
         return len(self.gates)
 
 
-def _make_circuit(specs, width=None):
+def _make_circuit(specs, width):
     """Build a Circuit from (kind, qubits, angles) triples, assigning dense ids."""
     gates = tuple(
         Gate(id=i, kind=k, qubits=tuple(qs), angles=tuple(angles))
         for i, (k, qs, angles) in enumerate(specs)
     )
-    inferred = 1 + max((q for g in gates for q in g.qubits), default=-1)
-    return Circuit(width=max(inferred, width or 0), gates=gates)
+    return Circuit(width=width, gates=gates)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -136,7 +131,7 @@ def parse_circuit(text: str) -> Circuit:
     Angles are radians; ``#`` starts a comment.  Width is one past the highest
     qubit index mentioned.
     """
-    specs = []
+    gates = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -165,12 +160,11 @@ def parse_circuit(text: str) -> Circuit:
         if not qubits:
             raise CircuitSyntaxError(line_no, "gate needs at least one qubit")
         try:
-            specs.append((kind, qubits, angles))
-            Gate(id=0, kind=kind, qubits=tuple(qubits), angles=tuple(angles))
+            gates.append(Gate(id=len(gates), kind=kind, qubits=tuple(qubits), angles=tuple(angles)))
         except ValueError as exc:
-            specs.pop()
             raise CircuitSyntaxError(line_no, str(exc)) from None
-    return _make_circuit(specs)
+    width = 1 + max((q for g in gates for q in g.qubits), default=-1)
+    return Circuit(width=width, gates=tuple(gates))
 
 
 def circuit_to_text(c: Circuit) -> str:
@@ -182,32 +176,6 @@ def circuit_to_text(c: Circuit) -> str:
             parts.append(",".join(repr(a) for a in g.angles))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def circuit_from_json(data) -> Circuit:
-    """Accept either a bare gate list or {"width": n, "gates": [...]}
-
-    with gate objects {"kind", "qubits", "angles"}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    width = None
-    if isinstance(data, dict):
-        width = data.get("width")
-        data = data["gates"]
-    specs = [
-        (g["kind"].lower(), g["qubits"], g.get("angles", []) or []) for g in data
-    ]
-    return _make_circuit(specs, width=width)
-
-
-def circuit_to_json(c: Circuit) -> dict:
-    return {
-        "width": c.width,
-        "gates": [
-            {"kind": g.kind, "qubits": list(g.qubits), "angles": list(g.angles)}
-            for g in c.gates
-        ],
-    }
 
 
 def u3_angles(u) -> tuple[float, float, float]:

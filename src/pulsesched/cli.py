@@ -7,7 +7,6 @@ Subcommands: schedule, calibrate, rabi, rb.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,14 +27,17 @@ from .scheduler import build_graph  # noqa: F401  perfbench/test_harness.py patc
 from .sim import NoiseModel, simulate_rabi, write_rabi_csv
 
 
-def _load_noise(path) -> NoiseModel:
-    if path is None:
-        return NoiseModel()
+def _load(path, what, parse):
+    """parse(text of the file at path); an unreadable file or content that
+    parse cannot take is a ConfigError."""
     try:
-        with open(path) as fh:
-            return NoiseModel.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot read noise model {path}: {exc}") from exc
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
+
+
+def _load_noise(path) -> NoiseModel:
+    return NoiseModel() if path is None else _load(path, "noise model", NoiseModel.from_json)
 
 
 def _parse_int_list(text) -> list[int]:
@@ -53,15 +55,9 @@ def _parse_float_list(text) -> list[float]:
 
 
 def _cmd_schedule(args) -> int:
-    try:
-        text = Path(args.circuit).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read circuit: {exc}") from exc
-    try:
-        gs = GateSet.load(args.gateset)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot read gate set: {exc}") from exc
-    lowered = lower(parse_circuit(text), gs)
+    circuit = _load(args.circuit, "circuit", parse_circuit)
+    gs = _load(args.gateset, "gate set", GateSet.from_json)
+    lowered = lower(circuit, gs)
     g, sch = run_framework(lowered, gs, None if args.no_optimize else TOTAL_FLOAT)
     sch.write_json(args.out)
     if args.dot:
@@ -108,27 +104,23 @@ def _cmd_rb(args) -> int:
         n_qubits=args.qubits,
         clifford_lengths=tuple(_parse_int_list(args.lengths)),
         circuits_per_length=args.circuits_per_length,
-        mode=args.mode,
-        min_duration=args.min_dur,
-        max_duration=args.max_dur,
         seed=args.seed,
         shots=args.shots,
     )
     if args.gateset:
-        gs = replace(
-            GateSet.load(args.gateset),
-            min_duration=cfg.min_duration,
-            max_duration=cfg.max_duration,
-        )
+        gs = _load(args.gateset, "gate set", GateSet.from_json)
+        if gs.mode != args.mode:
+            raise ConfigError(f"gate set mode {gs.mode!r} does not match RB mode {args.mode!r}")
+        gs = replace(gs, min_duration=args.min_dur, max_duration=args.max_dur)
         gs.validate_coverage(cfg.n_qubits)
-    elif cfg.mode == STATIC:
+    elif args.mode == STATIC:
         gs = build_static_gateset(
-            [d for d in DEFAULT_STATIC_DURATIONS if d >= cfg.min_duration],
-            nm, cfg.n_qubits, min_duration=cfg.min_duration, max_duration=cfg.max_duration,
+            [d for d in DEFAULT_STATIC_DURATIONS if d >= args.min_dur],
+            nm, cfg.n_qubits, min_duration=args.min_dur, max_duration=args.max_dur,
         )
     else:
         gs = build_dynamic_gateset(
-            nm, cfg.n_qubits, min_duration=cfg.min_duration, max_duration=cfg.max_duration
+            nm, cfg.n_qubits, min_duration=args.min_dur, max_duration=args.max_dur
         )
     result = bench.run_rb(cfg, gs, nm)
     out = Path(args.out_dir)

@@ -564,11 +564,6 @@ class GateSet:
             gs.impls[(impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)] = impl
         return gs
 
-    @classmethod
-    def load(cls, path) -> "GateSet":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
     # -- analytic construction (no simulator round trip) ----------------------
 
     @classmethod
@@ -648,7 +643,6 @@ def build_static_gateset(
     min_duration: int | None = None,
     max_duration: int | None = None,
     dt_ns: float = DEFAULT_DT_NS,
-    fine_tune_steps: int = 41,
 ) -> GateSet:
     """Calibrate one fine-tuned Sx per duration per qubit plus the fixed ECR."""
     durations = tuple(sorted(set(int(d) for d in durations)))
@@ -665,7 +659,7 @@ def build_static_gateset(
         for d in durations:
             shape = dynamic_pulse_shape(HALF_PI, d, dynamic_amplitude(HALF_PI, d, table, dt_ns))
             impl = GateImpl(qubit=q, kind=circ.SX, angle=HALF_PI, duration=d, shape=shape)
-            impl = fine_tune(impl, nm, steps=fine_tune_steps, dt_ns=dt_ns)
+            impl = fine_tune(impl, nm, dt_ns=dt_ns)
             gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
     return gs
 

@@ -1,4 +1,4 @@
-"""Waveform synthesis for Square, Gaussian, Gaussian-Square and DRAG shapes.
+"""Waveform synthesis for Gaussian, Gaussian-Square and DRAG shapes.
 
 All envelopes are sampled on the hardware dt grid: sample k represents
 t = k (in dt units), k = 0..d-1.  Complex samples carry the I envelope in
@@ -8,23 +8,18 @@ implicit (rotating-frame simulator).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClippingError
 
-SQUARE = "square"
 GAUSSIAN = "gaussian"
 GAUSSIAN_SQUARE = "gaussian_square"
 DRAG = "drag"
 
-SHAPES = (SQUARE, GAUSSIAN, GAUSSIAN_SQUARE, DRAG)
-
-#: Default DRAG derivative strength.
-DEFAULT_BETA = 0.1
+SHAPES = (GAUSSIAN, GAUSSIAN_SQUARE, DRAG)
 
 #: Hardware sampling time of the reference backend, in ns.
 DEFAULT_DT_NS = 0.5
@@ -52,8 +47,8 @@ class ShapeSpec:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.duration <= 0:
             raise ValueError("duration must be a positive dt count")
-        if self.shape in (GAUSSIAN, GAUSSIAN_SQUARE, DRAG) and self.sigma <= 0:
-            raise ValueError("Gaussian-family shapes need sigma > 0")
+        if self.sigma <= 0:
+            raise ValueError("every shape needs sigma > 0")
         if self.shape == GAUSSIAN_SQUARE and not 0 <= self.width <= self.duration:
             raise ValueError("need 0 <= width <= duration")
 
@@ -118,8 +113,6 @@ def evaluate_envelope(spec: ShapeSpec, t):
     """
     t = np.asarray(t, dtype=float)
     a = spec.amplitude
-    if spec.shape == SQUARE:
-        return a * np.ones_like(t, dtype=complex)
     if spec.shape == GAUSSIAN:
         env = normalize(lambda x: gaussian(x, spec.center, spec.sigma), spec.duration)
         return a * env(t).astype(complex)
@@ -180,12 +173,3 @@ def envelope_sum(spec: ShapeSpec) -> float:
     )
     t = np.arange(spec.duration, dtype=float)
     return float(np.sum(evaluate_envelope(unit, t).real))
-
-
-def write_waveform_csv(w: Waveform, path):
-    """Dump (index, I, Q) rows for shape-comparison plots."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["index", "i", "q"])
-        for k, s in enumerate(w.samples):
-            out.writerow([k, repr(float(s.real)), repr(float(s.imag))])

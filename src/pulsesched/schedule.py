@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ScheduleOverlapError
 from .pulses import Waveform
 
@@ -67,10 +65,6 @@ class Schedule:
                     raise ScheduleOverlapError(
                         f"{p.waveform_id} ends at {p.end} past makespan {self.makespan}"
                     )
-
-    @property
-    def makespan_ns(self) -> float:
-        return self.makespan * self.dt_ns
 
     def events(self):
         """All placements and frame shifts merged in global time order.

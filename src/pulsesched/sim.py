@@ -15,9 +15,12 @@ Between pulses a qubit evolves under the bare anharmonicity alpha |2><2|
 phase it would gain under a zero-amplitude pulse of the same length.  The
 dissipative generator commutes with the bare anharmonicity term, so an idle
 is exactly decoherence composed with that phase, and segment granularity
-loses nothing.  ``idle_channel``/``decoherence_channel`` are the
-decoherence part alone: inside a gate the phase is already in the
-propagated waveform.
+loses nothing.  ``idle_channel`` is the decoherence part alone, and it is
+both the idle decay and the in-gate decay: inside a gate the phase is
+already in the propagated waveform.
+
+Channels are plain superoperator arrays (9x9 for one qutrit, 81x81 for a
+pair) in the row-major vec convention, so composing two is ``@``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,6 +47,9 @@ Y12 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
 P2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 _I3 = np.eye(3, dtype=complex)
+
+#: widest schedule the dense qutrit simulator runs (a 3**w square density matrix)
+MAX_SIM_QUBITS = 3
 
 #: ideal echoed cross-resonance unitary on the two-qubit subspace,
 #: (1/sqrt2) (I(x)X - X(x)Y), control qubit in the first tensor slot.
@@ -136,27 +142,15 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, data) -> "NoiseModel":
+        """Model from a JSON object of field names; missing fields keep their defaults."""
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(
-            t1_ns=data.get("t1_ns", 180_000.0),
-            t2_ns=data.get("t2_ns", 120_000.0),
-            anharmonicity_hz=data.get("anharmonicity_hz", -330e6),
-            rabi_coefficient_hz=data.get("rabi_coefficient_hz", 1.05e8),
-            ecr_fidelity=data.get("ecr_fidelity", 0.99),
-        )
-
-    def to_json(self) -> dict:
-        def plain(v):
-            return v if (v is None or np.isscalar(v)) else list(v)
-
-        return {
-            "t1_ns": plain(self.t1_ns),
-            "t2_ns": plain(self.t2_ns),
-            "anharmonicity_hz": plain(self.anharmonicity_hz),
-            "rabi_coefficient_hz": plain(self.rabi_coefficient_hz),
-            "ecr_fidelity": self.ecr_fidelity,
-        }
+        if not isinstance(data, dict):
+            raise NoiseConfigError("noise model must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise NoiseConfigError(f"unknown noise model keys: {', '.join(sorted(unknown))}")
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +190,13 @@ def unitary_superop(u: np.ndarray) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
-def _lindblad_superop(hamiltonian, jumps, dim=3):
-    ident = np.eye(dim, dtype=complex)
-    gen = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if hamiltonian is not None:
-        gen += -1j * (np.kron(hamiltonian, ident) - np.kron(ident, hamiltonian.T))
+def _lindblad_superop(jumps):
+    """Dissipator of the given qutrit jump operators."""
+    gen = np.zeros((9, 9), dtype=complex)
     for L in jumps:
         ldl = L.conj().T @ L
         gen += np.kron(L, L.conj())
-        gen -= 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T))
+        gen -= 0.5 * (np.kron(ldl, _I3) + np.kron(_I3, ldl.T))
     return gen
 
 
@@ -231,47 +223,19 @@ def dissipative_generator(nm: NoiseModel, qubit: int) -> np.ndarray:
     """Decoherence-only Lindblad generator: amplitude damping down the ladder
     plus pure dephasing.  Both idle periods and the in-gate decay use it, so
     idle channels form an exact one-parameter semigroup in the duration."""
-    return _lindblad_superop(None, _jump_operators(nm.t1(qubit), nm.t2(qubit)))
+    return _lindblad_superop(_jump_operators(nm.t1(qubit), nm.t2(qubit)))
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A completely positive map on 1 or 2 qutrits, stored as a superoperator."""
-
-    superop: np.ndarray
-    n_qubits: int = 1
-
-    @property
-    def dim(self) -> int:
-        return 3**self.n_qubits
-
-    def compose(self, other: "Channel") -> "Channel":
-        """self after other."""
-        return Channel(self.superop @ other.superop, self.n_qubits)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.superop @ rho.reshape(d * d)).reshape(d, d)
-
-    def choi(self) -> np.ndarray:
-        d = self.dim
-        return self.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: float = 0.5) -> Channel:
+def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: float = 0.5) -> np.ndarray:
     """Pure decoherence over duration_dt samples, with no Hamiltonian phase.
 
-    A full idle also carries the anharmonic phase of ``anharmonic_unitary``;
-    ``ScheduleSimulator`` composes the two.
+    It is also the in-gate decay.  A full idle carries the anharmonic phase
+    of ``anharmonic_unitary`` too; ``ScheduleSimulator`` composes the two.
     """
     if duration_dt < 0:
         raise ValueError("idle duration must be non-negative")
     t_s = duration_dt * dt_ns * 1e-9
-    return Channel(expm(t_s * dissipative_generator(nm, qubit)), 1)
-
-
-#: in-gate decay applies the same decoherence-only channel as idling
-decoherence_channel = idle_channel
+    return expm(t_s * dissipative_generator(nm, qubit))
 
 
 def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: float = 0.5) -> np.ndarray:
@@ -280,11 +244,10 @@ def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns
     return np.diag([1.0, 1.0, np.exp(-1j * phase)])
 
 
-def gate_channel(w: Waveform, nm: NoiseModel, qubit: int = 0) -> Channel:
+def gate_channel(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Unitary conjugation by the propagated waveform, then segment decoherence."""
     u = propagate_waveform(w, nm, qubit)
-    dec = decoherence_channel(w.duration, nm, qubit, w.dt_ns)
-    return Channel(dec.superop @ unitary_superop(u), 1)
+    return idle_channel(w.duration, nm, qubit, w.dt_ns) @ unitary_superop(u)
 
 
 def _pair_superop(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
@@ -317,15 +280,15 @@ def _depolarizing_pair_superop(strength: float) -> np.ndarray:
     return (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
 
 
-def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int = 1320, dt_ns: float = 0.5) -> Channel:
+def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int = 1320, dt_ns: float = 0.5) -> np.ndarray:
     """Ideal embedded ECR unitary, depolarizing proxy, and segment decoherence."""
     unit = unitary_superop(embed_qubit_pair(ECR_2Q))
     dep = _depolarizing_pair_superop(1.0 - nm.ecr_fidelity)
     dec = _pair_superop(
-        decoherence_channel(duration_dt, nm, qubits[0], dt_ns).superop,
-        decoherence_channel(duration_dt, nm, qubits[1], dt_ns).superop,
+        idle_channel(duration_dt, nm, qubits[0], dt_ns),
+        idle_channel(duration_dt, nm, qubits[1], dt_ns),
     )
-    return Channel(dec @ dep @ unit, 2)
+    return dec @ dep @ unit
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +307,6 @@ class DensityState:
             d = 3**self.width
             self.data = np.zeros((d, d), dtype=complex)
             self.data[0, 0] = 1.0
-
-    @classmethod
-    def ground(cls, width: int) -> "DensityState":
-        return cls(width)
 
     def validate(self, herm_tol=1e-10, psd_tol=1e-8, trace_tol=1e-10):
         rho = self.data
@@ -438,16 +397,16 @@ class ScheduleSimulator:
             if self.ideal_pulses:
                 u = np.eye(3, dtype=complex)
                 u[:2, :2] = ideal_rx(angle)
-                dec = decoherence_channel(w.duration, self.nm, qubit, self.dt_ns)
-                self._pulse_cache[key] = dec.superop @ unitary_superop(u)
+                dec = idle_channel(w.duration, self.nm, qubit, self.dt_ns)
+                self._pulse_cache[key] = dec @ unitary_superop(u)
             else:
-                self._pulse_cache[key] = gate_channel(w, self.nm, qubit).superop
+                self._pulse_cache[key] = gate_channel(w, self.nm, qubit)
         return self._pulse_cache[key]
 
     def _idle_superop(self, gap: int, qubit: int) -> np.ndarray:
         key = (gap, qubit)
         if key not in self._idle_cache:
-            decay = idle_channel(gap, self.nm, qubit, self.dt_ns).superop
+            decay = idle_channel(gap, self.nm, qubit, self.dt_ns)
             phase = anharmonic_unitary(gap, self.nm, qubit, self.dt_ns)
             self._idle_cache[key] = decay @ unitary_superop(phase)
         return self._idle_cache[key]
@@ -455,15 +414,17 @@ class ScheduleSimulator:
     def _ecr_superop(self, qubits, duration) -> np.ndarray:
         key = (qubits, duration)
         if key not in self._ecr_cache:
-            self._ecr_cache[key] = ecr_channel(self.nm, qubits, duration, self.dt_ns).superop
+            self._ecr_cache[key] = ecr_channel(self.nm, qubits, duration, self.dt_ns)
         return self._ecr_cache[key]
 
     def run(self, sch: Schedule, shots: int = 1024, seed=None, validate_states: bool = False) -> RunResult:
-        if sch.width > 3:
-            raise SimulationError(f"dense qutrit simulation capped at 3 qubits, got {sch.width}")
+        if sch.width > MAX_SIM_QUBITS:
+            raise SimulationError(
+                f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {sch.width}"
+            )
         if sch.width == 0:
             return RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots)
-        state = DensityState.ground(sch.width)
+        state = DensityState(sch.width)
         t_last = [0] * sch.width
         pulse_seqs = {p.seq for p in sch.placements} if self.ideal_pulses else set()
 
@@ -521,14 +482,6 @@ def run_schedule(
 ) -> RunResult:
     """Propagate a schedule in global time order and sample measurement outcomes."""
     return ScheduleSimulator(nm, sch.dt_ns, ideal_pulses).run(sch, shots, seed, validate_states)
-
-
-def write_histogram_csv(result: RunResult, path):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["bitstring", "count", "probability"])
-        for bits in sorted(result.probabilities):
-            out.writerow([bits, result.counts.get(bits, 0), repr(result.probabilities[bits])])
 
 
 # ---------------------------------------------------------------------------

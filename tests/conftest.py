@@ -101,6 +101,24 @@ def circuit_unitary(c: Circuit):
     return u
 
 
+def apply_superop(s, rho):
+    """Apply a row-major superoperator: vec(A X B) = kron(A, B.T) vec(X)."""
+    d = rho.shape[0]
+    return (s @ rho.reshape(d * d)).reshape(d, d)
+
+
+def choi(s):
+    """Choi matrix sum_{k,l} E(|k><l|) (x) |k><l| of the channel E with superoperator s."""
+    d = math.isqrt(s.shape[0])
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[k, l] = 1.0
+            out += np.kron(apply_superop(s, unit), unit)
+    return out
+
+
 def equal_up_to_phase(a, b, tol=1e-12):
     """max |c*a - b| <= tol for the best unit-modulus phase c."""
     a = np.asarray(a)

@@ -16,6 +16,8 @@ import pytest
 
 from conftest import (
     FIG2_TEXT,
+    apply_superop,
+    choi,
     equal_up_to_phase,
     random_circuit,
     u3_matrix,
@@ -61,7 +63,6 @@ from pulsesched.scheduler import (
 )
 from pulsesched.sim import (
     NoiseModel,
-    decoherence_channel,
     ecr_channel,
     gate_channel,
     idle_channel,
@@ -108,9 +109,6 @@ def rb_suite(calibrated):
                 n_qubits=n_qubits,
                 clifford_lengths=lengths,
                 circuits_per_length=10,
-                mode="static",
-                min_duration=min_dur,
-                max_duration=512,
                 seed=2000 + min_dur + n_qubits,
                 shots=1024,
             )
@@ -126,9 +124,6 @@ def rb_suite(calibrated):
             n_qubits=n_qubits,
             clifford_lengths=lengths,
             circuits_per_length=10,
-            mode="static",
-            min_duration=32,
-            max_duration=512,
             seed=2032 + n_qubits,
             shots=16,
         )
@@ -306,8 +301,8 @@ def test_criterion_9_physicality_suite(calibrated):
         nm = NoiseModel()
 
         def assert_choi_psd(channel):
-            choi = channel.choi()
-            evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+            j = choi(channel)
+            evals = np.linalg.eigvalsh((j + j.conj().T) / 2)
             assert evals.min() > -1e-8
 
         for d in DEFAULT_STATIC_DURATIONS:
@@ -318,13 +313,13 @@ def test_criterion_9_physicality_suite(calibrated):
         assert_choi_psd(ecr_channel(nm, (0, 1)))
 
         for a, b in ((1, 2), (137, 545), (4096, 12345)):
-            left = idle_channel(a, nm, 0).compose(idle_channel(b, nm, 0))
+            left = idle_channel(a, nm, 0) @ idle_channel(b, nm, 0)
             right = idle_channel(a + b, nm, 0)
-            assert np.max(np.abs(left.superop - right.superop)) < 1e-12
+            assert np.max(np.abs(left - right)) < 1e-12
 
         rho = np.zeros((3, 3), dtype=complex)
         rho[1, 1] = 1.0
         for t_dt in (100, 9999, 123456):
-            out = decoherence_channel(t_dt, nm, 0).apply(rho)
+            out = apply_superop(idle_channel(t_dt, nm, 0), rho)
             expected = math.exp(-(t_dt * 0.5e-9) / (nm.t1(0) * 1e-9))
             assert abs(out[1, 1].real - expected) < 1e-9

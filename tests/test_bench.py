@@ -118,12 +118,7 @@ class TestRBConfig:
         with pytest.raises(ConfigError):
             RBConfig(n_qubits=2, clifford_lengths=(1,), circuits_per_length=0)
         with pytest.raises(ConfigError):
-            RBConfig(n_qubits=2, clifford_lengths=(1,), mode="adaptive")
-
-    def test_gate_set_mode_must_match(self):
-        cfg = RBConfig(n_qubits=1, clifford_lengths=(1,), mode="dynamic")
-        with pytest.raises(ConfigError):
-            run_rb(cfg, ideal_static(1), NoiseModel())
+            RBConfig(n_qubits=2, clifford_lengths=(1,), shots=-1)
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +127,6 @@ def small_rb():
         n_qubits=2,
         clifford_lengths=(1, 3),
         circuits_per_length=3,
-        mode="static",
-        min_duration=32,
-        max_duration=512,
         seed=42,
         shots=128,
     )
@@ -181,8 +173,7 @@ class TestDurationHistogram:
     def test_all_critical_is_all_minimum(self):
         # a single-qubit chain has no slack anywhere
         cfg = RBConfig(
-            n_qubits=1, clifford_lengths=(3,), circuits_per_length=2,
-            mode="static", min_duration=32, max_duration=512, seed=7, shots=8,
+            n_qubits=1, clifford_lengths=(3,), circuits_per_length=2, seed=7, shots=8,
         )
         result = run_rb(cfg, ideal_static(1), NoiseModel())
         hist = duration_histogram(result, OPTIMIZED)
@@ -191,8 +182,7 @@ class TestDurationHistogram:
 
     def test_dynamic_support_on_multiples_of_eight(self):
         cfg = RBConfig(
-            n_qubits=2, clifford_lengths=(1, 3), circuits_per_length=2,
-            mode="dynamic", min_duration=32, max_duration=128, seed=3, shots=8,
+            n_qubits=2, clifford_lengths=(1, 3), circuits_per_length=2, seed=3, shots=8,
         )
         gs = GateSet.ideal("dynamic", 2, min_duration=32, max_duration=128)
         result = run_rb(cfg, gs, NoiseModel())

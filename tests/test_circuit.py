@@ -22,8 +22,6 @@ from conftest import (
 from pulsesched.circuit import (
     Circuit,
     Gate,
-    circuit_from_json,
-    circuit_to_json,
     circuit_to_text,
     count_pulses,
     decompose_dynamic,
@@ -97,14 +95,6 @@ class TestParser:
             assert tuple(parsed.gates) == tuple(c.gates)
             again = parse_circuit(circuit_to_text(parsed))
             assert again == parsed
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(12)
-        c = random_circuit(rng, 3, 20)
-        again = circuit_from_json(circuit_to_json(c))
-        assert tuple(again.gates) == tuple(c.gates)
-        bare = circuit_from_json(circuit_to_json(c)["gates"])
-        assert tuple(bare.gates) == tuple(c.gates)
 
 
 class TestGateInvariants:

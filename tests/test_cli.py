@@ -90,7 +90,7 @@ class TestCalibrateCommand:
             "--qubits", "1", "--out", str(out),
         ])
         assert code == 0
-        gs = GateSet.load(out)
+        gs = GateSet.from_json(out.read_text())
         assert gs.mode == "static"
         assert {i.duration for i in gs.impls.values()} == {64, 120}
 
@@ -101,7 +101,7 @@ class TestCalibrateCommand:
             "--qubits", "1", "--out", str(out),
         ])
         assert code == 0
-        gs = GateSet.load(out)
+        gs = GateSet.from_json(out.read_text())
         assert gs.mode == "dynamic" and 0 in gs.rabi
 
     def test_dynamic_max_below_shortest_pulse_is_config_error(self, tmp_path):
@@ -204,3 +204,52 @@ class TestRBCommand:
             "rb", "--qubits", "5", "--lengths", "1", "--out-dir", str(tmp_path / "rb"),
         ])
         assert code == 2
+
+
+class TestBadInputs:
+    """Every unreadable or malformed input file ends as exit 2, never as a traceback."""
+
+    @staticmethod
+    def rb(gateset, tmp_path, *extra):
+        return main([
+            "rb", "--qubits", "1", "--lengths", "1", "--min-dur", "64",
+            "--shots", "8", "--circuits-per-length", "1", "--gateset", gateset,
+            *extra, "--out-dir", str(tmp_path / "rb"),
+        ])
+
+    @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+    def test_unreadable_gateset(self, name, tmp_path):
+        assert self.rb(str(tmp_path / name), tmp_path) == 2
+
+    def test_gateset_row_without_sigma(self, gateset_json, tmp_path):
+        with open(gateset_json) as fh:
+            doc = json.load(fh)
+        del doc["implementations"][0]["sigma"]
+        path = tmp_path / "gs.json"
+        path.write_text(json.dumps(doc))
+        assert self.rb(str(path), tmp_path) == 2
+
+    @pytest.mark.parametrize("command", ["schedule", "rb"])
+    def test_gateset_not_an_object(self, command, fig2_file, tmp_path):
+        path = tmp_path / "gs.json"
+        path.write_text("[1, 2]")
+        if command == "rb":
+            code = self.rb(str(path), tmp_path)
+        else:
+            code = main([
+                "schedule", fig2_file, "--gateset", str(path),
+                "--out", str(tmp_path / "x.json"),
+            ])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "noise", ["[1, 2]", '{"t1_ns": "abc"}', '{"t1": 5e4}'],
+        ids=["not-an-object", "not-a-number", "unknown-key"],
+    )
+    def test_bad_noise_file(self, noise, gateset_json, tmp_path):
+        path = tmp_path / "noise.json"
+        path.write_text(noise)
+        assert self.rb(gateset_json, tmp_path, "--noise", str(path)) == 2
+
+    def test_gate_set_mode_must_match(self, gateset_json, tmp_path):
+        assert self.rb(gateset_json, tmp_path, "--mode", "dynamic", "--max-dur", "128") == 2

@@ -88,6 +88,14 @@ class TestAllowedDurations:
         assert gs.allowed_durations("measure") == (0,)
         assert gs.allowed_durations("barrier") == (0,)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(GateSetError, match="mode"):
+            GateSet(mode="adaptive", min_duration=32, max_duration=512)
+
+    def test_min_above_max_rejected(self):
+        with pytest.raises(GateSetError, match="min_duration"):
+            GateSet(mode="static", min_duration=64, max_duration=32)
+
     def test_empty_window_is_config_error(self):
         gs = GateSet(mode="static", min_duration=600, max_duration=700)
         with pytest.raises(GateSetError):
@@ -273,7 +281,7 @@ class TestStaticBuild:
     def test_json_round_trip(self, calibrated, tmp_path):
         path = tmp_path / "gs.json"
         calibrated.write_json(path)
-        loaded = GateSet.load(path)
+        loaded = GateSet.from_json(path.read_text())
         assert loaded.mode == "static"
         a = calibrated.impl_for(0, "sx", HALF_PI, 64)
         b = loaded.impl_for(0, "sx", HALF_PI, 64)

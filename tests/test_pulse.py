@@ -1,6 +1,5 @@
 """Waveform synthesis identities and the finite-difference DRAG oracle."""
 
-import csv
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from pulsesched.pulses import (
     DRAG,
     GAUSSIAN,
     GAUSSIAN_SQUARE,
-    SQUARE,
     ShapeSpec,
     Waveform,
     envelope_sum,
@@ -20,7 +18,6 @@ from pulsesched.pulses import (
     normalize,
     pulse_area,
     synthesize,
-    write_waveform_csv,
 )
 
 
@@ -49,11 +46,6 @@ class TestNormalize:
 
 
 class TestSynthesize:
-    def test_square(self):
-        w = synthesize(ShapeSpec(shape=SQUARE, amplitude=0.1, duration=8))
-        assert w.duration == 8
-        assert np.allclose(w.samples, 0.1)
-
     def test_gaussian_peak_equals_amplitude(self):
         w = synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=0.3, duration=64, sigma=16.0))
         assert w.samples[32].real == pytest.approx(0.3, abs=1e-15)
@@ -107,12 +99,12 @@ class TestSynthesize:
 
     def test_sample_count_exact(self):
         for d in (1, 8, 120, 513):
-            w = synthesize(ShapeSpec(shape=SQUARE, amplitude=0.05, duration=d))
+            w = synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=0.05, duration=d, sigma=4.0))
             assert w.duration == d == len(w.samples)
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(ClippingError):
-            synthesize(ShapeSpec(shape=SQUARE, amplitude=1.2, duration=8))
+            synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=1.2, duration=8, sigma=2.0))
         with pytest.raises(ClippingError):
             Waveform(samples=np.array([1.05 + 0j]))
 
@@ -153,15 +145,3 @@ class TestPulseArea:
     def test_envelope_sum_positive(self):
         spec = ShapeSpec(shape=GAUSSIAN, amplitude=0.7, duration=64, sigma=96.0)
         assert envelope_sum(spec) > 0
-
-
-def test_waveform_csv_round_trip(tmp_path):
-    w = synthesize(ShapeSpec(shape=DRAG, amplitude=0.2, duration=32, sigma=30.0, beta=0.1))
-    path = tmp_path / "wave.csv"
-    write_waveform_csv(w, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "i", "q"]
-    assert len(rows) == 33
-    assert float(rows[1][1]) == pytest.approx(w.i[0])
-    assert float(rows[17][2]) == pytest.approx(w.q[16])

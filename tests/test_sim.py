@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rx_matrix
+from conftest import apply_superop, choi, rx_matrix
 from pulsesched.errors import NoiseConfigError, SimulationError
 from pulsesched.gateset import GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
@@ -15,11 +15,9 @@ from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import parse_circuit
 from pulsesched.scheduler import lower, run_framework
 from pulsesched.sim import (
-    Channel,
     DensityState,
     NoiseModel,
     ScheduleSimulator,
-    decoherence_channel,
     ecr_channel,
     gate_channel,
     idle_channel,
@@ -27,7 +25,6 @@ from pulsesched.sim import (
     run_schedule,
     simulate_rabi,
     unitary_superop,
-    write_histogram_csv,
 )
 
 HALF_PI = math.pi / 2
@@ -77,14 +74,14 @@ class TestGateChannel:
         w = sx_waveform(64)
         ch = gate_channel(w, NOISELESS)
         u = propagate_waveform(w, NOISELESS)
-        assert np.max(np.abs(ch.superop - unitary_superop(u))) < 1e-12
+        assert np.max(np.abs(ch - unitary_superop(u))) < 1e-12
 
     def test_excited_population_decays_closed_form(self):
         t_dt = 12345
-        ch = decoherence_channel(t_dt, DEFAULT, 0)
+        ch = idle_channel(t_dt, DEFAULT, 0)
         rho = np.zeros((3, 3), dtype=complex)
         rho[1, 1] = 1.0
-        out = ch.apply(rho)
+        out = apply_superop(ch, rho)
         t_s = t_dt * 0.5e-9
         assert abs(out[1, 1].real - math.exp(-t_s / (DEFAULT.t1(0) * 1e-9))) < 1e-9
 
@@ -92,11 +89,11 @@ class TestGateChannel:
         rng = np.random.default_rng(8)
         for _ in range(10):
             ch = gate_channel(random_waveform(rng), DEFAULT)
-            choi = ch.choi()
-            evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+            j = choi(ch)
+            evals = np.linalg.eigvalsh((j + j.conj().T) / 2)
             assert evals.min() > -1e-8
             rho = np.eye(3, dtype=complex) / 3
-            assert abs(np.trace(ch.apply(rho)).real - 1.0) < 1e-10
+            assert abs(np.trace(apply_superop(ch, rho)).real - 1.0) < 1e-10
 
     def test_unphysical_t2_rejected(self):
         with pytest.raises(NoiseConfigError):
@@ -106,14 +103,14 @@ class TestGateChannel:
 class TestIdleChannel:
     def test_zero_time_identity(self):
         ch = idle_channel(0, DEFAULT, 0)
-        assert np.max(np.abs(ch.superop - np.eye(9))) < 1e-12
+        assert np.max(np.abs(ch - np.eye(9))) < 1e-12
 
     def test_plus_state_coherence_decay(self):
         t_dt = 54321
         ch = idle_channel(t_dt, DEFAULT, 0)
         rho = np.zeros((3, 3), dtype=complex)
         rho[:2, :2] = 0.5
-        out = ch.apply(rho)
+        out = apply_superop(ch, rho)
         t_s = t_dt * 0.5e-9
         assert abs(abs(out[0, 1]) - 0.5 * math.exp(-t_s / (DEFAULT.t2(0) * 1e-9))) < 1e-9
 
@@ -122,11 +119,11 @@ class TestIdleChannel:
         ea = idle_channel(a, DEFAULT, 0)
         eb = idle_channel(b, DEFAULT, 0)
         eab = idle_channel(a + b, DEFAULT, 0)
-        assert np.max(np.abs(ea.compose(eb).superop - eab.superop)) < 1e-12
+        assert np.max(np.abs(ea @ eb - eab)) < 1e-12
 
     def test_choi_psd(self):
-        choi = idle_channel(997, DEFAULT, 0).choi()
-        evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+        j = choi(idle_channel(997, DEFAULT, 0))
+        evals = np.linalg.eigvalsh((j + j.conj().T) / 2)
         assert evals.min() > -1e-8
 
 
@@ -135,7 +132,7 @@ class TestEcrChannel:
         ch = ecr_channel(NOISELESS, (0, 1))
         rho = np.zeros((9, 9), dtype=complex)
         rho[0, 0] = 1.0
-        out = ch.apply(rho)
+        out = apply_superop(ch, rho)
         assert abs(np.trace(out).real - 1.0) < 1e-10
         evals = np.linalg.eigvalsh((out + out.conj().T) / 2)
         assert evals.min() > -1e-10
@@ -146,7 +143,7 @@ class TestEcrChannel:
         ch = ecr_channel(NoiseModel(t1_ns=None, t2_ns=None, ecr_fidelity=0.95), (0, 1))
         rho = np.zeros((9, 9), dtype=complex)
         rho[0, 0] = 1.0
-        out = ch.apply(rho)
+        out = apply_superop(ch, rho)
         assert np.trace(out @ out).real < 1.0 - 1e-4
 
 
@@ -281,16 +278,6 @@ class TestRunSchedule:
         res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
         assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
-    def test_histogram_csv(self, tmp_path):
-        w = sx_waveform(64, DEFAULT)
-        sch = _schedule_from_pulses([((0,), 0, w)], 1, 64)
-        res = run_schedule(sch, DEFAULT, shots=100, seed=5)
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(res, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "bitstring,count,probability"
-        assert len(text) == 3
-
 
 def _leaked_state():
     """Pure qutrit state with coherences between every pair of levels."""
@@ -307,7 +294,7 @@ class TestScheduleIdle:
         sim = ScheduleSimulator(DEFAULT)
         rho = _leaked_state()
         out = (sim._idle_superop(t_dt, 0) @ rho.reshape(9)).reshape(3, 3)
-        decayed = idle_channel(t_dt, DEFAULT, 0).apply(rho)
+        decayed = apply_superop(idle_channel(t_dt, DEFAULT, 0), rho)
         turn = np.exp(1j * 2 * np.pi * DEFAULT.anharmonicity(0) * t_dt * 0.5e-9)
         assert abs(turn - 1) > 0.1
         for i, j in ((1, 2), (0, 2)):
@@ -317,7 +304,7 @@ class TestScheduleIdle:
 
     def test_idle_channel_phase_free(self):
         rho = _leaked_state()
-        out = idle_channel(54321, DEFAULT, 0).apply(rho)
+        out = apply_superop(idle_channel(54321, DEFAULT, 0), rho)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             ratio = out[i, j] / rho[i, j]
             assert 0 < ratio.real <= 1 and abs(ratio.imag) < 1e-15
@@ -346,19 +333,19 @@ class TestScheduleIdle:
 
 class TestDensityState:
     def test_ground_state(self):
-        s = DensityState.ground(2)
+        s = DensityState(2)
         assert s.p_zero() == 1.0
         s.validate()
 
     def test_probabilities_fold_leakage_into_one(self):
-        s = DensityState.ground(1)
+        s = DensityState(1)
         s.data = np.diag([0.5, 0.3, 0.2]).astype(complex)
         probs = s.probabilities()
         assert probs["0"] == pytest.approx(0.5)
         assert probs["1"] == pytest.approx(0.5)
 
     def test_validate_rejects_bad_states(self):
-        s = DensityState.ground(1)
+        s = DensityState(1)
         s.data = np.diag([1.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(SimulationError):
             s.validate()
