@@ -23,6 +23,7 @@ from .circuit import Circuit
 from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
 from .errors import ConfigError
 from .gateset import GateSet
+from .pulses import DT_NS
 from .scheduler import FREE_FLOAT, lower, run_framework
 from .sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator
 
@@ -61,6 +62,8 @@ class RBConfig:
             raise ConfigError("need at least one circuit per length")
         if self.shots < 1:
             raise ConfigError("need at least one shot")
+        if self.seed < 0:
+            raise ConfigError("the seed must be non-negative")
 
 
 _WORD_GATES = {
@@ -135,7 +138,6 @@ class RBRow:
 @dataclass
 class RBResult:
     config: RBConfig
-    dt_ns: float
     rows: list[RBRow] = field(default_factory=list)
     durations: dict[str, Counter] = field(default_factory=dict)
 
@@ -151,7 +153,7 @@ class RBResult:
 
     def mean_latency_ns(self, length: int, policy: str) -> float:
         rows = self.select(length, policy)
-        return sum(r.latency_dt for r in rows) / len(rows) * self.dt_ns
+        return sum(r.latency_dt for r in rows) / len(rows) * DT_NS
 
     def paired_latencies_equal(self) -> bool:
         for length in self.lengths():
@@ -188,9 +190,9 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     histogram output.  ideal_pulses replaces integrated pulse unitaries by
     their nominal rotations (the noiseless-identity baseline).
     """
-    result = RBResult(config=cfg, dt_ns=gs.dt_ns)
+    result = RBResult(config=cfg)
     result.durations = {FIXED: Counter(), OPTIMIZED: Counter()}
-    sim = ScheduleSimulator(nm, gs.dt_ns, ideal_pulses)
+    sim = ScheduleSimulator(nm, ideal_pulses=ideal_pulses)
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(len(cfg.clifford_lengths) * cfg.circuits_per_length)
     k = 0
@@ -276,7 +278,7 @@ def write_rbresult_csv(result: RBResult, path):
         for r in result.rows:
             out.writerow(
                 [r.length, r.policy, r.circuit_index, repr(r.p0), r.latency_dt,
-                 repr(r.latency_dt * result.dt_ns), r.shots]
+                 repr(r.latency_dt * DT_NS), r.shots]
             )
 
 

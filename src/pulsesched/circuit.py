@@ -54,12 +54,12 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-def snap_angle(a: float, tol: float = 1e-9) -> float:
-    """Snap to the nearest multiple of pi/2 when within tol (transpiled circuits
+def snap_angle(a: float) -> float:
+    """Snap to the nearest multiple of pi/2 when within 1e-9 (transpiled circuits
     carry only 0, pi/2, pi rotations up to float noise)."""
     k = round(a / HALF_PI)
     snapped = k * HALF_PI
-    if abs(a - snapped) < tol:
+    if abs(a - snapped) < 1e-9:
         return snapped
     return a
 

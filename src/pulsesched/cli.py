@@ -22,6 +22,7 @@ from .gateset import (
     build_dynamic_gateset,
     build_static_gateset,
 )
+from .pulses import DT_NS
 from .scheduler import TOTAL_FLOAT, graph_to_dot, lower, run_framework
 from .scheduler import build_graph  # noqa: F401  perfbench/test_harness.py patches it through cli
 from .sim import NoiseModel, simulate_rabi, write_rabi_csv
@@ -63,12 +64,14 @@ def _cmd_schedule(args) -> int:
     if args.dot:
         Path(args.dot).write_text(graph_to_dot(g))
     print(f"scheduled {len(lowered.gates)} gates on {lowered.width} qubits; "
-          f"makespan {sch.makespan} dt ({sch.makespan * gs.dt_ns:.1f} ns) -> {args.out}")
+          f"makespan {sch.makespan} dt ({sch.makespan * DT_NS:.1f} ns) -> {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     nm = _load_noise(args.noise)
+    if args.qubits < 1:
+        raise ConfigError(f"--qubits must be at least 1, got {args.qubits}")
     if args.mode == STATIC:
         if not args.durations:
             raise ConfigError("static calibration needs --durations")
@@ -77,11 +80,7 @@ def _cmd_calibrate(args) -> int:
             min_duration=args.min_dur, max_duration=args.max_dur,
         )
     else:
-        gs = build_dynamic_gateset(
-            nm, args.qubits,
-            min_duration=args.min_dur if args.min_dur is not None else 32,
-            max_duration=args.max_dur if args.max_dur is not None else 128,
-        )
+        gs = build_dynamic_gateset(nm, args.qubits, min_duration=args.min_dur, max_duration=args.max_dur)
     gs.write_json(args.out)
     print(f"calibrated {args.mode} gate set for {args.qubits} qubit(s) -> {args.out}")
     return 0

@@ -26,7 +26,7 @@ from .errors import (
     RabiFitError,
 )
 from .pulses import (
-    DEFAULT_DT_NS,
+    DT_NS,
     GAUSSIAN,
     GAUSSIAN_SQUARE,
     ShapeSpec,
@@ -44,9 +44,12 @@ DYNAMIC = "dynamic"
 #: calibrated static Sx durations on the reference backend, in dt
 DEFAULT_STATIC_DURATIONS = (32, 48, 64, 120, 256, 512)
 
-#: shortest dynamic single-qubit pulse, in dt: the smallest multiple of 8
-#: above sigma_of_duration's 17.36 dt bound
+#: shortest single-qubit pulse in either mode, in dt: the smallest multiple
+#: of 8 above sigma_of_duration's 17.36 dt bound
 MIN_DYNAMIC_DURATION = 24
+
+#: dynamic-mode duration window of a pi/2 rotation when none is given, in dt
+DEFAULT_DYNAMIC_WINDOW = (32, 128)
 
 #: fixed two-qubit gate duration, in dt
 DEFAULT_ECR_DURATION = 1320
@@ -86,7 +89,7 @@ def _rabi_model(t, amplitude, omega, phase, offset):
     return amplitude * np.cos(2.0 * np.pi * omega * t + phase) ** 2 + offset
 
 
-def fit_rabi(times_s, signal, max_residual: float = 0.15) -> RabiFit:
+def fit_rabi(times_s, signal) -> RabiFit:
     """Least-squares fit of the cos^2 Rabi oscillation; omega in Hz.
 
     Needs at least 8 samples covering one oscillation.  A flat signal yields
@@ -119,8 +122,8 @@ def fit_rabi(times_s, signal, max_residual: float = 0.15) -> RabiFit:
     except RuntimeError as exc:
         raise RabiFitError(f"Rabi fit did not converge: {exc}") from exc
     resid = float(np.sqrt(np.mean((y - _rabi_model(t, *popt)) ** 2)))
-    if resid > max_residual:
-        raise RabiFitError(f"Rabi fit residual {resid:.4f} exceeds {max_residual}")
+    if resid > 0.15:
+        raise RabiFitError(f"Rabi fit residual {resid:.4f} exceeds 0.15")
     return RabiFit(
         omega_hz=float(popt[1]),
         amplitude=float(popt[0]),
@@ -201,8 +204,8 @@ class GateImpl:
     def sigma(self) -> float:
         return self.shape.sigma
 
-    def waveform(self, dt_ns: float = DEFAULT_DT_NS) -> Waveform:
-        return synthesize(self.shape, dt_ns)
+    def waveform(self) -> Waveform:
+        return synthesize(self.shape)
 
     def waveform_id(self) -> str:
         if self.kind == circ.ECR:
@@ -234,7 +237,7 @@ def dynamic_pulse_shape(theta: float, duration: int, amplitude: float) -> ShapeS
     )
 
 
-def dynamic_amplitude(theta: float, duration: int, table: RabiTable, dt_ns: float = DEFAULT_DT_NS) -> float:
+def dynamic_amplitude(theta: float, duration: int, table: RabiTable) -> float:
     """Amplitude whose rotation area over the Gaussian envelope equals theta.
 
     The target Rabi frequency comes from summing envelope samples times the
@@ -245,13 +248,19 @@ def dynamic_amplitude(theta: float, duration: int, table: RabiTable, dt_ns: floa
         return 0.0
     shape = dynamic_pulse_shape(theta, duration, amplitude=1.0)
     env = envelope_sum(shape)
-    target_omega = abs(theta) / (4.0 * math.pi * (dt_ns * 1e-9) * env)
+    target_omega = abs(theta) / (4.0 * math.pi * (DT_NS * 1e-9) * env)
     amplitude = interpolate_amplitude(table, target_omega)
     if amplitude > 1.0:
         raise InfeasibleDurationError(
             f"rotation {theta:.4f} over {duration} dt needs amplitude {amplitude:.4f} > 1"
         )
     return amplitude
+
+
+def _nominal_impl(qubit: int, kind: str, angle: float, duration: int, table: RabiTable) -> GateImpl:
+    """An x rotation's Gaussian pulse at the envelope-area amplitude, before fine-tuning."""
+    shape = dynamic_pulse_shape(angle, duration, dynamic_amplitude(angle, duration, table))
+    return GateImpl(qubit=qubit, kind=kind, angle=angle, duration=duration, shape=shape)
 
 
 def _zxz_angles(block: np.ndarray) -> tuple[float, float, float]:
@@ -286,9 +295,7 @@ def fine_tune(
     impl: GateImpl,
     nm: NoiseModel,
     span: float = 0.1,
-    steps: int = 41,
     fidelity_floor: float = 0.9,
-    dt_ns: float = DEFAULT_DT_NS,
 ) -> GateImpl:
     """Sweep the amplitude around its interpolated value and keep the best.
 
@@ -301,7 +308,7 @@ def fine_tune(
     """
 
     def propagate(amp: float):
-        w = synthesize(replace(impl.shape, amplitude=float(amp)), dt_ns)
+        w = synthesize(replace(impl.shape, amplitude=float(amp)))
         return propagate_waveform(w, nm, impl.qubit)
 
     def rotation_error(amp: float) -> float:
@@ -309,7 +316,7 @@ def fine_tune(
         return _zxz_angles(u[:2, :2])[1] - abs(impl.angle)
 
     a0 = impl.shape.amplitude
-    grid = np.linspace((1.0 - span) * a0, (1.0 + span) * a0, steps)
+    grid = np.linspace((1.0 - span) * a0, (1.0 + span) * a0, 41)
     scores = []
     for amp in grid:
         fid, _, _ = _frame_corrected_fidelity(propagate(amp), abs(impl.angle))
@@ -318,7 +325,7 @@ def fine_tune(
     best_amp = float(grid[best])
     # polish within the neighboring grid cells when they bracket the root
     lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, steps - 1)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
     try:
         if rotation_error(lo) * rotation_error(hi) < 0:
             from scipy.optimize import brentq
@@ -352,15 +359,18 @@ def _angle_key(angle: float) -> float:
 
 @dataclass
 class GateSet:
-    """Catalog of gate implementations keyed by (qubit, kind, angle, duration)."""
+    """Catalog of gate implementations keyed by (qubit, kind, angle, duration).
+
+    Unset bounds span the static menu, or ``DEFAULT_DYNAMIC_WINDOW`` in
+    dynamic mode.
+    """
 
     mode: str
-    min_duration: int
-    max_duration: int
+    min_duration: int | None = None
+    max_duration: int | None = None
     static_durations: tuple[int, ...] = DEFAULT_STATIC_DURATIONS
     ecr_duration: int = DEFAULT_ECR_DURATION
     measure_duration: int = 0
-    dt_ns: float = DEFAULT_DT_NS
     rabi: dict[int, RabiTable] = field(default_factory=dict)
     impls: dict[tuple, GateImpl] = field(default_factory=dict)
     # runtime cache for implementations derived from the catalog (sxdg from
@@ -370,6 +380,14 @@ class GateSet:
     def __post_init__(self):
         if self.mode not in (STATIC, DYNAMIC):
             raise GateSetError(f"unknown scheduling mode {self.mode!r}")
+        menu = self.static_durations = tuple(sorted(set(int(d) for d in self.static_durations)))
+        if self.mode == STATIC and (not menu or menu[0] < MIN_DYNAMIC_DURATION):
+            raise GateSetError(
+                f"static durations {list(menu)} need an entry and none below {MIN_DYNAMIC_DURATION} dt"
+            )
+        lo, hi = (menu[0], menu[-1]) if self.mode == STATIC else DEFAULT_DYNAMIC_WINDOW
+        self.min_duration = lo if self.min_duration is None else self.min_duration
+        self.max_duration = hi if self.max_duration is None else self.max_duration
         if self.min_duration > self.max_duration:
             raise GateSetError("min_duration exceeds max_duration")
         if self.mode == DYNAMIC and self.max_duration < MIN_DYNAMIC_DURATION:
@@ -377,7 +395,6 @@ class GateSet:
                 f"dynamic max_duration {self.max_duration} dt is below the shortest "
                 f"pulse, {MIN_DYNAMIC_DURATION} dt"
             )
-        self.static_durations = tuple(sorted(set(int(d) for d in self.static_durations)))
 
     # -- duration policy ----------------------------------------------------
 
@@ -459,14 +476,7 @@ class GateSet:
             raise GateSetError(f"no calibrated {kind} at {duration} dt for qubit {qubit}")
         if kind != circ.RX:
             raise GateSetError(f"dynamic mode cannot synthesize {kind!r}")
-        amplitude = dynamic_amplitude(angle, duration, self._table(qubit), self.dt_ns)
-        impl = GateImpl(
-            qubit=qubit,
-            kind=circ.RX,
-            angle=angle,
-            duration=duration,
-            shape=dynamic_pulse_shape(angle, duration, amplitude),
-        )
+        impl = _nominal_impl(qubit, circ.RX, angle, duration, self._table(qubit))
         self._derived[key] = impl
         return impl
 
@@ -507,7 +517,7 @@ class GateSet:
             )
         return {
             "mode": self.mode,
-            "dt_ns": self.dt_ns,
+            "dt_ns": DT_NS,
             "min_duration": self.min_duration,
             "max_duration": self.max_duration,
             "static_durations": list(self.static_durations),
@@ -528,6 +538,8 @@ class GateSet:
     def from_json(cls, data) -> "GateSet":
         if isinstance(data, str):
             data = json.loads(data)
+        if data.get("dt_ns", DT_NS) != DT_NS:
+            raise GateSetError(f"gate set sampled at {data['dt_ns']!r} ns, not at {DT_NS} ns")
         gs = cls(
             mode=data["mode"],
             min_duration=data["min_duration"],
@@ -535,7 +547,6 @@ class GateSet:
             static_durations=tuple(data.get("static_durations", DEFAULT_STATIC_DURATIONS)),
             ecr_duration=data.get("ecr_duration", DEFAULT_ECR_DURATION),
             measure_duration=data.get("measure_duration", 0),
-            dt_ns=data.get("dt_ns", DEFAULT_DT_NS),
             rabi={
                 int(q): RabiTable(tuple(t["amplitudes"]), tuple(t["omegas_hz"]))
                 for q, t in data.get("rabi", {}).items()
@@ -575,30 +586,21 @@ class GateSet:
         min_duration: int | None = None,
         max_duration: int | None = None,
         static_durations: tuple[int, ...] = DEFAULT_STATIC_DURATIONS,
-        dt_ns: float = DEFAULT_DT_NS,
     ) -> "GateSet":
         """Gate set backed by an exactly linear Rabi response; amplitudes come
         straight from the envelope-area formula with no fine-tuning."""
-        if min_duration is None:
-            min_duration = min(static_durations) if mode == STATIC else 32
-        if max_duration is None:
-            max_duration = max(static_durations) if mode == STATIC else 128
         gs = cls(
             mode=mode,
             min_duration=min_duration,
             max_duration=max_duration,
             static_durations=static_durations,
-            dt_ns=dt_ns,
             rabi={q: RabiTable.linear(rabi_coefficient_hz) for q in range(n_qubits)},
         )
         if mode == STATIC:
             for q in range(n_qubits):
                 for d in gs.allowed_durations(circ.SX):
-                    amplitude = dynamic_amplitude(HALF_PI, d, gs._table(q), dt_ns)
-                    shape = dynamic_pulse_shape(HALF_PI, d, amplitude)
-                    gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = GateImpl(
-                        qubit=q, kind=circ.SX, angle=HALF_PI, duration=d, shape=shape
-                    )
+                    impl = _nominal_impl(q, circ.SX, HALF_PI, d, gs._table(q))
+                    gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
         return gs
 
 
@@ -623,10 +625,9 @@ def calibrate_rabi_table(
     nm: NoiseModel,
     qubit: int,
     amplitudes=DEFAULT_RABI_AMPLITUDES,
-    dt_ns: float = DEFAULT_DT_NS,
 ) -> RabiTable:
     """Run the simulated Rabi sweep and fit each amplitude's oscillation."""
-    datasets = simulate_rabi(amplitudes, nm, qubit=qubit, dt_ns=dt_ns)
+    datasets = simulate_rabi(amplitudes, nm, qubit=qubit)
     omegas = []
     for data in datasets:
         fit = fit_rabi(data.times_s, data.p0)
@@ -642,24 +643,14 @@ def build_static_gateset(
     n_qubits: int,
     min_duration: int | None = None,
     max_duration: int | None = None,
-    dt_ns: float = DEFAULT_DT_NS,
 ) -> GateSet:
     """Calibrate one fine-tuned Sx per duration per qubit plus the fixed ECR."""
-    durations = tuple(sorted(set(int(d) for d in durations)))
-    gs = GateSet(
-        mode=STATIC,
-        min_duration=min_duration if min_duration is not None else min(durations),
-        max_duration=max_duration if max_duration is not None else max(durations),
-        static_durations=durations,
-        dt_ns=dt_ns,
-    )
+    gs = GateSet(STATIC, min_duration, max_duration, static_durations=durations)
     for q in range(n_qubits):
-        table = calibrate_rabi_table(nm, q, dt_ns=dt_ns)
+        table = calibrate_rabi_table(nm, q)
         gs.rabi[q] = table
-        for d in durations:
-            shape = dynamic_pulse_shape(HALF_PI, d, dynamic_amplitude(HALF_PI, d, table, dt_ns))
-            impl = GateImpl(qubit=q, kind=circ.SX, angle=HALF_PI, duration=d, shape=shape)
-            impl = fine_tune(impl, nm, dt_ns=dt_ns)
+        for d in gs.static_durations:
+            impl = fine_tune(_nominal_impl(q, circ.SX, HALF_PI, d, table), nm)
             gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
     return gs
 
@@ -667,17 +658,11 @@ def build_static_gateset(
 def build_dynamic_gateset(
     nm: NoiseModel,
     n_qubits: int,
-    min_duration: int = 32,
-    max_duration: int = 128,
-    dt_ns: float = DEFAULT_DT_NS,
+    min_duration: int | None = None,
+    max_duration: int | None = None,
 ) -> GateSet:
     """Calibrate Rabi interpolation tables only; pulses are derived per request."""
-    gs = GateSet(
-        mode=DYNAMIC,
-        min_duration=min_duration,
-        max_duration=max_duration,
-        dt_ns=dt_ns,
-    )
+    gs = GateSet(DYNAMIC, min_duration, max_duration)
     for q in range(n_qubits):
-        gs.rabi[q] = calibrate_rabi_table(nm, q, dt_ns=dt_ns)
+        gs.rabi[q] = calibrate_rabi_table(nm, q)
     return gs

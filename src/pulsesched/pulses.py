@@ -1,6 +1,7 @@
 """Waveform synthesis for Gaussian, Gaussian-Square and DRAG shapes.
 
-All envelopes are sampled on the hardware dt grid: sample k represents
+``DT_NS`` is the one sample time: every duration in the package counts its
+samples.  All envelopes are sampled on this dt grid: sample k represents
 t = k (in dt units), k = 0..d-1.  Complex samples carry the I envelope in
 the real part and the Q envelope in the imaginary part; the carrier is
 implicit (rotating-frame simulator).
@@ -22,7 +23,7 @@ DRAG = "drag"
 SHAPES = (GAUSSIAN, GAUSSIAN_SQUARE, DRAG)
 
 #: Hardware sampling time of the reference backend, in ns.
-DEFAULT_DT_NS = 0.5
+DT_NS = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class Waveform:
     """Complex I/Q samples, one per dt."""
 
     samples: np.ndarray
-    dt_ns: float = DEFAULT_DT_NS
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
@@ -136,13 +136,13 @@ def evaluate_envelope(spec: ShapeSpec, t):
     return f_i + 1j * spec.beta * f_q
 
 
-def synthesize(spec: ShapeSpec, dt_ns: float = DEFAULT_DT_NS) -> Waveform:
+def synthesize(spec: ShapeSpec) -> Waveform:
     """Sample the envelope on the dt grid and apply the phase as a complex rotation."""
     if abs(spec.amplitude) > 1.0:
         raise ClippingError(f"amplitude {spec.amplitude} exceeds unit bound")
     t = np.arange(spec.duration, dtype=float)
     samples = evaluate_envelope(spec, t) * np.exp(1j * spec.phase)
-    return Waveform(samples=samples, dt_ns=dt_ns)
+    return Waveform(samples=samples)
 
 
 def pulse_area(w: Waveform, rabi_coefficient_hz: float) -> float:
@@ -158,7 +158,7 @@ def pulse_area(w: Waveform, rabi_coefficient_hz: float) -> float:
     sign = 1.0 if total.real >= 0 else -1.0
     if abs(total.real) < 1e-12 * max(magnitude, 1.0):
         sign = 1.0
-    return sign * magnitude * 4.0 * math.pi * rabi_coefficient_hz * (w.dt_ns * 1e-9)
+    return sign * magnitude * 4.0 * math.pi * rabi_coefficient_hz * (DT_NS * 1e-9)
 
 
 def envelope_sum(spec: ShapeSpec) -> float:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ScheduleOverlapError
-from .pulses import Waveform
+from .pulses import DT_NS, Waveform
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class Schedule:
     placements: list[PulsePlacement] = field(default_factory=list)
     frames: list[FrameShift] = field(default_factory=list)
     waveforms: dict[str, Waveform] = field(default_factory=dict)
-    dt_ns: float = 0.5
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ class Schedule:
         for f in sorted(self.frames, key=lambda f: (f.time, f.seq)):
             frames[f.qubit].append({"time_dt": f.time, "angle": f.angle})
         doc = {
-            "dt_ns": self.dt_ns,
+            "dt_ns": DT_NS,
             "width": self.width,
             "makespan_dt": self.makespan,
             "measured_qubits": list(self.measured_qubits),

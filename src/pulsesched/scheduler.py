@@ -289,7 +289,7 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
         impl = s.impl_for_gate(gate, node.duration)
         wid = impl.waveform_id()
         if wid not in waveforms:
-            waveforms[wid] = impl.waveform(s.dt_ns)
+            waveforms[wid] = impl.waveform()
         if impl.pre_frame:
             q = gate.qubits[0]
             frames.append(FrameShift(qubit=q, time=node.es, angle=impl.pre_frame, seq=gate.id))
@@ -324,7 +324,6 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
         placements=placements,
         frames=frames,
         waveforms=waveforms,
-        dt_ns=s.dt_ns,
         measured_qubits=tuple(sorted(set(measured))) or tuple(range(g.circuit.width)),
     )
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NoiseConfigError, SimulationError
-from .pulses import Waveform
+from .errors import ConfigError, NoiseConfigError, SimulationError
+from .pulses import DT_NS, Waveform
 from .schedule import FrameShift, PulsePlacement, Schedule
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,9 @@ Y12 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
 P2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 _I3 = np.eye(3, dtype=complex)
+
+#: one sample, in seconds
+_DT_S = DT_NS * 1e-9
 
 #: widest schedule the dense qutrit simulator runs (a 3**w square density matrix)
 MAX_SIM_QUBITS = 3
@@ -77,6 +80,8 @@ def embed_qubit_pair(u4: np.ndarray) -> np.ndarray:
 
 
 def _per_qubit(value, qubit):
+    if qubit < 0:
+        raise NoiseConfigError(f"no qubit {qubit}: qubit indices start at 0")
     if value is None:
         return None
     if np.isscalar(value):
@@ -173,12 +178,11 @@ def propagate_waveform(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarra
     """Product of per-sample matrix exponentials; exact for piecewise-constant drive."""
     kappa = nm.rabi_coefficient(qubit)
     alpha = nm.anharmonicity(qubit)
-    dt_s = w.dt_ns * 1e-9
     u = _I3.copy()
     for s in w.samples:
         h = hamiltonian_sample(s, kappa, alpha)
         evals, evecs = np.linalg.eigh(h)
-        u = (evecs * np.exp(-1j * evals * dt_s)) @ evecs.conj().T @ u
+        u = (evecs * np.exp(-1j * evals * _DT_S)) @ evecs.conj().T @ u
     return u
 
 
@@ -226,7 +230,7 @@ def dissipative_generator(nm: NoiseModel, qubit: int) -> np.ndarray:
     return _lindblad_superop(_jump_operators(nm.t1(qubit), nm.t2(qubit)))
 
 
-def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: float = 0.5) -> np.ndarray:
+def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Pure decoherence over duration_dt samples, with no Hamiltonian phase.
 
     It is also the in-gate decay.  A full idle carries the anharmonic phase
@@ -234,20 +238,19 @@ def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: floa
     """
     if duration_dt < 0:
         raise ValueError("idle duration must be non-negative")
-    t_s = duration_dt * dt_ns * 1e-9
-    return expm(t_s * dissipative_generator(nm, qubit))
+    return expm(duration_dt * _DT_S * dissipative_generator(nm, qubit))
 
 
-def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0, dt_ns: float = 0.5) -> np.ndarray:
+def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Undriven evolution exp(-i 2 pi alpha t |2><2|) over duration_dt samples."""
-    phase = 2.0 * math.pi * nm.anharmonicity(qubit) * duration_dt * dt_ns * 1e-9
+    phase = 2.0 * math.pi * nm.anharmonicity(qubit) * duration_dt * _DT_S
     return np.diag([1.0, 1.0, np.exp(-1j * phase)])
 
 
 def gate_channel(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Unitary conjugation by the propagated waveform, then segment decoherence."""
     u = propagate_waveform(w, nm, qubit)
-    return idle_channel(w.duration, nm, qubit, w.dt_ns) @ unitary_superop(u)
+    return idle_channel(w.duration, nm, qubit) @ unitary_superop(u)
 
 
 def _pair_superop(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
@@ -280,13 +283,13 @@ def _depolarizing_pair_superop(strength: float) -> np.ndarray:
     return (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
 
 
-def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int = 1320, dt_ns: float = 0.5) -> np.ndarray:
+def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int) -> np.ndarray:
     """Ideal embedded ECR unitary, depolarizing proxy, and segment decoherence."""
     unit = unitary_superop(embed_qubit_pair(ECR_2Q))
     dep = _depolarizing_pair_superop(1.0 - nm.ecr_fidelity)
     dec = _pair_superop(
-        idle_channel(duration_dt, nm, qubits[0], dt_ns),
-        idle_channel(duration_dt, nm, qubits[1], dt_ns),
+        idle_channel(duration_dt, nm, qubits[0]),
+        idle_channel(duration_dt, nm, qubits[1]),
     )
     return dec @ dep @ unit
 
@@ -308,14 +311,14 @@ class DensityState:
             self.data = np.zeros((d, d), dtype=complex)
             self.data[0, 0] = 1.0
 
-    def validate(self, herm_tol=1e-10, psd_tol=1e-8, trace_tol=1e-10):
+    def validate(self):
         rho = self.data
-        if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise SimulationError("state lost Hermiticity")
         evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if evals.min() < -psd_tol:
+        if evals.min() < -1e-8:
             raise SimulationError(f"state not PSD (min eigenvalue {evals.min():.3e})")
-        if rho.trace().real > 1.0 + trace_tol:
+        if rho.trace().real > 1.0 + 1e-10:
             raise SimulationError("state trace exceeds 1")
 
     def apply_local_unitary(self, u: np.ndarray, qubits: tuple[int, ...]):
@@ -367,7 +370,8 @@ class RunResult:
 
 
 class ScheduleSimulator:
-    """Caches per-waveform and per-gap channels across many run_schedule calls.
+    """Caches channels across many run_schedule calls, keyed by (waveform id,
+    qubit) for pulses, (gap, qubit) for idles and (qubits, duration) for ECRs.
 
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
@@ -383,39 +387,27 @@ class ScheduleSimulator:
     the identity exactly.
     """
 
-    def __init__(self, nm: NoiseModel, dt_ns: float = 0.5, ideal_pulses: bool = False):
+    def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
         self.nm = nm
-        self.dt_ns = dt_ns
         self.ideal_pulses = ideal_pulses
-        self._pulse_cache: dict = {}
-        self._idle_cache: dict = {}
-        self._ecr_cache: dict = {}
+        self._channels: dict = {}
 
-    def _pulse_superop(self, wid: str, w: Waveform, qubit: int, angle: float) -> np.ndarray:
-        key = (wid, qubit)
-        if key not in self._pulse_cache:
-            if self.ideal_pulses:
-                u = np.eye(3, dtype=complex)
-                u[:2, :2] = ideal_rx(angle)
-                dec = idle_channel(w.duration, self.nm, qubit, self.dt_ns)
-                self._pulse_cache[key] = dec @ unitary_superop(u)
-            else:
-                self._pulse_cache[key] = gate_channel(w, self.nm, qubit)
-        return self._pulse_cache[key]
+    def _channel(self, key, build, *args) -> np.ndarray:
+        ch = self._channels.get(key)
+        if ch is None:
+            ch = self._channels[key] = build(*args)
+        return ch
+
+    def _pulse_superop(self, w: Waveform, qubit: int, angle: float) -> np.ndarray:
+        if not self.ideal_pulses:
+            return gate_channel(w, self.nm, qubit)
+        u = np.eye(3, dtype=complex)
+        u[:2, :2] = ideal_rx(angle)
+        return idle_channel(w.duration, self.nm, qubit) @ unitary_superop(u)
 
     def _idle_superop(self, gap: int, qubit: int) -> np.ndarray:
-        key = (gap, qubit)
-        if key not in self._idle_cache:
-            decay = idle_channel(gap, self.nm, qubit, self.dt_ns)
-            phase = anharmonic_unitary(gap, self.nm, qubit, self.dt_ns)
-            self._idle_cache[key] = decay @ unitary_superop(phase)
-        return self._idle_cache[key]
-
-    def _ecr_superop(self, qubits, duration) -> np.ndarray:
-        key = (qubits, duration)
-        if key not in self._ecr_cache:
-            self._ecr_cache[key] = ecr_channel(self.nm, qubits, duration, self.dt_ns)
-        return self._ecr_cache[key]
+        decay = idle_channel(gap, self.nm, qubit)
+        return decay @ unitary_superop(anharmonic_unitary(gap, self.nm, qubit))
 
     def run(self, sch: Schedule, shots: int = 1024, seed=None, validate_states: bool = False) -> RunResult:
         if sch.width > MAX_SIM_QUBITS:
@@ -431,7 +423,7 @@ class ScheduleSimulator:
         def idle_to(q, t):
             gap = t - t_last[q]
             if gap > 0:
-                state.apply_local_superop(self._idle_superop(gap, q), (q,))
+                state.apply_local_superop(self._channel((gap, q), self._idle_superop, gap, q), (q,))
             t_last[q] = t
 
         for ev in sch.events():
@@ -444,12 +436,12 @@ class ScheduleSimulator:
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
-                s = self._ecr_superop(ev.qubits, ev.duration)
+                s = self._channel((ev.qubits, ev.duration), ecr_channel, self.nm, ev.qubits, ev.duration)
                 state.apply_local_superop(s, ev.qubits)
             else:
-                w = sch.waveforms[ev.waveform_id]
-                s = self._pulse_superop(ev.waveform_id, w, ev.qubits[0], ev.angle)
-                state.apply_local_superop(s, (ev.qubits[0],))
+                q, w = ev.qubits[0], sch.waveforms[ev.waveform_id]
+                s = self._channel((ev.waveform_id, q), self._pulse_superop, w, q, ev.angle)
+                state.apply_local_superop(s, (q,))
             for q in ev.qubits:
                 t_last[q] = ev.start + ev.duration
             if validate_states:
@@ -481,7 +473,7 @@ def run_schedule(
     ideal_pulses: bool = False,
 ) -> RunResult:
     """Propagate a schedule in global time order and sample measurement outcomes."""
-    return ScheduleSimulator(nm, sch.dt_ns, ideal_pulses).run(sch, shots, seed, validate_states)
+    return ScheduleSimulator(nm, ideal_pulses=ideal_pulses).run(sch, shots, seed, validate_states)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +487,15 @@ class RabiData:
     p0: np.ndarray
 
 
-def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | None = None, points: int = 201, dt_ns: float = 0.5) -> list[RabiData]:
+def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | None = None) -> list[RabiData]:
     """Drive a square pulse at each amplitude and record the |0> population.
 
     Without an explicit window each amplitude is observed over its own
     4*pi-rotation time (two full population oscillations).
     """
-    dt_s = dt_ns * 1e-9
+    if window_dt is not None and window_dt <= 0:
+        raise ConfigError(f"Rabi window must be a positive dt count, got {window_dt}")
+    points = 201
     out = []
     gen = dissipative_generator(nm, qubit)
     kappa = nm.rabi_coefficient(qubit)
@@ -510,7 +504,7 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
         if window_dt is not None:
             n_dt = int(window_dt)
         elif a > 0:
-            n_dt = max(int(math.ceil(1.0 / (kappa * a * dt_s))), points)
+            n_dt = max(int(math.ceil(1.0 / (kappa * a * _DT_S))), points)
         else:
             n_dt = points
         ts_dt = np.linspace(0.0, n_dt, points)
@@ -518,12 +512,12 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
         evals, evecs = np.linalg.eigh(h)
         p0s = np.empty(points)
         for i, t_dt in enumerate(ts_dt):
-            t_s = t_dt * dt_s
+            t_s = t_dt * _DT_S
             u = (evecs * np.exp(-1j * evals * t_s)) @ evecs.conj().T
             rho = np.outer(u[:, 0], u[:, 0].conj())
             rho = (expm(t_s * gen) @ rho.reshape(9)).reshape(3, 3)
             p0s[i] = rho[0, 0].real
-        out.append(RabiData(amplitude=float(a), times_s=ts_dt * dt_s, p0=p0s))
+        out.append(RabiData(amplitude=float(a), times_s=ts_dt * _DT_S, p0=p0s))
     return out
 
 
@@ -533,4 +527,4 @@ def write_rabi_csv(datasets: list[RabiData], path):
         out.writerow(["amplitude", "time_ns", "p0"])
         for d in datasets:
             for t, y in zip(d.times_s, d.p0):
-                out.writerow([repr(d.amplitude), repr(t * 1e9), repr(float(y))])
+                out.writerow([repr(d.amplitude), repr(float(t * 1e9)), repr(float(y))])

@@ -40,6 +40,7 @@ from pulsesched.circuit import (
     parse_circuit,
 )
 from pulsesched.gateset import (
+    DEFAULT_ECR_DURATION,
     DEFAULT_STATIC_DURATIONS,
     GateSet,
     build_static_gateset,
@@ -310,7 +311,7 @@ def test_criterion_9_physicality_suite(calibrated):
             assert_choi_psd(gate_channel(impl.waveform(), nm, 0))
         for t in (0, 17, 512, 31007):
             assert_choi_psd(idle_channel(t, nm, 0))
-        assert_choi_psd(ecr_channel(nm, (0, 1)))
+        assert_choi_psd(ecr_channel(nm, (0, 1), DEFAULT_ECR_DURATION))
 
         for a, b in ((1, 2), (137, 545), (4096, 12345)):
             left = idle_channel(a, nm, 0) @ idle_channel(b, nm, 0)

@@ -90,6 +90,7 @@ class TestCalibrateCommand:
             "--qubits", "1", "--out", str(out),
         ])
         assert code == 0
+        assert json.loads(out.read_text())["dt_ns"] == 0.5
         gs = GateSet.from_json(out.read_text())
         assert gs.mode == "static"
         assert {i.duration for i in gs.impls.values()} == {64, 120}
@@ -101,6 +102,7 @@ class TestCalibrateCommand:
             "--qubits", "1", "--out", str(out),
         ])
         assert code == 0
+        assert json.loads(out.read_text())["dt_ns"] == 0.5
         gs = GateSet.from_json(out.read_text())
         assert gs.mode == "dynamic" and 0 in gs.rabi
 
@@ -149,6 +151,15 @@ class TestRabiCommand:
 
     def test_empty_amplitudes_config_error(self, tmp_path):
         assert main(["rabi", "--amplitudes", "", "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_times_are_numbers(self, tmp_path):
+        out = tmp_path / "rabi.csv"
+        assert main(["rabi", "--amplitudes", "0.01", "--out", str(out)]) == 0
+        with open(out) as fh:
+            times = [row["time_ns"] for row in csv.DictReader(fh)]
+        assert len(times) > 1
+        for cell in times:
+            float(cell)
 
 
 class TestRBCommand:
@@ -253,3 +264,63 @@ class TestBadInputs:
 
     def test_gate_set_mode_must_match(self, gateset_json, tmp_path):
         assert self.rb(gateset_json, tmp_path, "--mode", "dynamic", "--max-dur", "128") == 2
+
+    @pytest.mark.parametrize("command", ["schedule", "rb"])
+    def test_gateset_with_another_sample_time(self, command, gateset_json, fig2_file, tmp_path):
+        # every duration counts samples of the one backend sample time; a
+        # file written for another one would play wrong rotations
+        with open(gateset_json) as fh:
+            doc = json.load(fh)
+        doc["dt_ns"] = 0.25
+        path = tmp_path / "gs.json"
+        path.write_text(json.dumps(doc))
+        if command == "rb":
+            code = self.rb(str(path), tmp_path)
+        else:
+            code = main([
+                "schedule", fig2_file, "--gateset", str(path),
+                "--out", str(tmp_path / "x.json"),
+            ])
+        assert code == 2
+
+    def test_negative_rb_seed(self, gateset_json, tmp_path):
+        assert self.rb(gateset_json, tmp_path, "--seed=-1") == 2
+
+    @pytest.mark.parametrize("durations", ["8", "0", "-32"])
+    def test_static_duration_below_shortest_pulse(self, durations, tmp_path):
+        code = main([
+            "calibrate", "--mode", "static", f"--durations={durations}",
+            "--out", str(tmp_path / "gs.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "gs.json").exists()
+
+    @pytest.mark.parametrize("qubits", ["0", "-2"])
+    def test_calibrate_without_qubits(self, qubits, tmp_path):
+        code = main([
+            "calibrate", "--mode", "dynamic", f"--qubits={qubits}",
+            "--out", str(tmp_path / "gs.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "gs.json").exists()
+
+    @pytest.mark.parametrize("window", ["0", "-50"])
+    def test_rabi_window_not_positive(self, window, tmp_path):
+        code = main([
+            "rabi", "--amplitudes", "0.01", f"--window={window}",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("noise", [None, '{"t1_ns": [180e3, 90e3]}'], ids=["scalar", "per-qubit"])
+    def test_rabi_negative_qubit(self, noise, tmp_path):
+        extra = []
+        if noise is not None:
+            path = tmp_path / "noise.json"
+            path.write_text(noise)
+            extra = ["--noise", str(path)]
+        code = main([
+            "rabi", "--amplitudes", "0.01", "--qubit=-1", *extra,
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import apply_superop, choi, rx_matrix
 from pulsesched.errors import NoiseConfigError, SimulationError
-from pulsesched.gateset import GateSet, fit_rabi
+from pulsesched.gateset import DEFAULT_ECR_DURATION, GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
 from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.bench import random_clifford_circuit
@@ -129,7 +129,7 @@ class TestIdleChannel:
 
 class TestEcrChannel:
     def test_noiseless_is_unitary_conjugation(self):
-        ch = ecr_channel(NOISELESS, (0, 1))
+        ch = ecr_channel(NOISELESS, (0, 1), DEFAULT_ECR_DURATION)
         rho = np.zeros((9, 9), dtype=complex)
         rho[0, 0] = 1.0
         out = apply_superop(ch, rho)
@@ -140,7 +140,7 @@ class TestEcrChannel:
         assert abs(np.trace(out @ out).real - 1.0) < 1e-10
 
     def test_depolarizing_shrinks_purity(self):
-        ch = ecr_channel(NoiseModel(t1_ns=None, t2_ns=None, ecr_fidelity=0.95), (0, 1))
+        ch = ecr_channel(NoiseModel(t1_ns=None, t2_ns=None, ecr_fidelity=0.95), (0, 1), DEFAULT_ECR_DURATION)
         rho = np.zeros((9, 9), dtype=complex)
         rho[0, 0] = 1.0
         out = apply_superop(ch, rho)
@@ -260,6 +260,12 @@ class TestRunSchedule:
             u = propagate_waveform(sx_waveform(d, NOISELESS), NOISELESS)
             leaks.append(abs(u[2, 0]) ** 2)
         assert all(a > b for a, b in zip(leaks, leaks[1:]))
+
+    def test_ideal_pulses_is_keyword_only(self):
+        # a positional second argument once meant the sample time; it must
+        # not silently switch on ideal pulses
+        with pytest.raises(TypeError):
+            ScheduleSimulator(DEFAULT, 0.5)
 
     def test_short_per_qubit_noise_list_is_config_error(self):
         gs = GateSet.ideal("static", 2)
