@@ -388,6 +388,8 @@ class GateSet:
         lo, hi = (menu[0], menu[-1]) if self.mode == STATIC else DEFAULT_DYNAMIC_WINDOW
         self.min_duration = lo if self.min_duration is None else self.min_duration
         self.max_duration = hi if self.max_duration is None else self.max_duration
+        if self.min_duration <= 0:
+            raise GateSetError(f"min_duration must be a positive dt count, got {self.min_duration}")
         if self.min_duration > self.max_duration:
             raise GateSetError("min_duration exceeds max_duration")
         if self.mode == DYNAMIC and self.max_duration < MIN_DYNAMIC_DURATION:

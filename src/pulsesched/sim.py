@@ -20,7 +20,10 @@ both the idle decay and the in-gate decay: inside a gate the phase is
 already in the propagated waveform.
 
 Channels are plain superoperator arrays (9x9 for one qutrit, 81x81 for a
-pair) in the row-major vec convention, so composing two is ``@``.
+pair) in the row-major vec convention, so composing two is ``@``.  A
+schedule run folds each qubit's frame shifts, idles and pulses into one
+pending 9x9 channel and contracts it into the state only when an ECR
+touches that qubit, and once more at the end.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ _I3 = np.eye(3, dtype=complex)
 _DT_S = DT_NS * 1e-9
 
 #: widest schedule the dense qutrit simulator runs (a 3**w square density matrix)
-MAX_SIM_QUBITS = 3
+MAX_SIM_QUBITS = 5
 
 #: ideal echoed cross-resonance unitary on the two-qubit subspace,
 #: (1/sqrt2) (I(x)X - X(x)Y), control qubit in the first tensor slot.
@@ -175,14 +178,21 @@ def hamiltonian_sample(sample: complex, rabi_coefficient_hz: float, anharmonicit
 
 
 def propagate_waveform(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
-    """Product of per-sample matrix exponentials; exact for piecewise-constant drive."""
+    """Product of per-sample matrix exponentials; exact for piecewise-constant drive.
+
+    Every sample's ``hamiltonian_sample`` is built and diagonalized in one
+    stacked ``eigh``; the steps then multiply in time order.
+    """
     kappa = nm.rabi_coefficient(qubit)
     alpha = nm.anharmonicity(qubit)
+    w_i = (4.0 * math.pi * kappa * w.samples.real)[:, None, None]
+    w_q = (4.0 * math.pi * kappa * w.samples.imag)[:, None, None]
+    h = 2.0 * math.pi * alpha * P2 + 0.5 * w_i * _HX + 0.5 * w_q * _HY
+    evals, evecs = np.linalg.eigh(h)
+    steps = (evecs * np.exp(-1j * evals * _DT_S)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     u = _I3.copy()
-    for s in w.samples:
-        h = hamiltonian_sample(s, kappa, alpha)
-        evals, evecs = np.linalg.eigh(h)
-        u = (evecs * np.exp(-1j * evals * _DT_S)) @ evecs.conj().T @ u
+    for step in steps:
+        u = step @ u
     return u
 
 
@@ -260,9 +270,10 @@ def _pair_superop(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
     return np.einsum("abij,cdkl->acbdikjl", ra, rb).reshape(81, 81)
 
 
-def _frame_unitary(angle: float) -> np.ndarray:
-    """Virtual Rz on the transmon ladder: level n advances by n*angle."""
-    return np.diag([1.0, np.exp(1j * angle), np.exp(2j * angle)]).astype(complex)
+#: n - m for each (n, m) level pair, in row-major vec order.  A virtual Rz
+#: advances level n by n*angle, so its superop is the diagonal
+#: exp(1j * angle * _LEVEL_GAPS).
+_LEVEL_GAPS = np.subtract.outer(np.arange(3), np.arange(3)).ravel()
 
 
 _PAULI3 = [
@@ -385,6 +396,12 @@ class ScheduleSimulator:
     isolates decoherence and scheduling effects from pulse-integration
     error, and makes noiseless randomized-benchmarking sequences compose to
     the identity exactly.
+
+    Operations on different qubits commute, so each qubit's frames, idles
+    and pulses fold into one pending channel in that qubit's event order.
+    The state is only formed when an ECR flushes its operands' channels and
+    applies itself, and at the final flush; ``validate_states`` checks the
+    state after each of those contractions.
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
@@ -418,38 +435,52 @@ class ScheduleSimulator:
             return RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots)
         state = DensityState(sch.width)
         t_last = [0] * sch.width
+        pending: list[np.ndarray | None] = [None] * sch.width
         pulse_seqs = {p.seq for p in sch.placements} if self.ideal_pulses else set()
+
+        def fold(q, s):
+            pending[q] = s if pending[q] is None else s @ pending[q]
+
+        def contract(s, qubits):
+            state.apply_local_superop(s, qubits)
+            if validate_states:
+                state.validate()
+
+        def flush(q):
+            if pending[q] is not None:
+                contract(pending[q], (q,))
+                pending[q] = None
 
         def idle_to(q, t):
             gap = t - t_last[q]
             if gap > 0:
-                state.apply_local_superop(self._channel((gap, q), self._idle_superop, gap, q), (q,))
+                fold(q, self._channel((gap, q), self._idle_superop, gap, q))
             t_last[q] = t
 
         for ev in sch.events():
             if isinstance(ev, FrameShift):
                 if ev.seq in pulse_seqs:
                     continue
-                state.apply_local_unitary(_frame_unitary(ev.angle), (ev.qubit,))
+                d = np.exp(1j * ev.angle * _LEVEL_GAPS)
+                q = ev.qubit
+                pending[q] = np.diag(d) if pending[q] is None else d[:, None] * pending[q]
                 continue
             assert isinstance(ev, PulsePlacement)
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
+                for q in ev.qubits:
+                    flush(q)
                 s = self._channel((ev.qubits, ev.duration), ecr_channel, self.nm, ev.qubits, ev.duration)
-                state.apply_local_superop(s, ev.qubits)
+                contract(s, ev.qubits)
             else:
                 q, w = ev.qubits[0], sch.waveforms[ev.waveform_id]
-                s = self._channel((ev.waveform_id, q), self._pulse_superop, w, q, ev.angle)
-                state.apply_local_superop(s, (q,))
+                fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, w, q, ev.angle))
             for q in ev.qubits:
                 t_last[q] = ev.start + ev.duration
-            if validate_states:
-                state.validate()
         for q in range(sch.width):
             idle_to(q, sch.makespan)
-        if validate_states:
-            state.validate()
+            flush(q)
 
         probs = state.probabilities()
         p0 = state.p_zero()

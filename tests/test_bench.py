@@ -25,7 +25,7 @@ from pulsesched.bench import (
 from pulsesched.errors import ConfigError
 from pulsesched.gateset import GateSet
 from pulsesched.scheduler import FREE_FLOAT, lower, run_framework
-from pulsesched.sim import NoiseModel, run_schedule
+from pulsesched.sim import MAX_SIM_QUBITS, NoiseModel, run_schedule
 
 
 def ideal_static(n):
@@ -106,13 +106,13 @@ class TestRandomCliffordCircuit:
 
     def test_qubit_bound(self):
         with pytest.raises(ConfigError):
-            random_clifford_circuit(4, 3, 0)
+            random_clifford_circuit(MAX_SIM_QUBITS + 1, 3, 0)
 
 
 class TestRBConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RBConfig(n_qubits=4, clifford_lengths=(1,))
+            RBConfig(n_qubits=MAX_SIM_QUBITS + 1, clifford_lengths=(1,))
         with pytest.raises(ConfigError):
             RBConfig(n_qubits=2, clifford_lengths=(5, 1))
         with pytest.raises(ConfigError):

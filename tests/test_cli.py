@@ -8,6 +8,7 @@ import pytest
 from conftest import FIG2_TEXT
 from pulsesched.cli import main
 from pulsesched.gateset import GateSet
+from pulsesched.sim import MAX_SIM_QUBITS
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,7 @@ class TestRBCommand:
 
     def test_bad_qubit_count_config_error(self, tmp_path):
         code = main([
-            "rb", "--qubits", "5", "--lengths", "1", "--out-dir", str(tmp_path / "rb"),
+            "rb", "--qubits", str(MAX_SIM_QUBITS + 1), "--lengths", "1", "--out-dir", str(tmp_path / "rb"),
         ])
         assert code == 2
 
@@ -294,6 +295,22 @@ class TestBadInputs:
         ])
         assert code == 2
         assert not (tmp_path / "gs.json").exists()
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_calibrate_min_duration_not_positive(self, mode, tmp_path):
+        durations = ["--durations", "32,64"] if mode == "static" else []
+        code = main([
+            "calibrate", "--mode", mode, *durations, "--min-dur=-64", "--max-dur", "64",
+            "--out", str(tmp_path / "gs.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "gs.json").exists()
+
+    def test_rb_min_duration_not_positive(self, tmp_path):
+        # a gate set covering the whole static menu, so only the bound is wrong
+        path = tmp_path / "gs.json"
+        GateSet.ideal("static", 1).write_json(path)
+        assert self.rb(str(path), tmp_path, "--min-dur=-64") == 2
 
     @pytest.mark.parametrize("qubits", ["0", "-2"])
     def test_calibrate_without_qubits(self, qubits, tmp_path):

@@ -1,25 +1,35 @@
-"""Three-level simulator: propagation, channels, physicality, Rabi sweeps."""
+"""Three-level simulator: propagation, channels, physicality, Rabi sweeps.
+
+``ScheduleSimulator.run`` fuses each qubit's frames, idles and pulses into
+one pending channel between ECRs; ``unfused_run`` is the per-event oracle it
+is checked against.
+"""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from conftest import apply_superop, choi, rx_matrix
+from conftest import apply_superop, choi, random_circuit, rx_matrix
 from pulsesched.errors import NoiseConfigError, SimulationError
 from pulsesched.gateset import DEFAULT_ECR_DURATION, GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
 from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import parse_circuit
-from pulsesched.scheduler import lower, run_framework
+from pulsesched.scheduler import FREE_FLOAT, TOTAL_FLOAT, lower, run_framework
 from pulsesched.sim import (
+    MAX_SIM_QUBITS,
     DensityState,
     NoiseModel,
     ScheduleSimulator,
     ecr_channel,
     gate_channel,
+    hamiltonian_sample,
     idle_channel,
     propagate_waveform,
     run_schedule,
@@ -42,7 +52,53 @@ def random_waveform(rng, duration=40):
     return Waveform(samples=samples)
 
 
+def unfused_run(sim, sch):
+    """Per-event oracle for ScheduleSimulator.run: contract every frame,
+    idle, pulse and ECR into the state as it comes, in global time order."""
+    state = DensityState(sch.width)
+    t_last = [0] * sch.width
+    pulse_seqs = {p.seq for p in sch.placements} if sim.ideal_pulses else set()
+
+    def idle_to(q, t):
+        gap = t - t_last[q]
+        if gap > 0:
+            state.apply_local_superop(sim._channel((gap, q), sim._idle_superop, gap, q), (q,))
+        t_last[q] = t
+
+    for ev in sch.events():
+        if isinstance(ev, FrameShift):
+            if ev.seq not in pulse_seqs:
+                rz = np.diag([1.0, np.exp(1j * ev.angle), np.exp(2j * ev.angle)])
+                state.apply_local_unitary(rz, (ev.qubit,))
+            continue
+        for q in ev.qubits:
+            idle_to(q, ev.start)
+        if ev.kind == "ecr":
+            s = sim._channel((ev.qubits, ev.duration), ecr_channel, sim.nm, ev.qubits, ev.duration)
+        else:
+            q, w = ev.qubits[0], sch.waveforms[ev.waveform_id]
+            s = sim._channel((ev.waveform_id, q), sim._pulse_superop, w, q, ev.angle)
+        state.apply_local_superop(s, ev.qubits)
+        for q in ev.qubits:
+            t_last[q] = ev.start + ev.duration
+    for q in range(sch.width):
+        idle_to(q, sch.makespan)
+    return state
+
+
 class TestPropagateWaveform:
+    def test_equals_per_sample_expm_product(self):
+        # the stacked eigendecomposition reproduces the time-ordered product
+        # of per-sample exponentials for every static menu waveform
+        gs = GateSet.ideal("static", 1)
+        kappa, alpha = DEFAULT.rabi_coefficient(0), DEFAULT.anharmonicity(0)
+        for d in gs.static_durations:
+            w = gs.impl_for(0, "sx", HALF_PI, d).waveform()
+            u = np.eye(3, dtype=complex)
+            for s in w.samples:
+                u = expm(-1j * hamiltonian_sample(s, kappa, alpha) * 0.5e-9) @ u
+            assert np.max(np.abs(propagate_waveform(w, DEFAULT) - u)) < 1e-12
+
     def test_zero_waveform_identity_with_level2_phase(self):
         w = Waveform(samples=np.zeros(100, dtype=complex))
         u = propagate_waveform(w, DEFAULT)
@@ -204,7 +260,7 @@ class TestRunSchedule:
         assert res.probabilities["1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_width_capped(self):
-        sch = Schedule(width=4, makespan=0)
+        sch = Schedule(width=MAX_SIM_QUBITS + 1, makespan=0)
         with pytest.raises(SimulationError):
             run_schedule(sch, NOISELESS)
 
@@ -283,6 +339,62 @@ class TestRunSchedule:
         assert any(f.seq in pulse_seqs for f in sch.frames)
         res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
         assert res.p0 == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFusion:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 3),
+        n_gates=st.integers(1, 30),
+        mode=st.sampled_from(["static", "dynamic"]),
+        ideal_pulses=st.booleans(),
+        noiseless=st.booleans(),
+        policy=st.sampled_from([FREE_FLOAT, TOTAL_FLOAT]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfused_oracle(self, seed, n_qubits, n_gates, mode, ideal_pulses, noiseless, policy):
+        gs = GateSet.ideal(mode, n_qubits)
+        c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
+        _, sch = run_framework(c, gs, policy)
+        sim = ScheduleSimulator(NOISELESS if noiseless else DEFAULT, ideal_pulses=ideal_pulses)
+        fused = sim.run(sch, shots=1, seed=0)
+        oracle = unfused_run(sim, sch)
+        assert fused.p0 == pytest.approx(oracle.p_zero(), abs=1e-12)
+        expected = oracle.probabilities()
+        assert fused.probabilities.keys() == expected.keys()
+        for k, p in expected.items():
+            assert fused.probabilities[k] == pytest.approx(p, abs=1e-12)
+
+    def test_one_contraction_per_ecr_operand_and_qubit(self, monkeypatch):
+        # frames fold into the pending channels, so no unitary contraction
+        # runs; each ECR flushes its two operands and applies itself, and
+        # the end flushes every qubit once
+        calls = {"superop": 0, "unitary": 0}
+        superop, unitary = DensityState.apply_local_superop, DensityState.apply_local_unitary
+
+        def count(name, original):
+            def wrapped(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return wrapped
+
+        monkeypatch.setattr(DensityState, "apply_local_superop", count("superop", superop))
+        monkeypatch.setattr(DensityState, "apply_local_unitary", count("unitary", unitary))
+        gs = GateSet.ideal("static", 3)
+        _, sch = run_framework(lower(random_clifford_circuit(3, 5, 7), gs), gs, FREE_FLOAT)
+        n_ecr = sum(p.kind == "ecr" for p in sch.placements)
+        assert n_ecr > 0 and sch.frames
+        run_schedule(sch, DEFAULT, shots=1, seed=0)
+        assert calls["unitary"] == 0
+        assert 0 < calls["superop"] <= 3 * n_ecr + sch.width
+
+    @pytest.mark.parametrize("n_qubits", [4, 5])
+    def test_wide_rb_composes_to_identity(self, n_qubits):
+        gs = GateSet.ideal("static", n_qubits)
+        for seed in (0, 1):
+            _, sch = run_framework(lower(random_clifford_circuit(n_qubits, 3, seed), gs), gs, FREE_FLOAT)
+            res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
+            assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
 
 def _leaked_state():
