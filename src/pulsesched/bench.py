@@ -118,10 +118,7 @@ def random_clifford_circuit(n_qubits: int, length: int, seed) -> Circuit:
             _emit_word(specs, (name,), qubits[0])
     for q in range(n_qubits):
         specs.append((circ.MEASURE, (q,), ()))
-    gates = tuple(
-        circ.Gate(id=i, kind=k, qubits=qs, angles=a) for i, (k, qs, a) in enumerate(specs)
-    )
-    return Circuit(width=n_qubits, gates=gates)
+    return circ._make_circuit(specs, n_qubits)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ KINDS = (U3, RZ, SX, SXDG, RX, ECR, MEASURE, BARRIER)
 #: number of angle parameters each kind carries
 _N_ANGLES = {U3: 3, RZ: 1, RX: 1, SX: 0, SXDG: 0, ECR: 0, MEASURE: 0, BARRIER: 0}
 
+#: operand counts each kind accepts
+_ARITY = {
+    U3: (1,), RZ: (1,), RX: (1,), SX: (1,), SXDG: (1,), ECR: (2,), MEASURE: (1,), BARRIER: (1, 2)
+}
+
 #: gate kinds that emit an actual drive pulse
 PULSE_KINDS = (SX, SXDG, RX, ECR)
 
@@ -74,27 +79,26 @@ class Gate:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(
-            self, "angles", tuple(normalize_angle(float(a)) for a in self.angles)
-        )
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
+        kind = self.kind
+        qubits = tuple(map(int, self.qubits))
+        angles = tuple(map(normalize_angle, map(float, self.angles)))
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "angles", angles)
+        if kind not in KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity = len(qubits)
+        if arity > 1 and len(set(qubits)) != arity:
             raise ValueError(f"gate {self.id}: duplicate qubit operands")
-        if any(q < 0 for q in self.qubits):
+        if arity and min(qubits) < 0:
             raise ValueError(f"gate {self.id}: negative qubit index")
-        arity = len(self.qubits)
-        if self.kind == ECR and arity != 2:
-            raise ValueError("ecr takes exactly two qubits")
-        if self.kind == BARRIER and arity not in (1, 2):
-            raise ValueError("barrier takes one or two qubits")
-        if self.kind not in (ECR, BARRIER) and arity != 1:
-            raise ValueError(f"{self.kind} takes exactly one qubit")
-        if len(self.angles) != _N_ANGLES[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_N_ANGLES[self.kind]} angle(s), got {len(self.angles)}"
-            )
+        if arity not in _ARITY[kind]:
+            if kind == ECR:
+                raise ValueError("ecr takes exactly two qubits")
+            if kind == BARRIER:
+                raise ValueError("barrier takes one or two qubits")
+            raise ValueError(f"{kind} takes exactly one qubit")
+        if len(angles) != _N_ANGLES[kind]:
+            raise ValueError(f"{kind} takes {_N_ANGLES[kind]} angle(s), got {len(angles)}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class Circuit:
         for pos, g in enumerate(self.gates):
             if g.id != pos:
                 raise ValueError("gate ids must be dense 0..n-1 in program order")
-            if any(q >= self.width for q in g.qubits):
+            if max(g.qubits) >= self.width:
                 raise ValueError(f"gate {g.id}: qubit index beyond circuit width")
 
     def __len__(self):
@@ -212,7 +216,6 @@ def _theta_cases(theta):
 
 
 def _rz(q, angle):
-    angle = normalize_angle(angle)
     return (RZ, (q,), (angle,))
 
 

@@ -116,6 +116,14 @@ class Schedule:
             }
         return doc
 
-    def write_json(self, path, include_waveforms: bool = True):
+    def write_json(self, path):
+        """Write ``to_json()`` as compact JSON, waveform samples included.
+
+        The text is built in one ``json.dumps`` call without ``indent``:
+        only that call reaches the C encoder, while ``json.dump``, indented
+        or not, streams through the slower pure-Python one.  Floats print as
+        ``repr`` either way, so every sample round-trips exactly.
+        """
+        text = json.dumps(self.to_json())
         with open(path, "w") as fh:
-            json.dump(self.to_json(include_waveforms), fh, indent=1)
+            fh.write(text)

@@ -104,11 +104,28 @@ class TestGateInvariants:
         # wrap-around by 4*pi leaves the SU(2) element intact
         assert normalize_angle(-2 * math.pi) == pytest.approx(2 * math.pi)
 
-    def test_duplicate_and_negative_qubits_rejected(self):
-        with pytest.raises(ValueError):
-            Gate(id=0, kind="ecr", qubits=(1, 1))
-        with pytest.raises(ValueError):
-            Gate(id=0, kind="sx", qubits=(-1,))
+    @pytest.mark.parametrize(
+        "kind, qubits, angles, message",
+        [
+            pytest.param("cz", (0,), (), "unknown gate kind 'cz'", id="unknown-kind"),
+            pytest.param("ecr", (1, 1), (), "gate 0: duplicate qubit operands", id="duplicate"),
+            pytest.param("sx", (-1,), (), "gate 0: negative qubit index", id="negative"),
+            pytest.param("ecr", (0,), (), "ecr takes exactly two qubits", id="ecr-1q"),
+            pytest.param("ecr", (0, 1, 2), (), "ecr takes exactly two qubits", id="ecr-3q"),
+            pytest.param("barrier", (0, 1, 2), (), "barrier takes one or two qubits", id="barrier-3q"),
+            pytest.param("rz", (0, 1), (0.5,), "rz takes exactly one qubit", id="rz-2q"),
+            pytest.param("u3", (0,), (0.1, 0.2), "u3 takes 3 angle(s), got 2", id="u3-2-angles"),
+            pytest.param("sx", (0,), (0.1,), "sx takes 0 angle(s), got 1", id="sx-1-angle"),
+        ],
+    )
+    def test_gate_rejected_with_message(self, kind, qubits, angles, message):
+        with pytest.raises(ValueError) as exc:
+            Gate(id=0, kind=kind, qubits=qubits, angles=angles)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("qubits", [(0,), (2, 0)], ids=["1q", "2q"])
+    def test_barrier_accepts_one_or_two_qubits(self, qubits):
+        assert Gate(id=0, kind="barrier", qubits=qubits).qubits == qubits
 
     def test_circuit_id_density_enforced(self):
         g0 = Gate(id=0, kind="sx", qubits=(0,))

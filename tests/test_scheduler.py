@@ -647,3 +647,18 @@ class TestExports:
         entry = doc["qubits"][0][0]
         assert set(entry) == {"start_dt", "duration_dt", "waveform_id", "phase_frame"}
         assert entry["waveform_id"] in doc["waveforms"]
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_schedule_json_uses_c_encoder(self, fig2_circuit, tmp_path, monkeypatch, mode):
+        # json.encoder._make_iterencode is the pure-Python encoder: the writer
+        # must not reach it, and must lose nothing, samples included, without it
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("schedule JSON went through the pure-Python encoder")
+
+        gs = fixed_gateset() if mode == "static" else GateSet.ideal("dynamic", 2)
+        _, sch = run_framework(lower(fig2_circuit, gs), gs)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        out = tmp_path / "sched.json"
+        sch.write_json(out)
+        doc = json.loads(out.read_text())
+        assert doc["waveforms"] and doc == sch.to_json()
