@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq, curve_fit
 
 from . import circuit as circ
 from .errors import (
@@ -150,17 +151,10 @@ class RabiTable:
         return cls(amplitudes=(0.0, 1.0), omegas_hz=(0.0, float(rabi_coefficient_hz)))
 
 
-def interpolate_amplitude(pairs, target_omega_hz: float) -> float:
+def interpolate_amplitude(table: RabiTable, target_omega_hz: float) -> float:
     """Invert the amplitude <-> Rabi-frequency relation by piecewise-linear
     interpolation; warns (and extrapolates linearly) outside the measured range."""
-    if isinstance(pairs, RabiTable):
-        pts = sorted(zip(pairs.omegas_hz, pairs.amplitudes))
-    else:
-        pts = sorted((float(o), float(a)) for a, o in pairs)
-    if len(pts) < 2:
-        raise GateSetError("need at least two calibration pairs to interpolate")
-    omegas = np.array([p[0] for p in pts])
-    amps = np.array([p[1] for p in pts])
+    omegas, amps = (np.array(c) for c in zip(*sorted(zip(table.omegas_hz, table.amplitudes))))
     if target_omega_hz < omegas[0] or target_omega_hz > omegas[-1]:
         warnings.warn(
             f"target Rabi frequency {target_omega_hz:.6g} Hz outside calibrated "
@@ -297,14 +291,14 @@ def fine_tune(
     span: float = 0.1,
     fidelity_floor: float = 0.9,
 ) -> GateImpl:
-    """Sweep the amplitude around its interpolated value and keep the best.
+    """Solve for the amplitude whose pulse rotates by exactly the target angle.
 
-    Each candidate is scored by the average gate fidelity of the noiseless
-    three-level propagator's qubit block against the ideal rotation, with
-    virtual-Z frame corrections taken for free (they cost nothing on
-    hardware).  The winning grid point is then polished to the exact target
-    rotation angle by a scalar root solve, so the only residual error is
-    leakage.
+    One bracketed root solve over amplitudes within ``span`` of the
+    interpolated value sets the noiseless three-level propagator's qubit-block
+    rotation to |angle|.  That pulse is scored once by its average gate
+    fidelity against the ideal rotation, with virtual-Z frame corrections
+    taken for free (they cost nothing on hardware), so the only residual
+    error is leakage.
     """
 
     def propagate(amp: float):
@@ -312,29 +306,17 @@ def fine_tune(
         return propagate_waveform(w, nm, impl.qubit)
 
     def rotation_error(amp: float) -> float:
-        u = propagate(amp)
-        return _zxz_angles(u[:2, :2])[1] - abs(impl.angle)
+        return _zxz_angles(propagate(amp)[:2, :2])[1] - abs(impl.angle)
 
     a0 = impl.shape.amplitude
-    grid = np.linspace((1.0 - span) * a0, (1.0 + span) * a0, 41)
-    scores = []
-    for amp in grid:
-        fid, _, _ = _frame_corrected_fidelity(propagate(amp), abs(impl.angle))
-        scores.append(fid)
-    best = int(np.argmax(scores))
-    best_amp = float(grid[best])
-    # polish within the neighboring grid cells when they bracket the root
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
     try:
-        if rotation_error(lo) * rotation_error(hi) < 0:
-            from scipy.optimize import brentq
-
-            best_amp = float(brentq(rotation_error, lo, hi, xtol=1e-14))
-    except ValueError:
-        pass
-    u = propagate(best_amp)
-    fid, pre, post = _frame_corrected_fidelity(u, abs(impl.angle))
+        amp = float(brentq(rotation_error, (1.0 - span) * a0, (1.0 + span) * a0, xtol=1e-14))
+    except ValueError as exc:
+        raise CalibrationError(
+            f"fine-tune of {impl.kind} q{impl.qubit} d={impl.duration}: no amplitude within "
+            f"span {span} of {a0:.6g} reaches rotation {abs(impl.angle):.6f}"
+        ) from exc
+    fid, pre, post = _frame_corrected_fidelity(propagate(amp), abs(impl.angle))
     if fid < fidelity_floor:
         raise CalibrationError(
             f"fine-tune of {impl.kind} q{impl.qubit} d={impl.duration} peaked at "
@@ -342,7 +324,7 @@ def fine_tune(
         )
     return replace(
         impl,
-        shape=replace(impl.shape, amplitude=best_amp),
+        shape=replace(impl.shape, amplitude=amp),
         fidelity=fid,
         pre_frame=pre,
         post_frame=post,
@@ -355,6 +337,13 @@ def fine_tune(
 
 def _angle_key(angle: float) -> float:
     return round(angle, 9)
+
+
+def _dt_count(value, what: str, minimum: int) -> int:
+    """value as a whole number of dt samples, at least minimum."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= minimum):
+        raise GateSetError(f"{what} must be a whole number of dt, at least {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -380,16 +369,18 @@ class GateSet:
     def __post_init__(self):
         if self.mode not in (STATIC, DYNAMIC):
             raise GateSetError(f"unknown scheduling mode {self.mode!r}")
-        menu = self.static_durations = tuple(sorted(set(int(d) for d in self.static_durations)))
+        self.ecr_duration = _dt_count(self.ecr_duration, "ecr_duration", 1)
+        self.measure_duration = _dt_count(self.measure_duration, "measure_duration", 0)
+        menu = self.static_durations = tuple(
+            sorted(set(_dt_count(d, "static duration", 1) for d in self.static_durations))
+        )
         if self.mode == STATIC and (not menu or menu[0] < MIN_DYNAMIC_DURATION):
             raise GateSetError(
                 f"static durations {list(menu)} need an entry and none below {MIN_DYNAMIC_DURATION} dt"
             )
         lo, hi = (menu[0], menu[-1]) if self.mode == STATIC else DEFAULT_DYNAMIC_WINDOW
-        self.min_duration = lo if self.min_duration is None else self.min_duration
-        self.max_duration = hi if self.max_duration is None else self.max_duration
-        if self.min_duration <= 0:
-            raise GateSetError(f"min_duration must be a positive dt count, got {self.min_duration}")
+        self.min_duration = _dt_count(lo if self.min_duration is None else self.min_duration, "min_duration", 1)
+        self.max_duration = _dt_count(hi if self.max_duration is None else self.max_duration, "max_duration", 1)
         if self.min_duration > self.max_duration:
             raise GateSetError("min_duration exceeds max_duration")
         if self.mode == DYNAMIC and self.max_duration < MIN_DYNAMIC_DURATION:

@@ -119,10 +119,16 @@ class NoiseModel:
                 n = max(n, len(v))
         for q in range(n):
             t1, t2 = self.t1(q), self.t2(q)
+            for name, t in (("T1", t1), ("T2", t2)):
+                if not t > 0:
+                    raise NoiseConfigError(f"qubit {q}: {name}={t} ns must be positive (None for no decay)")
             if math.isfinite(t2) and t2 > 2.0 * t1 + 1e-9:
                 raise NoiseConfigError(f"qubit {q}: T2={t2} exceeds 2*T1={2*t1}")
-            if self.anharmonicity(q) == 0.0:
-                raise NoiseConfigError("anharmonicity must be nonzero")
+            alpha, kappa = self.anharmonicity(q), self.rabi_coefficient(q)
+            if alpha is None or not math.isfinite(alpha) or alpha == 0.0:
+                raise NoiseConfigError(f"qubit {q}: anharmonicity {alpha} Hz must be finite and nonzero")
+            if kappa is None or not (math.isfinite(kappa) and kappa > 0):
+                raise NoiseConfigError(f"qubit {q}: Rabi coefficient {kappa} Hz must be finite and positive")
 
     def t1(self, qubit: int) -> float:
         v = _per_qubit(self.t1_ns, qubit)
@@ -169,7 +175,7 @@ _HX = X01 + _SQRT2 * X12
 _HY = Y01 + _SQRT2 * Y12
 
 
-def hamiltonian_sample(sample: complex, rabi_coefficient_hz: float, anharmonicity_hz: float):
+def hamiltonian_sample(sample, rabi_coefficient_hz: float, anharmonicity_hz: float):
     w_i = 4.0 * math.pi * rabi_coefficient_hz * sample.real
     w_q = 4.0 * math.pi * rabi_coefficient_hz * sample.imag
     return (
@@ -180,14 +186,11 @@ def hamiltonian_sample(sample: complex, rabi_coefficient_hz: float, anharmonicit
 def propagate_waveform(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Product of per-sample matrix exponentials; exact for piecewise-constant drive.
 
-    Every sample's ``hamiltonian_sample`` is built and diagonalized in one
-    stacked ``eigh``; the steps then multiply in time order.
+    ``hamiltonian_sample`` of the (n, 1, 1) sample array builds every
+    sample's H_k, and one stacked ``eigh`` diagonalizes them; the steps then
+    multiply in time order.
     """
-    kappa = nm.rabi_coefficient(qubit)
-    alpha = nm.anharmonicity(qubit)
-    w_i = (4.0 * math.pi * kappa * w.samples.real)[:, None, None]
-    w_q = (4.0 * math.pi * kappa * w.samples.imag)[:, None, None]
-    h = 2.0 * math.pi * alpha * P2 + 0.5 * w_i * _HX + 0.5 * w_q * _HY
+    h = hamiltonian_sample(w.samples[:, None, None], nm.rabi_coefficient(qubit), nm.anharmonicity(qubit))
     evals, evecs = np.linalg.eigh(h)
     steps = (evecs * np.exp(-1j * evals * _DT_S)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     u = _I3.copy()
@@ -526,6 +529,9 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
     """
     if window_dt is not None and window_dt <= 0:
         raise ConfigError(f"Rabi window must be a positive dt count, got {window_dt}")
+    for a in amplitudes:
+        if not (math.isfinite(a) and abs(a) <= 1.0):
+            raise ConfigError(f"Rabi amplitude {a!r} must be finite with magnitude at most 1")
     points = 201
     out = []
     gen = dissipative_generator(nm, qubit)

@@ -341,3 +341,59 @@ class TestBadInputs:
             "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ecr_duration", -5),
+            ("ecr_duration", 0),
+            ("ecr_duration", 1.5),
+            ("measure_duration", -3),
+            ("static_durations", [32.5, 64]),
+            ("min_duration", 40.5),
+        ],
+        ids=["ecr-negative", "ecr-zero", "ecr-fractional", "measure-negative", "static-fractional",
+             "min-fractional"],
+    )
+    def test_gateset_bad_durations(self, key, value, fig2_file, tmp_path, capsys):
+        doc = GateSet.ideal("static", 2).to_json()
+        doc[key] = value
+        path = tmp_path / "gs.json"
+        path.write_text(json.dumps(doc))
+        code = main(["schedule", fig2_file, "--gateset", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert key.split("_")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "noise, blamed",
+        [
+            ('{"t2_ns": -1}', "T2=-1.0 ns"),
+            ('{"t1_ns": 0}', "T1=0.0 ns"),
+            ('{"t1_ns": [180e3, -1]}', "qubit 1: T1=-1.0 ns"),
+            ('{"rabi_coefficient_hz": 0}', "Rabi coefficient"),
+            ('{"rabi_coefficient_hz": -1e8}', "Rabi coefficient"),
+            ('{"rabi_coefficient_hz": Infinity}', "Rabi coefficient"),
+            ('{"anharmonicity_hz": null}', "anharmonicity"),
+            ('{"anharmonicity_hz": NaN}', "anharmonicity"),
+        ],
+        ids=["t2-negative", "t1-zero", "t1-negative-on-q1", "rabi-zero", "rabi-negative",
+             "rabi-infinite", "alpha-null", "alpha-nan"],
+    )
+    def test_rabi_bad_noise_values(self, noise, blamed, tmp_path, capsys):
+        path = tmp_path / "noise.json"
+        path.write_text(noise)
+        code = main([
+            "rabi", "--amplitudes", "0.01", "--noise", str(path), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert blamed in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("amplitudes", ["nan", "inf", "2.0", "0.01,-1.5"])
+    def test_rabi_amplitude_out_of_range(self, amplitudes, tmp_path):
+        code = main([
+            "rabi", f"--amplitudes={amplitudes}", "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "r.csv").exists()

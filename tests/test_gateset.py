@@ -2,14 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from pulsesched.circuit import Gate, parse_circuit
 from pulsesched.errors import (
+    CalibrationError,
     ExtrapolationWarning,
     GateSetError,
     InfeasibleDurationError,
@@ -18,6 +21,8 @@ from pulsesched.gateset import (
     DEFAULT_STATIC_DURATIONS,
     GateSet,
     RabiTable,
+    _frame_corrected_fidelity,
+    _zxz_angles,
     build_dynamic_gateset,
     build_static_gateset,
     calibrate_rabi_table,
@@ -28,6 +33,7 @@ from pulsesched.gateset import (
     sigma_of_duration,
 )
 from pulsesched.scheduler import lower, run_framework
+from pulsesched.pulses import synthesize
 from pulsesched.sim import NoiseModel, propagate_waveform, simulate_rabi
 
 HALF_PI = math.pi / 2
@@ -182,8 +188,9 @@ class TestFitRabi:
 
 class TestInterpolateAmplitude:
     def test_exact_on_linear_data(self):
-        pairs = [(a, 2.0e8 * a) for a in (0.01, 0.05, 0.1, 0.2)]
-        assert interpolate_amplitude(pairs, 2.0e7) == pytest.approx(0.1, rel=1e-12)
+        amps = (0.01, 0.05, 0.1, 0.2)
+        table = RabiTable(amplitudes=amps, omegas_hz=tuple(2.0e8 * a for a in amps))
+        assert interpolate_amplitude(table, 2.0e7) == pytest.approx(0.1, rel=1e-12)
 
     def test_round_trip_through_simulated_sweep(self):
         nm = NoiseModel()
@@ -207,6 +214,40 @@ class TestInterpolateAmplitude:
             RabiTable(amplitudes=(0.1,), omegas_hz=(1e6,))
 
 
+def grid_fine_tune(impl, nm, span=0.1, fidelity_floor=0.9):
+    """Grid-and-polish oracle for fine_tune: score 41 amplitudes across the
+    span, take the argmax, then polish it to the rotation root with brentq
+    when the argmax's neighbors bracket that root."""
+
+    def propagate(amp):
+        return propagate_waveform(synthesize(replace(impl.shape, amplitude=float(amp))), nm, impl.qubit)
+
+    def rotation_error(amp):
+        return _zxz_angles(propagate(amp)[:2, :2])[1] - abs(impl.angle)
+
+    a0 = impl.shape.amplitude
+    grid = np.linspace((1.0 - span) * a0, (1.0 + span) * a0, 41)
+    scores = [_frame_corrected_fidelity(propagate(amp), abs(impl.angle))[0] for amp in grid]
+    best = int(np.argmax(scores))
+    best_amp = float(grid[best])
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    try:
+        if rotation_error(lo) * rotation_error(hi) < 0:
+            best_amp = float(brentq(rotation_error, lo, hi, xtol=1e-14))
+    except ValueError:
+        pass
+    fid, pre, post = _frame_corrected_fidelity(propagate(best_amp), abs(impl.angle))
+    if fid < fidelity_floor:
+        raise CalibrationError(f"grid peak fidelity {fid} below floor {fidelity_floor}")
+    return replace(
+        impl, shape=replace(impl.shape, amplitude=best_amp), fidelity=fid, pre_frame=pre, post_frame=post
+    )
+
+
+ORACLE_DURATIONS = (24, 32, 48, 64, 120, 256, 512)
+
+
 class TestFineTune:
     def test_already_optimal_amplitude_stays(self):
         nm = NoiseModel()
@@ -218,8 +259,6 @@ class TestFineTune:
         assert tuned.fidelity is not None and tuned.fidelity >= 0.999
 
     def test_mis_set_amplitude_recovered(self):
-        from dataclasses import replace
-
         nm = NoiseModel()
         gs = GateSet.ideal("static", 1)
         impl = gs.impl_for(0, "sx", HALF_PI, 120)
@@ -228,18 +267,42 @@ class TestFineTune:
         step = bumped.amplitude * 0.2 / 40
         assert abs(tuned.amplitude - impl.amplitude) <= step + 1e-12
 
-    def test_floor_violation_raises(self):
-        # a 1.5x amplitude drives a ~3pi/4 rotation, beyond what the narrow
-        # sweep or free virtual-Z dressing can repair
-        from dataclasses import replace
-        from pulsesched.errors import CalibrationError
+    @pytest.mark.parametrize(
+        "nm", [NoiseModel(), NoiseModel(anharmonicity_hz=-200e6)], ids=["default", "alpha-200MHz"]
+    )
+    def test_matches_grid_oracle(self, nm):
+        gs = GateSet.ideal("static", 1, static_durations=ORACLE_DURATIONS)
+        for d in ORACLE_DURATIONS:
+            impl = gs.impl_for(0, "sx", HALF_PI, d)
+            got, want = fine_tune(impl, nm), grid_fine_tune(impl, nm)
+            assert abs(got.amplitude - want.amplitude) <= 1e-13, d
+            assert abs(got.fidelity - want.fidelity) <= 1e-12, d
+            assert abs(got.pre_frame - want.pre_frame) <= 1e-12, d
+            assert abs(got.post_frame - want.post_frame) <= 1e-12, d
 
+    def test_tuned_rotation_is_exact(self):
+        nm = NoiseModel()
+        gs = GateSet.ideal("static", 1)
+        for d in (32, 120, 512):
+            tuned = fine_tune(gs.impl_for(0, "sx", HALF_PI, d), nm)
+            u = propagate_waveform(tuned.waveform(), nm)
+            assert abs(_zxz_angles(u[:2, :2])[1] - HALF_PI) <= 1e-12
+
+    def test_floor_violation_raises(self):
+        # a 1.5x amplitude drives a ~3pi/4 rotation: no amplitude within a 1%
+        # span reaches pi/2, so the root solve has no bracket
         nm = NoiseModel()
         gs = GateSet.ideal("static", 1)
         impl = gs.impl_for(0, "sx", HALF_PI, 120)
         broken = replace(impl, shape=replace(impl.shape, amplitude=impl.amplitude * 1.5))
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="span 0.01"):
             fine_tune(broken, nm, span=0.01, fidelity_floor=0.999)
+
+    def test_bracketed_root_below_floor_raises(self):
+        # the root is found, but leakage keeps every real pulse below unit fidelity
+        gs = GateSet.ideal("static", 1)
+        with pytest.raises(CalibrationError, match="below floor 1.0"):
+            fine_tune(gs.impl_for(0, "sx", HALF_PI, 32), NoiseModel(), fidelity_floor=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import apply_superop, choi, random_circuit, rx_matrix
-from pulsesched.errors import NoiseConfigError, SimulationError
+from pulsesched.errors import ConfigError, NoiseConfigError, SimulationError
 from pulsesched.gateset import DEFAULT_ECR_DURATION, GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
 from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
@@ -154,6 +154,30 @@ class TestGateChannel:
     def test_unphysical_t2_rejected(self):
         with pytest.raises(NoiseConfigError):
             NoiseModel(t1_ns=100.0, t2_ns=250.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t1_ns": 0.0},
+            {"t2_ns": -1.0},
+            {"t1_ns": [180e3, float("nan")]},
+            {"rabi_coefficient_hz": 0.0},
+            {"rabi_coefficient_hz": -1e8},
+            {"rabi_coefficient_hz": math.inf},
+            {"rabi_coefficient_hz": None},
+            {"anharmonicity_hz": None},
+            {"anharmonicity_hz": math.inf},
+            {"anharmonicity_hz": [-330e6, 0.0]},
+        ],
+    )
+    def test_unphysical_values_rejected(self, kwargs):
+        with pytest.raises(NoiseConfigError):
+            NoiseModel(**kwargs)
+
+    def test_none_and_inf_mean_no_decay(self):
+        for t in (None, math.inf):
+            nm = NoiseModel(t1_ns=t, t2_ns=t)
+            assert nm.t1(0) == nm.t2(0) == math.inf
 
 
 class TestIdleChannel:
@@ -470,6 +494,15 @@ class TestDensityState:
 
 
 class TestSimulateRabi:
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1.5, -2.0])
+    def test_amplitude_outside_unit_bound_rejected(self, amplitude):
+        with pytest.raises(ConfigError, match="amplitude"):
+            simulate_rabi([0.01, amplitude], DEFAULT)
+
+    def test_unit_amplitude_accepted(self):
+        (data,) = simulate_rabi([-1.0], DEFAULT)
+        assert data.amplitude == -1.0
+
     def test_zero_amplitude_flat(self):
         (data,) = simulate_rabi([0.0], DEFAULT, window_dt=2000)
         assert np.allclose(data.p0, 1.0, atol=1e-6)
