@@ -37,6 +37,14 @@ def _load(path, what, parse):
         raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
+def _write(path, what, write):
+    """write(path); a path that cannot be written is a ConfigError."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc!r}") from exc
+
+
 def _load_noise(path) -> NoiseModel:
     return NoiseModel() if path is None else _load(path, "noise model", NoiseModel.from_json)
 
@@ -60,9 +68,9 @@ def _cmd_schedule(args) -> int:
     gs = _load(args.gateset, "gate set", GateSet.from_json)
     lowered = lower(circuit, gs)
     g, sch = run_framework(lowered, gs, None if args.no_optimize else TOTAL_FLOAT)
-    sch.write_json(args.out)
+    _write(args.out, "schedule", sch.write_json)
     if args.dot:
-        Path(args.dot).write_text(graph_to_dot(g))
+        _write(args.dot, "graph", lambda path: Path(path).write_text(graph_to_dot(g)))
     print(f"scheduled {len(lowered.gates)} gates on {lowered.width} qubits; "
           f"makespan {sch.makespan} dt ({sch.makespan * DT_NS:.1f} ns) -> {args.out}")
     return 0
@@ -81,7 +89,7 @@ def _cmd_calibrate(args) -> int:
         )
     else:
         gs = build_dynamic_gateset(nm, args.qubits, min_duration=args.min_dur, max_duration=args.max_dur)
-    gs.write_json(args.out)
+    _write(args.out, "gate set", gs.write_json)
     print(f"calibrated {args.mode} gate set for {args.qubits} qubit(s) -> {args.out}")
     return 0
 
@@ -92,7 +100,7 @@ def _cmd_rabi(args) -> int:
     if not amplitudes:
         raise ConfigError("need at least one amplitude")
     data = simulate_rabi(amplitudes, nm, qubit=args.qubit, window_dt=args.window)
-    write_rabi_csv(data, args.out)
+    _write(args.out, "Rabi sweep", lambda path: write_rabi_csv(data, path))
     print(f"rabi sweep over {len(amplitudes)} amplitude(s) -> {args.out}")
     return 0
 
@@ -121,12 +129,12 @@ def _cmd_rb(args) -> int:
         gs = build_dynamic_gateset(
             nm, cfg.n_qubits, min_duration=args.min_dur, max_duration=args.max_dur
         )
-    result = bench.run_rb(cfg, gs, nm)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bench.write_rbresult_csv(result, out / "rbresult.csv")
-    bench.write_durations_csv(result, out / "durations.csv")
-    bench.write_timescale_csv(result, nm, out / "timescale.csv")
+    _write(out, "output directory", lambda path: path.mkdir(parents=True, exist_ok=True))
+    result = bench.run_rb(cfg, gs, nm)
+    _write(out / "rbresult.csv", "RB result", lambda path: bench.write_rbresult_csv(result, path))
+    _write(out / "durations.csv", "duration histogram", lambda path: bench.write_durations_csv(result, path))
+    _write(out / "timescale.csv", "timescale", lambda path: bench.write_timescale_csv(result, nm, path))
     for length in result.lengths():
         print(
             f"length {length:4d}: fixed P0 {result.mean_p0(length, bench.FIXED):.4f}  "

@@ -9,6 +9,14 @@ sequence needs; tableau identity means unitary identity up to global phase.
 The two-qubit entangler is the echoed cross-resonance gate; a CX is the ECR
 conjugated by fixed single-qubit Cliffords (dressing derived numerically from
 the ECR matrix and verified in the test suite).
+
+A single-qubit Clifford maps each tableau row's (x_q, z_q) bits to new bits
+plus a sign flip that depends on those two bits alone (Aaronson & Gottesman,
+PRA 70, 052328 (2004)), and the ECR does the same on (x_c, z_c, x_t, z_t).
+So each of the 24 ``CLIFFORD_1Q`` words, each gate name that
+``synthesize_identity`` emits, and the ECR is a lookup table, read off at
+import time by replaying the h/s/cx rules on a probe tableau whose rows hold
+every bit pattern; a tableau applies one with a single indexing per column.
 """
 
 from __future__ import annotations
@@ -114,7 +122,11 @@ ECR_AS_CX_WORDS = {part: _invert_word(word) for part, word in CX_DRESSING.items(
 class Tableau:
     """Conjugation tableau over n qubits: 2n rows of x|z bits plus sign bits.
 
-    Row i < n is the image of X_i, row n+i the image of Z_i.
+    Row i < n is the image of X_i, row n+i the image of Z_i.  ``h``, ``s``
+    and ``cx`` are the primitive column rules.  Every other gate is a lookup
+    table indexed by the operand columns' bits of each row (x_q, z_q per
+    operand, in operand order) that gives their new bits and the row's sign
+    flip, built from those rules at import time.
     """
 
     n: int
@@ -162,39 +174,28 @@ class Tableau:
         self.r ^= self.x[:, q] & self.z[:, q]
         self.z[:, q] ^= self.x[:, q]
 
-    def sdg(self, q: int):
-        self.s(q)
-        self.s(q)
-        self.s(q)
-
-    def zgate(self, q: int):
-        self.s(q)
-        self.s(q)
-
-    def xgate(self, q: int):
-        self.h(q)
-        self.zgate(q)
-        self.h(q)
-
     def cx(self, c: int, t: int):
         self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ True)
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
+    # -- table lookups ----------------------------------------------------
+
+    def _lookup(self, table: np.ndarray, qubits):
+        index = [slice(None)]
+        for q in qubits:
+            index += self.x[:, q].view(np.uint8), self.z[:, q].view(np.uint8)
+        *bits, flip = table[tuple(index)]
+        for i, q in enumerate(qubits):
+            self.x[:, q], self.z[:, q] = bits[2 * i], bits[2 * i + 1]
+        self.r ^= flip
+
     def ecr(self, c: int, t: int):
-        for g in ECR_AS_CX_WORDS["pre_c"]:
-            getattr(self, g)(c)
-        for g in ECR_AS_CX_WORDS["pre_t"]:
-            getattr(self, g)(t)
-        self.cx(c, t)
-        for g in ECR_AS_CX_WORDS["post_c"]:
-            getattr(self, g)(c)
-        for g in ECR_AS_CX_WORDS["post_t"]:
-            getattr(self, g)(t)
+        self._lookup(_ECR_TABLE, (c, t))
 
     def apply_word(self, word, q: int):
-        for g in word:
-            getattr(self, g)(q)
+        """Apply one of the 24 ``CLIFFORD_1Q`` words to qubit q."""
+        self._lookup(_WORD_TABLES[word], (q,))
 
     def apply_gate(self, name: str, qubits):
         if name == "cx":
@@ -202,7 +203,53 @@ class Tableau:
         elif name == "ecr":
             self.ecr(*qubits)
         else:
-            getattr(self, name if name not in ("x", "z") else name + "gate")(qubits[0])
+            self._lookup(_GATE_TABLES[name], qubits)
+
+
+def _lookup_table(n_cols: int, ops) -> np.ndarray:
+    """Table of the Clifford that the (rule, columns) ``ops`` apply to
+    columns 0..n_cols-1, with rule one of ``h``, ``s`` and ``cx``.
+
+    The probe's 4**n_cols rows hold every (x, z) bit pattern of those
+    columns; since each row updates on its own, the replayed rows are the
+    table.  Shape (2 n_cols + 1,) + (2,) * 2 n_cols: ``table[:, x_0, z_0,
+    x_1, ...]`` gives the new bits in the same order, then the sign flip.
+    """
+    rules = {"h": Tableau.h, "s": Tableau.s, "cx": Tableau.cx}
+    bits = np.array(list(np.ndindex(*(2,) * (2 * n_cols))), dtype=bool)
+    probe = Tableau(n_cols, bits[:, 0::2].copy(), bits[:, 1::2].copy(), np.zeros(len(bits), dtype=bool))
+    for rule, cols in ops:
+        rules[rule](probe, *cols)
+    out = np.empty((2 * n_cols + 1, len(bits)), dtype=bool)
+    out[0:-1:2] = probe.x.T
+    out[1:-1:2] = probe.z.T
+    out[-1] = probe.r
+    return out.reshape((2 * n_cols + 1,) + (2,) * (2 * n_cols))
+
+
+#: every single-qubit gate name that ``apply_gate`` takes, as an h/s word
+_GATE_WORDS = {
+    "h": ("h",),
+    "s": ("s",),
+    "sdg": ("s", "s", "s"),
+    "z": ("s", "s"),
+    "x": ("h", "s", "s", "h"),
+}
+
+
+def _on(word, q: int):
+    return [(g, (q,)) for g in word]
+
+
+_WORD_TABLES = {word: _lookup_table(1, _on(word, 0)) for word, _ in CLIFFORD_1Q}
+_GATE_TABLES = {name: _lookup_table(1, _on(word, 0)) for name, word in _GATE_WORDS.items()}
+_ECR_TABLE = _lookup_table(2, [
+    *_on(ECR_AS_CX_WORDS["pre_c"], 0),
+    *_on(ECR_AS_CX_WORDS["pre_t"], 1),
+    ("cx", (0, 1)),
+    *_on(ECR_AS_CX_WORDS["post_c"], 0),
+    *_on(ECR_AS_CX_WORDS["post_t"], 1),
+])
 
 
 #: x-rotation by pi/2 as a conjugation word: fixes X, maps Y -> Z, Z -> -Y

@@ -20,10 +20,14 @@ both the idle decay and the in-gate decay: inside a gate the phase is
 already in the propagated waveform.
 
 Channels are plain superoperator arrays (9x9 for one qutrit, 81x81 for a
-pair) in the row-major vec convention, so composing two is ``@``.  A
-schedule run folds each qubit's frame shifts, idles and pulses into one
-pending 9x9 channel and contracts it into the state only when an ECR
-touches that qubit, and once more at the end.
+pair) in the row-major vec convention, so composing two is ``@``; the
+builders form their Kronecker products by broadcasting.  A schedule run
+folds each qubit's frame shifts, idles and pulses into one pending 9x9
+channel and contracts it into the state only when an ECR touches that
+qubit, and once more at the end.  A contraction views the state as a
+tensor with one row and one column axis per qubit, transposes the
+operands' row and column axes to the front, multiplies the resulting
+(9**k, rest) matrix by the 9**k superop in one matmul, and transposes back.
 """
 
 from __future__ import annotations
@@ -203,8 +207,18 @@ def propagate_waveform(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarra
 # superoperators (row-major vec: vec(A X B) = kron(A, B.T) vec(X))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices as one broadcast product.
+
+    Every entry is the same single product a[i, j] * b[k, l] that
+    ``np.kron`` forms, without its per-call shape handling.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def unitary_superop(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, u.conj())
+    return _kron(u, u.conj())
 
 
 def _lindblad_superop(jumps):
@@ -212,8 +226,8 @@ def _lindblad_superop(jumps):
     gen = np.zeros((9, 9), dtype=complex)
     for L in jumps:
         ldl = L.conj().T @ L
-        gen += np.kron(L, L.conj())
-        gen -= 0.5 * (np.kron(ldl, _I3) + np.kron(_I3, ldl.T))
+        gen += _kron(L, L.conj())
+        gen -= 0.5 * (_kron(ldl, _I3) + _kron(_I3, ldl.T))
     return gen
 
 
@@ -292,8 +306,8 @@ def _depolarizing_pair_superop(strength: float) -> np.ndarray:
     mix = np.zeros((81, 81), dtype=complex)
     for pa in _PAULI3:
         for pb in _PAULI3:
-            p = np.kron(pa, pb)
-            mix += np.kron(p, p.conj())
+            p = _kron(pa, pb)
+            mix += _kron(p, p.conj())
     return (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
 
 
@@ -351,14 +365,23 @@ class DensityState:
         self.data = rho.reshape(3**w, 3**w)
 
     def apply_local_superop(self, superop: np.ndarray, qubits: tuple[int, ...]):
+        """Contract a 9**k superop into the (row, col) axes of ``qubits``.
+
+        Superop indices run over out-rows, out-cols, in-rows, in-cols, k of
+        each.  One transpose brings the operands' row then column axes
+        first, one matmul contracts the (9**k, rest) matrix, and the
+        inverse transpose restores the layout: the transpose-and-dot that
+        ``np.tensordot`` does internally, so every entry is the same sum.
+        """
         w = self.width
-        k = len(qubits)
-        rho = self.data.reshape((3,) * (2 * w))
-        s = superop.reshape((3,) * (4 * k))
-        # superop indices: out-rows (k), out-cols (k), in-rows (k), in-cols (k)
-        in_axes = [q for q in qubits] + [w + q for q in qubits]
-        rho = np.tensordot(s, rho, axes=(list(range(2 * k, 4 * k)), in_axes))
-        rho = np.moveaxis(rho, list(range(2 * k)), in_axes)
+        in_axes = [*qubits, *(w + q for q in qubits)]
+        perm = in_axes + [a for a in range(2 * w) if a not in in_axes]
+        inverse = [0] * (2 * w)
+        for i, a in enumerate(perm):
+            inverse[a] = i
+        cube = (3,) * (2 * w)
+        rho = self.data.reshape(cube).transpose(perm).reshape(superop.shape[1], -1)
+        rho = (superop @ rho).reshape(cube).transpose(inverse)
         self.data = rho.reshape(3**w, 3**w)
 
     def probabilities(self) -> dict[str, float]:

@@ -1,6 +1,7 @@
 """Randomized-benchmarking harness and CSV exports."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestRandomCliffordCircuit:
         for n, length, seed in [(1, 4, 0), (2, 3, 1), (2, 7, 2), (3, 2, 3)]:
             c = random_clifford_circuit(n, length, seed)
             assert equal_up_to_phase(circuit_unitary(c), np.eye(2**n), tol=1e-9)
+
+    def test_golden_gate_tuples(self):
+        # pins every (kind, qubits, angles) the generator draws, tableau
+        # inversion block included, over widths 1-5 and five lengths
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            for length in (1, 3, 7, 41, 161):
+                for seed in range(8):
+                    c = random_clifford_circuit(n, length, seed)
+                    h.update(repr([(g.kind, g.qubits, g.angles) for g in c.gates]).encode())
+        assert h.hexdigest() == "8e33057de60d9372e5073727c5cfe7440a7c71b0714650110481683a5d91d6c4"
 
     def test_measures_all_qubits(self):
         c = random_clifford_circuit(3, 2, 9)

@@ -397,3 +397,53 @@ class TestBadInputs:
         ])
         assert code == 2
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestUnwritableOutputs:
+    """An output path the command cannot write ends as exit 2, never as a traceback."""
+
+    @staticmethod
+    def blocked(tmp_path):
+        """A directory path under a regular file: nothing can be created there."""
+        (tmp_path / "file").write_text("")
+        return tmp_path / "file" / "sub"
+
+    def test_schedule_out(self, fig2_file, gateset_json, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert main(["schedule", fig2_file, "--gateset", gateset_json, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_schedule_dot(self, fig2_file, gateset_json, tmp_path, capsys):
+        code = main([
+            "schedule", fig2_file, "--gateset", gateset_json,
+            "--out", str(tmp_path / "s.json"), "--dot", str(tmp_path / "missing" / "g.dot"),
+        ])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_calibrate_out(self, tmp_path, capsys):
+        code = main([
+            "calibrate", "--mode", "dynamic", "--min-dur", "32", "--max-dur", "64",
+            "--out", str(tmp_path / "missing" / "x.json"),
+        ])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_rabi_out(self, tmp_path, capsys):
+        code = main(["rabi", "--amplitudes", "0.01", "--out", str(tmp_path / "missing" / "r.csv")])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_rb_out_dir_fails_before_simulating(self, gateset_json, tmp_path, monkeypatch, capsys):
+        from pulsesched import bench
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_rb ran although its output directory cannot be made")
+
+        monkeypatch.setattr(bench, "run_rb", never)
+        code = main([
+            "rb", "--qubits", "1", "--lengths", "1", "--min-dur", "64",
+            "--gateset", gateset_json, "--out-dir", str(self.blocked(tmp_path)),
+        ])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ECR_MATRIX, equal_up_to_phase, u3_matrix
 from pulsesched.clifford import (
@@ -168,6 +171,77 @@ class TestTableau:
         t.ecr(0, 1)
         expected = tableau_from_unitary(circuit_matrix([("ecr", (0, 1))], 2), 2)
         assert t == expected
+
+
+#: each gate name as an h/s word: the rules the tableau's lookup tables replace
+REPLAY_WORDS = {
+    "h": ("h",),
+    "s": ("s",),
+    "sdg": ("s", "s", "s"),
+    "z": ("s", "s"),
+    "x": ("h", "s", "s", "h"),
+}
+
+
+def replay_word(t, word, q):
+    """Reference: apply a word gate by gate through the primitive h/s rules."""
+    for g in word:
+        {"h": t.h, "s": t.s}[g](q)
+
+
+def replay_ecr(t, c, tgt):
+    """Reference: the ECR as its CX dressing around the primitive cx rule."""
+    w = ECR_AS_CX_WORDS
+    replay_word(t, w["pre_c"], c)
+    replay_word(t, w["pre_t"], tgt)
+    t.cx(c, tgt)
+    replay_word(t, w["post_c"], c)
+    replay_word(t, w["post_t"], tgt)
+
+
+@st.composite
+def tableaux(draw, min_n=1, max_n=4):
+    """Any bits at all: every row updates on its own, so the lookups must
+    match the rules on arbitrary rows, not only on valid tableaux."""
+    n = draw(st.integers(min_n, max_n))
+    x = draw(arrays(bool, (2 * n, n)))
+    z = draw(arrays(bool, (2 * n, n)))
+    r = draw(arrays(bool, 2 * n))
+    return Tableau(n, x, z, r)
+
+
+class TestLookupTables:
+    @settings(max_examples=60, deadline=None)
+    @given(tableaux())
+    def test_every_clifford_word_matches_replay(self, t):
+        for word, _ in CLIFFORD_1Q:
+            for q in range(t.n):
+                got, ref = t.copy(), t.copy()
+                got.apply_word(word, q)
+                replay_word(ref, word, q)
+                assert got == ref, (word, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tableaux())
+    def test_every_gate_name_matches_replay(self, t):
+        for name, word in REPLAY_WORDS.items():
+            for q in range(t.n):
+                got, ref = t.copy(), t.copy()
+                got.apply_gate(name, (q,))
+                replay_word(ref, word, q)
+                assert got == ref, (name, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tableaux(min_n=2))
+    def test_ecr_on_every_ordered_pair_matches_replay(self, t):
+        for c in range(t.n):
+            for tgt in range(t.n):
+                if c == tgt:
+                    continue
+                got, ref = t.copy(), t.copy()
+                got.ecr(c, tgt)
+                replay_ecr(ref, c, tgt)
+                assert got == ref, (c, tgt)
 
 
 class TestSynthesizeIdentity:

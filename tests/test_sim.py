@@ -22,12 +22,19 @@ from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import parse_circuit
 from pulsesched.scheduler import FREE_FLOAT, TOTAL_FLOAT, lower, run_framework
+from pulsesched.pulses import DT_NS
 from pulsesched.sim import (
+    ECR_2Q,
     MAX_SIM_QUBITS,
     DensityState,
     NoiseModel,
     ScheduleSimulator,
+    _PAULI3,
+    _jump_operators,
+    _kron,
+    _pair_superop,
     ecr_channel,
+    embed_qubit_pair,
     gate_channel,
     hamiltonian_sample,
     idle_channel,
@@ -491,6 +498,132 @@ class TestDensityState:
         s.data = np.diag([1.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(SimulationError):
             s.validate()
+
+
+def tensordot_contraction(rho, superop, qubits, width):
+    """Reference: apply_local_superop as tensordot plus moveaxis."""
+    k = len(qubits)
+    rho = rho.reshape((3,) * (2 * width))
+    s = superop.reshape((3,) * (4 * k))
+    in_axes = [*qubits, *(width + q for q in qubits)]
+    rho = np.tensordot(s, rho, axes=(list(range(2 * k, 4 * k)), in_axes))
+    rho = np.moveaxis(rho, list(range(2 * k)), in_axes)
+    return rho.reshape(3**width, 3**width)
+
+
+def full_space_superop(superop, qubits, width):
+    """Reference: the local superop as a (9**width)-square superop, built
+    with one einsum against identity deltas on the other qubits."""
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    out_r, out_c, in_r, in_c = ([next(letters) for _ in range(width)] for _ in range(4))
+    subs = ["".join([out_r[q] for q in qubits] + [out_c[q] for q in qubits]
+                    + [in_r[q] for q in qubits] + [in_c[q] for q in qubits])]
+    operands = [superop.reshape((3,) * (4 * len(qubits)))]
+    for q in range(width):
+        if q not in qubits:
+            subs += [out_r[q] + in_r[q], out_c[q] + in_c[q]]
+            operands += [np.eye(3), np.eye(3)]
+    spec = ",".join(subs) + "->" + "".join(out_r + out_c + in_r + in_c)
+    return np.einsum(spec, *operands).reshape(9**width, 9**width)
+
+
+def operand_tuples(width):
+    """Every 1-qubit tuple and every ordered pair, reversed and non-adjacent ones included."""
+    return [(q,) for q in range(width)] + [
+        (a, b) for a in range(width) for b in range(width) if a != b
+    ]
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestLocalContraction:
+    @pytest.mark.parametrize("width", range(1, MAX_SIM_QUBITS + 1))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_tensordot_bit_for_bit(self, width, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_complex(rng, (3**width, 3**width))
+        for qubits in operand_tuples(width):
+            superop = random_complex(rng, (9 ** len(qubits),) * 2)
+            state = DensityState(width, rho.copy())
+            state.apply_local_superop(superop, qubits)
+            assert state.data.shape == rho.shape
+            assert np.array_equal(state.data, tensordot_contraction(rho, superop, qubits, width)), qubits
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_space_superop(self, width, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_complex(rng, (3**width, 3**width))
+        for qubits in operand_tuples(width):
+            superop = random_complex(rng, (9 ** len(qubits),) * 2)
+            state = DensityState(width, rho.copy())
+            state.apply_local_superop(superop, qubits)
+            ref = apply_superop(full_space_superop(superop, qubits, width), rho)
+            assert np.max(np.abs(state.data - ref)) <= 1e-12 * np.max(np.abs(ref)), qubits
+
+
+def kron_idle_channel(duration_dt, nm, qubit):
+    """Reference idle_channel with its dissipator built by np.kron."""
+    eye = np.eye(3, dtype=complex)
+    gen = np.zeros((9, 9), dtype=complex)
+    for L in _jump_operators(nm.t1(qubit), nm.t2(qubit)):
+        ldl = L.conj().T @ L
+        gen += np.kron(L, L.conj())
+        gen -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return expm(duration_dt * (DT_NS * 1e-9) * gen)
+
+
+def kron_ecr_channel(nm, qubits, duration_dt):
+    """Reference ecr_channel with its unitary and depolarizing parts built by np.kron."""
+    u = embed_qubit_pair(ECR_2Q)
+    mix = np.zeros((81, 81), dtype=complex)
+    for pa in _PAULI3:
+        for pb in _PAULI3:
+            p = np.kron(pa, pb)
+            mix += np.kron(p, p.conj())
+    strength = 1.0 - nm.ecr_fidelity
+    dep = (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
+    dec = _pair_superop(
+        kron_idle_channel(duration_dt, nm, qubits[0]),
+        kron_idle_channel(duration_dt, nm, qubits[1]),
+    )
+    return dec @ dep @ np.kron(u, u.conj())
+
+
+PER_QUBIT = NoiseModel(t1_ns=[180e3, 60e3], t2_ns=[120e3, 90e3], ecr_fidelity=0.97)
+
+
+class TestKronFree:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_kron_equals_np_kron(self, seed):
+        rng = np.random.default_rng(seed)
+        for da, db in ((3, 3), (9, 9), (3, 9), (9, 3)):
+            a, b = random_complex(rng, (da, da)), random_complex(rng, (db, db))
+            assert np.array_equal(_kron(a, b), np.kron(a, b))
+
+    def test_unitary_superop(self):
+        rng = np.random.default_rng(3)
+        for d in (3, 9):
+            u = random_complex(rng, (d, d))
+            assert np.array_equal(unitary_superop(u), np.kron(u, u.conj()))
+
+    @pytest.mark.parametrize("nm", [DEFAULT, NOISELESS, PER_QUBIT], ids=["default", "noiseless", "per-qubit"])
+    def test_channels_equal_kron_references(self, nm):
+        for q in (0, 1):
+            for duration in (0, 24, 997):
+                assert np.array_equal(idle_channel(duration, nm, q), kron_idle_channel(duration, nm, q))
+            w = random_waveform(np.random.default_rng(q))
+            u = propagate_waveform(w, nm, q)
+            ref = kron_idle_channel(w.duration, nm, q) @ np.kron(u, u.conj())
+            assert np.array_equal(gate_channel(w, nm, q), ref)
+        for qubits in ((0, 1), (1, 0)):
+            ref = kron_ecr_channel(nm, qubits, DEFAULT_ECR_DURATION)
+            assert np.array_equal(ecr_channel(nm, qubits, DEFAULT_ECR_DURATION), ref)
 
 
 class TestSimulateRabi:
