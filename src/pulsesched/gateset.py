@@ -90,11 +90,20 @@ def _rabi_model(t, amplitude, omega, phase, offset):
     return amplitude * np.cos(2.0 * np.pi * omega * t + phase) ** 2 + offset
 
 
+def _rabi_jacobian(t, amplitude, omega, phase, offset):
+    """(len(t), 4) derivatives of ``_rabi_model`` by amplitude, omega, phase, offset."""
+    arg = 2.0 * np.pi * omega * t + phase
+    d_phase = -amplitude * np.sin(2.0 * arg)
+    return np.column_stack([np.cos(arg) ** 2, 2.0 * np.pi * t * d_phase, d_phase, np.ones_like(arg)])
+
+
 def fit_rabi(times_s, signal) -> RabiFit:
     """Least-squares fit of the cos^2 Rabi oscillation; omega in Hz.
 
     Needs at least 8 samples covering one oscillation.  A flat signal yields
-    a degenerate fit with omega = 0 rather than an error.
+    a degenerate fit with omega = 0 rather than an error.  The FFT peak
+    seeds omega, and ``curve_fit`` runs bounded with the model's analytic
+    Jacobian ``_rabi_jacobian``, not finite differences.
     """
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(signal, dtype=float)
@@ -117,6 +126,7 @@ def fit_rabi(times_s, signal) -> RabiFit:
             t,
             y,
             p0=p0,
+            jac=_rabi_jacobian,
             bounds=([0.0, 0.0, -np.pi, -1.0], [2.0, np.inf, np.pi, 2.0]),
             maxfev=20000,
         )

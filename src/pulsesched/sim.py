@@ -191,16 +191,22 @@ def propagate_waveform(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarra
     """Product of per-sample matrix exponentials; exact for piecewise-constant drive.
 
     ``hamiltonian_sample`` of the (n, 1, 1) sample array builds every
-    sample's H_k, and one stacked ``eigh`` diagonalizes them; the steps then
-    multiply in time order.
+    sample's H_k, and one stacked ``eigh`` diagonalizes them.  The steps
+    then multiply pairwise, later step on the left: an odd head folds into
+    its neighbour, and ``steps[1::2] @ steps[0::2]`` halves the stack until
+    one step is left, so n samples take about log2(n) stacked matmuls.
     """
+    if w.duration == 0:
+        return _I3.copy()
     h = hamiltonian_sample(w.samples[:, None, None], nm.rabi_coefficient(qubit), nm.anharmonicity(qubit))
     evals, evecs = np.linalg.eigh(h)
     steps = (evecs * np.exp(-1j * evals * _DT_S)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    u = _I3.copy()
-    for step in steps:
-        u = step @ u
-    return u
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps[1] = steps[1] @ steps[0]
+            steps = steps[1:]
+        steps = steps[1::2] @ steps[0::2]
+    return steps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +553,18 @@ class RabiData:
 def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | None = None) -> list[RabiData]:
     """Drive a square pulse at each amplitude and record the |0> population.
 
-    Without an explicit window each amplitude is observed over its own
-    4*pi-rotation time (two full population oscillations).
+    Without an explicit window each amplitude is observed over the
+    4*pi-rotation time of its magnitude (two full population oscillations);
+    -a gives the same window and curve as a.
+
+    Decay is lumped as in ``gate_channel``: the state at time t is the
+    square pulse's unitary U(t)|0>, then ``expm(t * gen)`` of the
+    dissipative generator.  The 201 times are evenly spaced, so each
+    amplitude takes one ``eigh`` of H for every U(t) and one ``expm`` of
+    the time step E; the rows e0^T E^i for all i come from repeated
+    squaring, and P(0) is one contraction of those rows with vec(rho(t)).
+    The generator is not diagonalized: equal 1->0 and 2->1 decay rates make
+    it defective.
     """
     if window_dt is not None and window_dt <= 0:
         raise ConfigError(f"Rabi window must be a positive dt count, got {window_dt}")
@@ -563,21 +579,22 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
     for a in amplitudes:
         if window_dt is not None:
             n_dt = int(window_dt)
-        elif a > 0:
-            n_dt = max(int(math.ceil(1.0 / (kappa * a * _DT_S))), points)
+        elif a != 0:
+            n_dt = max(int(math.ceil(1.0 / (kappa * abs(a) * _DT_S))), points)
         else:
             n_dt = points
-        ts_dt = np.linspace(0.0, n_dt, points)
-        h = hamiltonian_sample(complex(a), kappa, alpha)
-        evals, evecs = np.linalg.eigh(h)
-        p0s = np.empty(points)
-        for i, t_dt in enumerate(ts_dt):
-            t_s = t_dt * _DT_S
-            u = (evecs * np.exp(-1j * evals * t_s)) @ evecs.conj().T
-            rho = np.outer(u[:, 0], u[:, 0].conj())
-            rho = (expm(t_s * gen) @ rho.reshape(9)).reshape(3, 3)
-            p0s[i] = rho[0, 0].real
-        out.append(RabiData(amplitude=float(a), times_s=ts_dt * _DT_S, p0=p0s))
+        times_s = np.linspace(0.0, n_dt, points) * _DT_S
+        evals, evecs = np.linalg.eigh(hamiltonian_sample(complex(a), kappa, alpha))
+        # U(t)|0> for every t, stacked: (points, 3)
+        psi = (evecs * np.exp(-1j * np.multiply.outer(times_s, evals))[:, None, :]) @ evecs[0].conj()
+        # rows e0^T E^i, i < points, doubling the prefix with E^(2^k)
+        rows = np.eye(1, 9, dtype=complex)
+        power = expm(times_s[1] * gen)
+        while len(rows) < points:
+            rows = np.concatenate([rows, rows @ power])
+            power = power @ power
+        p0s = np.einsum("tij,ti,tj->t", rows[:points].reshape(points, 3, 3), psi, psi.conj()).real
+        out.append(RabiData(amplitude=float(a), times_s=times_s, p0=p0s))
     return out
 
 

@@ -22,6 +22,8 @@ from pulsesched.gateset import (
     GateSet,
     RabiTable,
     _frame_corrected_fidelity,
+    _rabi_jacobian,
+    _rabi_model,
     _zxz_angles,
     build_dynamic_gateset,
     build_static_gateset,
@@ -179,6 +181,30 @@ class TestFitRabi:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_rabi([0, 1e-6, 2e-6], [1, 0.5, 0.2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.tuples(
+            st.floats(0.0, 2.0),
+            st.floats(1e4, 1e7),
+            st.floats(-math.pi, math.pi),
+            st.floats(-1.0, 2.0),
+        ),
+        times=st.lists(st.floats(1e-7, 2e-5), min_size=1, max_size=5),
+    )
+    def test_jacobian_matches_central_difference(self, params, times):
+        t = np.array(times)
+        jac = _rabi_jacobian(t, *params)
+        assert jac.shape == (len(t), 4)
+        # each column's natural size: d/d omega carries a factor 2 pi t
+        scale = np.array([1.0, 2.0 * math.pi * t.max(), 1.0, 1.0])
+        for j, p in enumerate(params):
+            h = (1e-7 if j == 1 else 1e-6) * max(1.0, abs(p))
+            up, down = list(params), list(params)
+            up[j] += h
+            down[j] -= h
+            fd = (_rabi_model(t, *up) - _rabi_model(t, *down)) / (2.0 * h)
+            assert np.max(np.abs(jac[:, j] - fd)) <= 1e-5 * scale[j], j
 
     def test_simulated_anchor_105khz(self):
         (data,) = simulate_rabi([0.001], NoiseModel())

@@ -23,6 +23,7 @@ from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import parse_circuit
 from pulsesched.scheduler import FREE_FLOAT, TOTAL_FLOAT, lower, run_framework
 from pulsesched.pulses import DT_NS
+from pulsesched import sim
 from pulsesched.sim import (
     ECR_2Q,
     MAX_SIM_QUBITS,
@@ -33,6 +34,7 @@ from pulsesched.sim import (
     _jump_operators,
     _kron,
     _pair_superop,
+    dissipative_generator,
     ecr_channel,
     embed_qubit_pair,
     gate_channel,
@@ -105,6 +107,21 @@ class TestPropagateWaveform:
             for s in w.samples:
                 u = expm(-1j * hamiltonian_sample(s, kappa, alpha) * 0.5e-9) @ u
             assert np.max(np.abs(propagate_waveform(w, DEFAULT) - u)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 511, 512, 513])
+    def test_pairwise_equals_sequential_product(self, n):
+        # the pairwise product of the stacked steps equals multiplying them
+        # one sample at a time in time order
+        rng = np.random.default_rng(n)
+        samples = 0.7 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        w = Waveform(samples=samples)
+        h = hamiltonian_sample(samples[:, None, None], DEFAULT.rabi_coefficient(0), DEFAULT.anharmonicity(0))
+        evals, evecs = np.linalg.eigh(h)
+        steps = (evecs * np.exp(-1j * evals * DT_NS * 1e-9)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+        u = np.eye(3, dtype=complex)
+        for step in steps:
+            u = step @ u
+        assert np.max(np.abs(propagate_waveform(w, DEFAULT) - u)) < 1e-13
 
     def test_zero_waveform_identity_with_level2_phase(self):
         w = Waveform(samples=np.zeros(100, dtype=complex))
@@ -626,7 +643,68 @@ class TestKronFree:
             assert np.array_equal(ecr_channel(nm, qubits, DEFAULT_ECR_DURATION), ref)
 
 
+def rabi_oracle(amplitudes, nm, qubit=0, window_dt=None):
+    """Reference simulate_rabi: one expm of the dissipative generator per time point."""
+    dt_s = DT_NS * 1e-9
+    gen = dissipative_generator(nm, qubit)
+    kappa, alpha = nm.rabi_coefficient(qubit), nm.anharmonicity(qubit)
+    out = []
+    for a in amplitudes:
+        if window_dt is not None:
+            n_dt = int(window_dt)
+        elif a != 0:
+            n_dt = max(int(math.ceil(1.0 / (kappa * abs(a) * dt_s))), 201)
+        else:
+            n_dt = 201
+        ts_dt = np.linspace(0.0, n_dt, 201)
+        evals, evecs = np.linalg.eigh(hamiltonian_sample(complex(a), kappa, alpha))
+        p0s = np.empty(201)
+        for i, t_dt in enumerate(ts_dt):
+            t_s = t_dt * dt_s
+            u = (evecs * np.exp(-1j * evals * t_s)) @ evecs.conj().T
+            rho = np.outer(u[:, 0], u[:, 0].conj())
+            rho = (expm(t_s * gen) @ rho.reshape(9)).reshape(3, 3)
+            p0s[i] = rho[0, 0].real
+        out.append((ts_dt * dt_s, p0s))
+    return out
+
+
+T1_ONLY = NoiseModel(t2_ns=None)
+
+
 class TestSimulateRabi:
+    @pytest.mark.parametrize("window_dt", [None, 700])
+    @pytest.mark.parametrize(
+        "nm, qubit",
+        [(DEFAULT, 0), (NOISELESS, 0), (T1_ONLY, 0), (PER_QUBIT, 1)],
+        ids=["default", "noiseless", "t1-only", "per-qubit"],
+    )
+    def test_equals_per_time_expm_oracle(self, nm, qubit, window_dt):
+        amps = [0.0, 1e-3, 0.05, -1.0]
+        got = simulate_rabi(amps, nm, qubit=qubit, window_dt=window_dt)
+        for data, (times_s, p0) in zip(got, rabi_oracle(amps, nm, qubit, window_dt)):
+            assert np.array_equal(data.times_s, times_s)
+            assert np.max(np.abs(data.p0 - p0)) < 1e-14
+
+    def test_one_expm_per_amplitude(self, monkeypatch):
+        calls = []
+
+        def counting_expm(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(sim, "expm", counting_expm)
+        simulate_rabi([0.0, 1e-3, 0.05, -1.0], DEFAULT)
+        assert calls == [(9, 9)] * 4
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.05, 1.0])
+    def test_negative_amplitude_mirrors_positive(self, amplitude):
+        # H(-a) = D H(a) D with D = diag(1, -1, 1), so -a gives the same
+        # window and the same |0> population as a
+        (pos,), (neg,) = simulate_rabi([amplitude], DEFAULT), simulate_rabi([-amplitude], DEFAULT)
+        assert np.array_equal(neg.times_s, pos.times_s)
+        assert np.max(np.abs(neg.p0 - pos.p0)) < 1e-12
+
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1.5, -2.0])
     def test_amplitude_outside_unit_bound_rejected(self, amplitude):
         with pytest.raises(ConfigError, match="amplitude"):
