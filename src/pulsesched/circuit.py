@@ -161,6 +161,8 @@ def parse_circuit(text: str) -> Circuit:
                     angles = [float(p) for p in tok.split(",")]
                 except ValueError:
                     raise CircuitSyntaxError(line_no, f"bad angle list {tok!r}") from None
+                if not all(map(math.isfinite, angles)):
+                    raise CircuitSyntaxError(line_no, f"angle list {tok!r} is not finite")
         if not qubits:
             raise CircuitSyntaxError(line_no, "gate needs at least one qubit")
         try:

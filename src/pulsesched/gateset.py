@@ -33,6 +33,7 @@ from .pulses import (
     ShapeSpec,
     Waveform,
     envelope_sum,
+    evaluate_envelope,
     synthesize,
 )
 from .sim import NoiseModel, ideal_rx, propagate_waveform, simulate_rabi
@@ -154,6 +155,8 @@ class RabiTable:
     def __post_init__(self):
         if len(self.amplitudes) != len(self.omegas_hz) or len(self.amplitudes) < 2:
             raise GateSetError("Rabi table needs at least two (amplitude, omega) pairs")
+        if not all(map(math.isfinite, (*self.amplitudes, *self.omegas_hz))):
+            raise GateSetError("Rabi table amplitudes and frequencies must be finite")
 
     @classmethod
     def linear(cls, rabi_coefficient_hz: float) -> "RabiTable":
@@ -246,7 +249,8 @@ def dynamic_amplitude(theta: float, duration: int, table: RabiTable) -> float:
 
     The target Rabi frequency comes from summing envelope samples times the
     amplitude-to-rotation coefficient times dt, then inverting through the
-    interpolated Rabi data.  Raises when the required amplitude exceeds 1.
+    interpolated Rabi data.  Raises unless the required amplitude has
+    magnitude at most 1, so every derived pulse synthesizes unclipped.
     """
     if theta == 0.0:
         return 0.0
@@ -254,9 +258,9 @@ def dynamic_amplitude(theta: float, duration: int, table: RabiTable) -> float:
     env = envelope_sum(shape)
     target_omega = abs(theta) / (4.0 * math.pi * (DT_NS * 1e-9) * env)
     amplitude = interpolate_amplitude(table, target_omega)
-    if amplitude > 1.0:
+    if not abs(amplitude) <= 1.0:
         raise InfeasibleDurationError(
-            f"rotation {theta:.4f} over {duration} dt needs amplitude {amplitude:.4f} > 1"
+            f"rotation {theta:.4f} over {duration} dt needs amplitude {amplitude:.4f}, beyond the unit bound"
         )
     return amplitude
 
@@ -354,6 +358,55 @@ def _dt_count(value, what: str, minimum: int) -> int:
     if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= minimum):
         raise GateSetError(f"{what} must be a whole number of dt, at least {minimum}, got {value!r}")
     return int(value)
+
+
+def _finite(row: dict, key: str, default=None):
+    """row[key], or default when the key is absent, checked to be a finite number."""
+    value = row[key] if default is None else row.get(key, default)
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise GateSetError(f"implementation {key} must be a finite number, got {value!r}")
+    return value
+
+
+def _impl_from_row(row: dict) -> GateImpl:
+    """One gate-set JSON implementation row as a Gaussian ``GateImpl``.
+
+    The row is checked here, so every pulse it serves synthesizes without
+    clipping and writes finite JSON.  The normalized envelope peaks at 1,
+    so |amplitude| <= 1 is exactly the no-clipping condition; sigma must
+    be positive and leave the envelope's edge below its peak.
+    """
+    amplitude, sigma, angle = (_finite(row, key) for key in ("amplitude", "sigma", "angle"))
+    pre_frame, post_frame = (_finite(row, key, 0.0) for key in ("pre_frame", "post_frame"))
+    if abs(amplitude) > 1.0:
+        raise GateSetError(f"implementation amplitude {amplitude!r} exceeds the unit bound")
+    if sigma <= 0:
+        raise GateSetError(f"implementation sigma {sigma!r} must be positive")
+    fidelity = row.get("fidelity")
+    if fidelity is not None and not (isinstance(fidelity, numbers.Real) and 0.0 <= fidelity <= 1.0):
+        raise GateSetError(f"implementation fidelity {fidelity!r} must be null or lie in [0, 1]")
+    duration = _dt_count(row["duration_dt"], "implementation duration_dt", 1)
+    shape = ShapeSpec(
+        shape=GAUSSIAN,
+        amplitude=amplitude,
+        duration=duration,
+        sigma=sigma,
+        phase=0.0 if angle >= 0 else math.pi,
+    )
+    try:
+        evaluate_envelope(shape, 0.0)
+    except (ValueError, OverflowError) as exc:
+        raise GateSetError(f"implementation sigma {sigma!r} is too wide for {duration} dt: {exc}") from None
+    return GateImpl(
+        qubit=row["qubit"],
+        kind=row["kind"],
+        angle=angle,
+        duration=duration,
+        shape=shape,
+        fidelity=fidelity,
+        pre_frame=pre_frame,
+        post_frame=post_frame,
+    )
 
 
 @dataclass
@@ -558,23 +611,7 @@ class GateSet:
         for row in data.get("implementations", []):
             if row["kind"] == circ.ECR:
                 continue  # regenerated on demand
-            shape = ShapeSpec(
-                shape=GAUSSIAN,
-                amplitude=row["amplitude"],
-                duration=row["duration_dt"],
-                sigma=row["sigma"],
-                phase=0.0 if row["angle"] >= 0 else math.pi,
-            )
-            impl = GateImpl(
-                qubit=row["qubit"],
-                kind=row["kind"],
-                angle=row["angle"],
-                duration=row["duration_dt"],
-                shape=shape,
-                fidelity=row.get("fidelity"),
-                pre_frame=row.get("pre_frame", 0.0),
-                post_frame=row.get("post_frame", 0.0),
-            )
+            impl = _impl_from_row(row)
             gs.impls[(impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)] = impl
         return gs
 

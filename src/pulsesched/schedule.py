@@ -4,6 +4,12 @@ Times are integer dt counts.  A frame shift is the zero-duration virtual Rz:
 hardware realizes it by adding ``phase_frame`` to the phase of every later
 pulse on that qubit, the simulator applies it as an instantaneous Z rotation
 at its recorded position; the two pictures agree for Z-basis measurement.
+
+Waveforms are parametric: ``Schedule.waveforms`` maps each waveform id to
+the ``ShapeSpec`` of its envelope, never to samples.  The JSON document
+writes each one as the spec's fields, so ``synthesize(ShapeSpec(**entry))``
+gives its samples, and the simulator synthesizes a pulse only when it first
+builds that pulse's channel.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ScheduleOverlapError
-from .pulses import DT_NS, Waveform
+from .pulses import DT_NS, ShapeSpec
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class Schedule:
     makespan: int
     placements: list[PulsePlacement] = field(default_factory=list)
     frames: list[FrameShift] = field(default_factory=list)
-    waveforms: dict[str, Waveform] = field(default_factory=dict)
+    waveforms: dict[str, ShapeSpec] = field(default_factory=dict)
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -110,19 +116,17 @@ class Schedule:
             "frames": frames,
         }
         if include_waveforms:
-            doc["waveforms"] = {
-                wid: {"i": w.i.tolist(), "q": w.q.tolist()}
-                for wid, w in self.waveforms.items()
-            }
+            # a frozen dataclass's __dict__ is its fields in declaration order
+            doc["waveforms"] = {wid: dict(vars(spec)) for wid, spec in self.waveforms.items()}
         return doc
 
     def write_json(self, path):
-        """Write ``to_json()`` as compact JSON, waveform samples included.
+        """Write ``to_json()`` as compact JSON, waveform shapes included.
 
         The text is built in one ``json.dumps`` call without ``indent``:
         only that call reaches the C encoder, while ``json.dump``, indented
         or not, streams through the slower pure-Python one.  Floats print as
-        ``repr`` either way, so every sample round-trips exactly.
+        ``repr`` either way, so every shape parameter round-trips exactly.
         """
         text = json.dumps(self.to_json())
         with open(path, "w") as fh:

@@ -254,13 +254,14 @@ def _stretch_into_free_float(g: DepGraph, s: GateSet):
 
 
 def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
-    """Place every node's waveform at its early-start time.
+    """Place every node's pulse at its early-start time.
 
-    Virtual Rz gates become frame shifts pinned to the start of the next
-    physical gate on their qubit (or the end of the previous one when they
-    trail the program); the recorded per-pulse phase_frame is the cumulative
-    phase a hardware backend would add to that pulse, i.e. minus the summed
-    Rz angles so far.
+    Each pulse's waveform id maps to its implementation's ``ShapeSpec``;
+    nothing is sampled here.  Virtual Rz gates become frame shifts pinned
+    to the start of the next physical gate on their qubit (or the end of
+    the previous one when they trail the program); the recorded per-pulse
+    phase_frame is the cumulative phase a hardware backend would add to
+    that pulse, i.e. minus the summed Rz angles so far.
     """
     placements: list[PulsePlacement] = []
     frames: list[FrameShift] = []
@@ -288,8 +289,7 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
             continue
         impl = s.impl_for_gate(gate, node.duration)
         wid = impl.waveform_id()
-        if wid not in waveforms:
-            waveforms[wid] = impl.waveform()
+        waveforms[wid] = impl.shape
         if impl.pre_frame:
             q = gate.qubits[0]
             frames.append(FrameShift(qubit=q, time=node.es, angle=impl.pre_frame, seq=gate.id))

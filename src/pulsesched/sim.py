@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, NoiseConfigError, SimulationError
-from .pulses import DT_NS, Waveform
+from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
 from .schedule import FrameShift, PulsePlacement, Schedule
 
 # ---------------------------------------------------------------------------
@@ -416,18 +416,23 @@ class ScheduleSimulator:
     """Caches channels across many run_schedule calls, keyed by (waveform id,
     qubit) for pulses, (gap, qubit) for idles and (qubits, duration) for ECRs.
 
+    A schedule carries each pulse as its ``ShapeSpec``; the pulse channel
+    builder synthesizes the samples, so a waveform is sampled once per
+    (waveform id, qubit) cache miss and never on a hit.
+
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
     same map as playing a zero-amplitude waveform of t samples.
 
     With ideal_pulses=True every drive pulse acts as its exact nominal
-    rotation (decoherence still applies), and the frame shifts a calibrated
-    implementation plays around its pulse (pre/post frames, which share the
-    pulse's seq) are skipped, since they only null the integrated pulse's
-    phase error; the circuit's own virtual Rz frames still apply.  This
-    isolates decoherence and scheduling effects from pulse-integration
-    error, and makes noiseless randomized-benchmarking sequences compose to
-    the identity exactly.
+    rotation over its duration (decoherence still applies, and nothing is
+    synthesized), and the frame shifts a calibrated implementation plays
+    around its pulse (pre/post frames, which share the pulse's seq) are
+    skipped, since they only null the integrated pulse's phase error; the
+    circuit's own virtual Rz frames still apply.  This isolates decoherence
+    and scheduling effects from pulse-integration error, and makes
+    noiseless randomized-benchmarking sequences compose to the identity
+    exactly.
 
     Operations on different qubits commute, so each qubit's frames, idles
     and pulses fold into one pending channel in that qubit's event order.
@@ -447,12 +452,12 @@ class ScheduleSimulator:
             ch = self._channels[key] = build(*args)
         return ch
 
-    def _pulse_superop(self, w: Waveform, qubit: int, angle: float) -> np.ndarray:
+    def _pulse_superop(self, spec: ShapeSpec, qubit: int, angle: float) -> np.ndarray:
         if not self.ideal_pulses:
-            return gate_channel(w, self.nm, qubit)
+            return gate_channel(synthesize(spec), self.nm, qubit)
         u = np.eye(3, dtype=complex)
         u[:2, :2] = ideal_rx(angle)
-        return idle_channel(w.duration, self.nm, qubit) @ unitary_superop(u)
+        return idle_channel(spec.duration, self.nm, qubit) @ unitary_superop(u)
 
     def _idle_superop(self, gap: int, qubit: int) -> np.ndarray:
         decay = idle_channel(gap, self.nm, qubit)
@@ -506,8 +511,8 @@ class ScheduleSimulator:
                 s = self._channel((ev.qubits, ev.duration), ecr_channel, self.nm, ev.qubits, ev.duration)
                 contract(s, ev.qubits)
             else:
-                q, w = ev.qubits[0], sch.waveforms[ev.waveform_id]
-                fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, w, q, ev.angle))
+                q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
+                fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, spec, q, ev.angle))
             for q in ev.qubits:
                 t_last[q] = ev.start + ev.duration
         for q in range(sch.width):

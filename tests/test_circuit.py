@@ -78,6 +78,15 @@ class TestParser:
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("sx")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["rz q0 nan", "rx q0 inf", "rz q0 -inf", "rx q0 -Infinity", "u3 q0 inf,0,0", "u3 q0 0,NaN,0"],
+    )
+    def test_non_finite_angle_names_its_line(self, line):
+        with pytest.raises(CircuitSyntaxError, match="not finite") as exc:
+            parse_circuit(f"sx q0\n{line}\n")
+        assert exc.value.line_no == 2
+
     def test_arity_errors(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("ecr q0")

@@ -2,8 +2,13 @@
 
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT
 from pulsesched.cli import main
@@ -81,6 +86,50 @@ class TestScheduleCommand:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"schedule JSON holds the non-standard constant {name}")
+
+
+@pytest.fixture(scope="module")
+def ideal_gatesets(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("ideal")
+    paths = {}
+    for mode in ("static", "dynamic"):
+        paths[mode] = str(folder / f"{mode}.json")
+        GateSet.ideal(mode, 2).write_json(paths[mode])
+    return paths
+
+
+_ANGLES = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_LINES = st.one_of(
+    st.sampled_from(["sx q0", "sxdg q1", "ecr q0 q1", "ecr q1 q0", "measure q1", "barrier q0 q1"]),
+    st.builds("{} q{} {}".format, st.sampled_from(["rz", "rx"]), st.integers(0, 1), _ANGLES),
+    st.builds("u3 q{} {},{},{}".format, st.integers(0, 1), _ANGLES, _ANGLES, _ANGLES),
+)
+
+
+class TestScheduleDocument:
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(_LINES, min_size=1, max_size=10), mode=st.sampled_from(["static", "dynamic"]))
+    def test_written_file_is_strict_json(self, ideal_gatesets, lines, mode):
+        # a written schedule never holds NaN or Infinity, which strict JSON
+        # parsers reject; a circuit with a non-finite angle is refused
+        with tempfile.TemporaryDirectory() as folder:
+            circuit, out = Path(folder) / "c.qc", Path(folder) / "sched.json"
+            circuit.write_text("\n".join(lines) + "\n")
+            code = main(["schedule", str(circuit), "--gateset", ideal_gatesets[mode], "--out", str(out)])
+            assert code in (0, 2)
+            if any(w in line for line in lines for w in ("nan", "inf")):
+                assert code == 2
+            if code == 0:
+                doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+                assert set(doc) == {
+                    "dt_ns", "width", "makespan_dt", "measured_qubits", "qubits", "frames", "waveforms",
+                }
+            else:
+                assert not out.exists()
 
 
 class TestCalibrateCommand:
@@ -363,6 +412,40 @@ class TestBadInputs:
         code = main(["schedule", fig2_file, "--gateset", str(path), "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert key.split("_")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma", math.inf),
+            ("sigma", math.nan),
+            ("pre_frame", math.nan),
+            ("pre_frame", math.inf),
+            ("post_frame", math.nan),
+            ("post_frame", math.inf),
+            ("amplitude", 1.5),
+            ("fidelity", math.nan),
+        ],
+    )
+    def test_gateset_bad_implementation_values(self, key, value, fig2_file, tmp_path, capsys):
+        # schedule no longer samples the pulses, so loading the set checks them
+        doc = GateSet.ideal("static", 2).to_json()
+        for row in doc["implementations"]:
+            row[key] = value
+        path = tmp_path / "gs.json"
+        path.write_text(json.dumps(doc))
+        code = main(["schedule", fig2_file, "--gateset", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("line", ["rz q0 nan", "u3 q1 inf,0,0"])
+    def test_non_finite_angle(self, line, gateset_json, tmp_path, capsys):
+        circuit = tmp_path / "c.qc"
+        circuit.write_text(f"sx q0\necr q0 q1\n{line}\n")
+        code = main(["schedule", str(circuit), "--gateset", gateset_json, "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "line 3: angle list" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(

@@ -377,6 +377,60 @@ class TestStaticBuild:
         assert b.amplitude == a.amplitude and b.sigma == a.sigma
 
 
+def ideal_doc_with(key, value, row=0):
+    """GateSet.ideal's static JSON document with one implementation value replaced."""
+    doc = GateSet.ideal("static", 1).to_json()
+    doc["implementations"][row][key] = value
+    return doc
+
+
+class TestImplementationValues:
+    """GateSet.from_json checks every value a pulse is built from, so a
+    schedule written from the set synthesizes unclipped and is finite JSON."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma", math.inf),
+            ("sigma", math.nan),
+            ("sigma", 0.0),
+            ("sigma", -20.0),
+            ("sigma", 1e300),
+            ("amplitude", 1.5),
+            ("amplitude", -1.0000001),
+            ("amplitude", math.nan),
+            ("amplitude", "0.1"),
+            ("angle", math.inf),
+            ("angle", math.nan),
+            ("pre_frame", math.nan),
+            ("pre_frame", math.inf),
+            ("post_frame", math.nan),
+            ("post_frame", -math.inf),
+            ("fidelity", math.nan),
+            ("fidelity", 1.5),
+            ("fidelity", -0.1),
+        ],
+    )
+    def test_bad_value_is_gateset_error(self, key, value):
+        text = json.dumps(ideal_doc_with(key, value))
+        with pytest.raises(GateSetError, match=key):
+            GateSet.from_json(text)
+
+    @pytest.mark.parametrize("key, value", [("amplitude", 1.0), ("amplitude", -1.0), ("fidelity", None)])
+    def test_bounds_accepted(self, key, value):
+        gs = GateSet.from_json(ideal_doc_with(key, value))
+        impl = min(gs.impls.values(), key=lambda i: i.duration)
+        assert getattr(impl, key) == value
+        assert np.max(np.abs(impl.waveform().samples)) == pytest.approx(abs(impl.amplitude))
+
+    @pytest.mark.parametrize("column", ["amplitudes", "omegas_hz"])
+    def test_non_finite_rabi_table_is_gateset_error(self, column):
+        doc = GateSet.ideal("dynamic", 1).to_json()
+        doc["rabi"]["0"][column][1] = math.nan
+        with pytest.raises(GateSetError, match="finite"):
+            GateSet.from_json(json.dumps(doc))
+
+
 @pytest.fixture(scope="module")
 def table():
     return RabiTable.linear(1.05e8)
@@ -407,6 +461,13 @@ class TestDynamicAmplitude:
         with pytest.warns(ExtrapolationWarning), pytest.raises(InfeasibleDurationError):
             dynamic_amplitude(PI, 64, weak)
 
+    def test_amplitude_below_minus_one_raises(self):
+        # a table whose amplitudes fall as the frequency rises inverts to a
+        # negative amplitude; past -1 the pulse would clip
+        falling = RabiTable(amplitudes=(0.0, -0.5), omegas_hz=(0.0, 1e6))
+        with pytest.warns(ExtrapolationWarning), pytest.raises(InfeasibleDurationError):
+            dynamic_amplitude(PI, 64, falling)
+
     def test_simulated_rotation_within_one_percent(self):
         nm = NoiseModel()
         gs = build_dynamic_gateset(nm, 1, min_duration=32, max_duration=128)
@@ -436,5 +497,5 @@ class TestWaveformIds:
         gs = GateSet.ideal("dynamic", 1)
         _, sch = run_framework(lower(parse_circuit("rx q0 1.2345671\nrx q0 1.2345674"), gs), gs)
         assert len(sch.waveforms) == 2
-        peaks = {float(np.max(np.abs(w.samples))) for w in sch.waveforms.values()}
-        assert len(peaks) == 2
+        amplitudes = {spec.amplitude for spec in sch.waveforms.values()}
+        assert len(amplitudes) == 2

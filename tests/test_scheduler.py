@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import random_circuit
 from pulsesched import scheduler
 from pulsesched.circuit import (
+    PULSE_KINDS,
     Circuit,
     Gate,
     decompose_static,
@@ -29,6 +30,7 @@ from pulsesched.circuit import (
 )
 from pulsesched.errors import ConfigError, MalformedGraphError
 from pulsesched.gateset import GateSet
+from pulsesched.pulses import ShapeSpec, synthesize
 from pulsesched.scheduler import (
     FREE_FLOAT,
     TOTAL_FLOAT,
@@ -143,6 +145,18 @@ def next_on_menu(gs, gate, current):
     menu = gs.durations_for(gate)
     i = bisect_right(menu, current)
     return menu[i] if i < len(menu) else current
+
+
+#: GateSet.ideal's static Sx amplitude per default duration, as numpy 2.4
+#: computes it on an x86-64 CPU with AVX-512
+IDEAL_SX_AMPLITUDES = {
+    32: 0.10568564310808735,
+    48: 0.07170441375513115,
+    64: 0.05451917183288162,
+    120: 0.03674763382931049,
+    256: 0.019659541851304016,
+    512: 0.009842280373676222,
+}
 
 
 def fixed_gateset(durations=(64, 128, 192, 256, 320), **kw):
@@ -627,6 +641,23 @@ class TestRunFramework:
             "9128b18e412b3698c66458fb6d2fda66a20821ad5dbe7370972a1c84730b001d"
         )
 
+    def test_golden_schedule_json_with_waveforms(self):
+        # the same circuit's whole document, waveform shapes included.  The
+        # gate set's amplitudes are written out: GateSet.ideal derives them
+        # from envelope sums through numpy's exp, whose last bit may differ
+        # between CPUs.  Everything else in a shape is integer or libm math.
+        doc = GateSet.ideal("static", 5).to_json()
+        for row in doc["implementations"]:
+            row["amplitude"] = IDEAL_SX_AMPLITUDES[row["duration_dt"]]
+        gs = GateSet.from_json(doc)
+        c = random_circuit(np.random.default_rng(56), 5, 1000)
+        _, sch = run_framework(lower(c, gs), gs)
+        text = json.dumps(sch.to_json(), indent=1)
+        assert len(sch.waveforms) == 59
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5b0445e143929c8b14518589f4994f80e6ca4dfdbf42761b5b7dfba5e3cdc271"
+        )
+
 
 class TestExports:
     def test_dot_output(self, fig2_circuit):
@@ -651,7 +682,8 @@ class TestExports:
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_schedule_json_uses_c_encoder(self, fig2_circuit, tmp_path, monkeypatch, mode):
         # json.encoder._make_iterencode is the pure-Python encoder: the writer
-        # must not reach it, and must lose nothing, samples included, without it
+        # must not reach it, and must lose nothing, waveform shapes included,
+        # without it
         def python_encoder(*args, **kwargs):
             raise AssertionError("schedule JSON went through the pure-Python encoder")
 
@@ -662,3 +694,22 @@ class TestExports:
         sch.write_json(out)
         doc = json.loads(out.read_text())
         assert doc["waveforms"] and doc == sch.to_json()
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_waveform_entries_resynthesize_bit_for_bit(self, mode):
+        # every written entry rebuilds its ShapeSpec, and that spec samples
+        # to exactly the pulse the gate set would play
+        gs = GateSet.ideal(mode, 3)
+        c = random_circuit(np.random.default_rng(8), 3, 120)
+        g, sch = run_framework(lower(c, gs), gs)
+        impls = {}
+        for n in g.nodes:
+            if n.gate.kind in PULSE_KINDS:
+                impl = gs.impl_for_gate(n.gate, n.duration)
+                impls[impl.waveform_id()] = impl
+        doc = json.loads(json.dumps(sch.to_json()))
+        assert set(doc["waveforms"]) == set(impls) and len(impls) > 10
+        for wid, entry in doc["waveforms"].items():
+            assert ShapeSpec(**entry) == impls[wid].shape
+            got = synthesize(ShapeSpec(**entry)).samples
+            assert got.tobytes() == impls[wid].waveform().samples.tobytes()

@@ -51,9 +51,13 @@ NOISELESS = NoiseModel.noiseless()
 DEFAULT = NoiseModel()
 
 
-def sx_waveform(duration=120, qubit_model=DEFAULT):
+def sx_shape(duration=120, qubit_model=DEFAULT):
     gs = GateSet.ideal("static", 1, rabi_coefficient_hz=qubit_model.rabi_coefficient(0))
-    return gs.impl_for(0, "sx", HALF_PI, duration).waveform()
+    return gs.impl_for(0, "sx", HALF_PI, duration).shape
+
+
+def sx_waveform(duration=120, qubit_model=DEFAULT):
+    return synthesize(sx_shape(duration, qubit_model))
 
 
 def random_waveform(rng, duration=40):
@@ -85,8 +89,8 @@ def unfused_run(sim, sch):
         if ev.kind == "ecr":
             s = sim._channel((ev.qubits, ev.duration), ecr_channel, sim.nm, ev.qubits, ev.duration)
         else:
-            q, w = ev.qubits[0], sch.waveforms[ev.waveform_id]
-            s = sim._channel((ev.waveform_id, q), sim._pulse_superop, w, q, ev.angle)
+            q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
+            s = sim._channel((ev.waveform_id, q), sim._pulse_superop, spec, q, ev.angle)
         state.apply_local_superop(s, ev.qubits)
         for q in ev.qubits:
             t_last[q] = ev.start + ev.duration
@@ -252,16 +256,17 @@ class TestEcrChannel:
 
 
 def _schedule_from_pulses(pulses, width, makespan, frames=()):
+    """Schedule of (qubits, start, ShapeSpec) sx pulses, one waveform id each."""
     waveforms = {}
     placements = []
-    for seq, (qubits, start, w) in enumerate(pulses):
+    for seq, (qubits, start, spec) in enumerate(pulses):
         wid = f"w{seq}"
-        waveforms[wid] = w
+        waveforms[wid] = spec
         placements.append(
             PulsePlacement(
                 qubits=qubits,
                 start=start,
-                duration=w.duration,
+                duration=spec.duration,
                 kind="sx",
                 angle=HALF_PI,
                 waveform_id=wid,
@@ -301,8 +306,8 @@ class TestRunSchedule:
         a = brentq(rotation_error, 0.8 * base.amplitude, 1.2 * base.amplitude, xtol=1e-14)
         from dataclasses import replace
 
-        w = synthesize(replace(base, amplitude=a))
-        sch = _schedule_from_pulses([((0,), 0, w), ((0,), 120, w)], 1, 240)
+        spec = replace(base, amplitude=a)
+        sch = _schedule_from_pulses([((0,), 0, spec), ((0,), 120, spec)], 1, 240)
         res = run_schedule(sch, nm, shots=64, seed=2)
         assert res.p0 == pytest.approx(0.0, abs=1e-6)
         assert res.probabilities["1"] == pytest.approx(1.0, abs=1e-6)
@@ -313,17 +318,17 @@ class TestRunSchedule:
             run_schedule(sch, NOISELESS)
 
     def test_counts_deterministic_and_sum_to_shots(self):
-        w = sx_waveform(64, DEFAULT)
-        sch = _schedule_from_pulses([((0,), 0, w)], 1, 64)
+        spec = sx_shape(64, DEFAULT)
+        sch = _schedule_from_pulses([((0,), 0, spec)], 1, 64)
         r1 = run_schedule(sch, DEFAULT, shots=500, seed=11)
         r2 = run_schedule(sch, DEFAULT, shots=500, seed=11)
         assert r1.counts == r2.counts
         assert sum(r1.counts.values()) == 500
 
     def test_disjoint_same_time_channels_commute(self):
-        w = sx_waveform(64, DEFAULT)
-        a = _schedule_from_pulses([((0,), 0, w), ((1,), 0, w)], 2, 64)
-        b = _schedule_from_pulses([((1,), 0, w), ((0,), 0, w)], 2, 64)
+        spec = sx_shape(64, DEFAULT)
+        a = _schedule_from_pulses([((0,), 0, spec), ((1,), 0, spec)], 2, 64)
+        b = _schedule_from_pulses([((1,), 0, spec), ((0,), 0, spec)], 2, 64)
         pa = run_schedule(a, DEFAULT, shots=1, seed=0).probabilities
         pb = run_schedule(b, DEFAULT, shots=1, seed=0).probabilities
         for k in pa:
@@ -334,12 +339,11 @@ class TestRunSchedule:
         # into the subsequent waveform
         lam = 0.7
         base = ShapeSpec(shape=GAUSSIAN, amplitude=0.04, duration=64, sigma=20.0)
-        w0 = synthesize(base)
-        w_shift = synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=0.04, duration=64, sigma=20.0, phase=-lam))
+        shifted = ShapeSpec(shape=GAUSSIAN, amplitude=0.04, duration=64, sigma=20.0, phase=-lam)
         framed = _schedule_from_pulses(
-            [((0,), 0, w0)], 1, 64, frames=[FrameShift(qubit=0, time=0, angle=lam, seq=-1)]
+            [((0,), 0, base)], 1, 64, frames=[FrameShift(qubit=0, time=0, angle=lam, seq=-1)]
         )
-        baked = _schedule_from_pulses([((0,), 0, w_shift)], 1, 64)
+        baked = _schedule_from_pulses([((0,), 0, shifted)], 1, 64)
         p_framed = run_schedule(framed, NOISELESS, shots=1, seed=0).probabilities
         p_baked = run_schedule(baked, NOISELESS, shots=1, seed=0).probabilities
         # the frame leaves a pending Rz(lam), invisible in the z basis
@@ -445,6 +449,46 @@ class TestFusion:
             assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
 
+class TestParametricWaveforms:
+    """A schedule carries ShapeSpecs; the simulator samples them on demand."""
+
+    @pytest.fixture()
+    def synthesized(self, monkeypatch):
+        calls = []
+
+        def counting_synthesize(spec):
+            calls.append(spec)
+            return synthesize(spec)
+
+        monkeypatch.setattr(sim, "synthesize", counting_synthesize)
+        return calls
+
+    @staticmethod
+    def schedules(mode):
+        gs = GateSet.ideal(mode, 3)
+        for seed in (3, 4):
+            yield run_framework(lower(random_clifford_circuit(3, 3, seed), gs), gs, FREE_FLOAT)[1]
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_synthesize_once_per_pulse_cache_miss(self, synthesized, mode):
+        simulator = ScheduleSimulator(DEFAULT)
+        misses = set()
+        for sch in self.schedules(mode):
+            simulator.run(sch, shots=1, seed=0)
+            misses |= {(p.waveform_id, p.qubits[0]) for p in sch.placements if p.kind != "ecr"}
+            assert len(synthesized) == len(misses)
+        # pulse channels are the cache entries keyed by a waveform id
+        assert synthesized and len(misses) == sum(isinstance(k[0], str) for k in simulator._channels)
+        simulator.run(sch, shots=1, seed=0)
+        assert len(synthesized) == len(misses)
+
+    def test_ideal_pulses_synthesize_nothing(self, synthesized):
+        simulator = ScheduleSimulator(DEFAULT, ideal_pulses=True)
+        for sch in self.schedules("static"):
+            simulator.run(sch, shots=1, seed=0)
+        assert synthesized == []
+
+
 def _leaked_state():
     """Pure qutrit state with coherences between every pair of levels."""
     psi = np.array([0.6, 0.48j, 0.64], dtype=complex)
@@ -485,9 +529,10 @@ class TestScheduleIdle:
         # a strong short pulse leaks; whether the qubit then idles or plays
         # a zero-amplitude waveform of the same length, the next pulse sees
         # the same leaked phase
-        leaky = synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=0.5, duration=16, sigma=4.0))
-        zero = Waveform(samples=np.zeros(301, dtype=complex))
-        assert abs(propagate_waveform(leaky, DEFAULT)[2, 0]) ** 2 > 1e-4
+        leaky = ShapeSpec(shape=GAUSSIAN, amplitude=0.5, duration=16, sigma=4.0)
+        zero = ShapeSpec(shape=GAUSSIAN, amplitude=0.0, duration=301, sigma=60.0)
+        assert np.array_equal(synthesize(zero).samples, np.zeros(301, dtype=complex))
+        assert abs(propagate_waveform(synthesize(leaky), DEFAULT)[2, 0]) ** 2 > 1e-4
         idle = _schedule_from_pulses([((0,), 0, leaky), ((0,), 317, leaky)], 1, 333)
         played = _schedule_from_pulses(
             [((0,), 0, leaky), ((0,), 16, zero), ((0,), 317, leaky)], 1, 333
