@@ -1,7 +1,7 @@
-"""Circuit IR, text parsing, and single-qubit basis decomposition.
+"""Circuit IR, text parsing, and lowering into the physical basis.
 
-A circuit is an ordered gate list over indexed qubits.  Two decomposition
-modes rewrite arbitrary U3 gates into the physical basis:
+A circuit is an ordered gate list over indexed qubits.  Lowering rewrites
+arbitrary U3 gates into one of two physical bases:
 
 * static  -> virtual Rz plus calibrated Sx / Sx^-1 pulses,
 * dynamic -> virtual Rz plus one arbitrary Rx pulse.
@@ -9,13 +9,21 @@ modes rewrite arbitrary U3 gates into the physical basis:
 Both sequences are emitted in circuit order (first gate applied first) and
 were fixed by checking the composed 2x2 matrix against the U3 matrix; the
 matrix-product reading of the same sequences does not reproduce U3.
+
+Lowering works on (kind, qubits, angles) specs, not on Gates.  One streaming
+pass (`_lowered_specs`) decomposes each input gate for the mode, normalizing
+every Rz angle it emits.  A second pass (`_fused_rz`) fuses each run of
+same-qubit Rz into the run's first position and drops the Rz left as the
+identity mod 2*pi.  Only then is each output Gate built and validated, once,
+with dense ids in output order (`lower_circuit`).  `decompose_static`,
+`decompose_dynamic` and `merge_virtual_z` run one of the two passes alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +89,10 @@ class Gate:
     def __post_init__(self):
         kind = self.kind
         qubits = tuple(map(int, self.qubits))
-        angles = tuple(map(normalize_angle, map(float, self.angles)))
+        angles = tuple(map(float, self.angles))
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"gate {self.id}: angle list {angles} is not finite")
+        angles = tuple(map(normalize_angle, angles))
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "angles", angles)
         if kind not in KINDS:
@@ -122,10 +133,7 @@ class Circuit:
 
 def _make_circuit(specs, width):
     """Build a Circuit from (kind, qubits, angles) triples, assigning dense ids."""
-    gates = tuple(
-        Gate(id=i, kind=k, qubits=tuple(qs), angles=tuple(angles))
-        for i, (k, qs, angles) in enumerate(specs)
-    )
+    gates = tuple(Gate(i, k, qs, angles) for i, (k, qs, angles) in enumerate(specs))
     return Circuit(width=width, gates=gates)
 
 
@@ -217,8 +225,90 @@ def _theta_cases(theta):
     return "general", tm
 
 
-def _rz(q, angle):
-    return (RZ, (q,), (angle,))
+def _lowered_specs(gates, dynamic: bool):
+    """Yield the (kind, qubits, angles) specs that replace ``gates`` in the
+    physical basis of the static (``dynamic=False``) or dynamic mode.
+
+    Every Rz angle this emits is normalized, as a Gate would store it (the
+    reduced theta of the static chain already lies in [0, 2*pi)).  U3 angles
+    are snapped first.  A theta = 0 gate becomes one phase gate.
+    Static mode plays theta = +-pi/2 as one Sx / Sx^-1 and any other theta as
+    the two-pulse chain rz, sx, rz(theta), sxdg, rz; it reads Rx as
+    U3(theta, -pi/2, pi/2).  Dynamic mode plays rz, rx(theta), rz with theta
+    reduced to the minimal rotation in (-pi, pi], and turns fixed Sx / Sx^-1
+    into rx(+-pi/2) so that the whole circuit shares one pulse family.
+    Every other gate passes through unchanged.
+    """
+    for g in gates:
+        kind = g.kind
+        if kind == U3:
+            angles = g.angles
+        elif kind == RX and not dynamic:
+            angles = (g.angles[0], -HALF_PI, HALF_PI)
+        elif dynamic and kind in (SX, SXDG):
+            yield RX, g.qubits, (pulse_angle(g),)
+            continue
+        else:
+            yield kind, g.qubits, g.angles
+            continue
+        qs = g.qubits
+        theta, phi, lam = map(snap_angle, angles)
+        case, tm = _theta_cases(theta)
+        if case == "zero":
+            yield RZ, qs, (normalize_angle(phi + lam),)
+        elif dynamic:
+            # minimal-rotation convention: the pulse plays |theta_c| <= pi
+            theta_c = tm if tm <= math.pi + 1e-12 else tm - TWO_PI
+            yield RZ, qs, (normalize_angle(lam - HALF_PI),)
+            yield RX, qs, (theta_c,)
+            yield RZ, qs, (normalize_angle(phi + HALF_PI),)
+        elif case == "general":
+            yield RZ, qs, (normalize_angle(lam),)
+            yield SX, qs, ()
+            yield RZ, qs, (tm,)
+            yield SXDG, qs, ()
+            yield RZ, qs, (normalize_angle(phi),)
+        else:
+            yield RZ, qs, (normalize_angle(lam - HALF_PI),)
+            yield (SX if case == "sx" else SXDG), qs, ()
+            yield RZ, qs, (normalize_angle(phi + HALF_PI),)
+
+
+def _fused_rz(specs):
+    """Fuse each run of same-qubit Rz specs into the run's first position,
+    then drop the Rz that is identity mod 2*pi.
+
+    A run ends at the next spec that touches its qubit.  Each fused angle is
+    normalized after every addition.
+    """
+    merged = []
+    last_on_qubit = {}
+    for spec in specs:
+        kind, qubits, angles = spec
+        if kind == RZ:
+            q = qubits[0]
+            prev = last_on_qubit.get(q)
+            if prev is not None and merged[prev][0] == RZ:
+                merged[prev] = (RZ, qubits, (normalize_angle(merged[prev][2][0] + angles[0]),))
+                continue
+            last_on_qubit[q] = len(merged)
+        else:
+            for q in qubits:
+                last_on_qubit[q] = len(merged)
+        merged.append(spec)
+    return [spec for spec in merged if spec[0] != RZ or not _is_identity_rz(spec[2][0])]
+
+
+def _is_identity_rz(angle):
+    rem = math.fmod(angle, TWO_PI)
+    return min(abs(rem), abs(abs(rem) - TWO_PI)) < 1e-12
+
+
+def lower_circuit(c: Circuit, dynamic: bool) -> Circuit:
+    """Decompose into the static or dynamic physical basis and fuse virtual
+    Rz, streaming specs from the first pass into the second; builds and
+    validates one Gate per output gate."""
+    return _make_circuit(_fused_rz(_lowered_specs(c.gates, dynamic)), c.width)
 
 
 def decompose_static(c: Circuit) -> Circuit:
@@ -227,33 +317,7 @@ def decompose_static(c: Circuit) -> Circuit:
     theta = 0 becomes a pure phase gate; theta = +-pi/2 needs a single pulse;
     anything else uses the two-pulse chain rz, sx, rz(theta), sxdg, rz.
     """
-    specs = []
-    for g in c.gates:
-        if g.kind == RX:
-            g = replace(g, kind=U3, angles=(g.angles[0], -HALF_PI, HALF_PI))
-        if g.kind != U3:
-            specs.append((g.kind, g.qubits, g.angles))
-            continue
-        (q,) = g.qubits
-        theta, phi, lam = (snap_angle(a) for a in g.angles)
-        case, tm = _theta_cases(theta)
-        if case == "zero":
-            specs.append(_rz(q, phi + lam))
-        elif case == "sx":
-            specs.append(_rz(q, lam - HALF_PI))
-            specs.append((SX, (q,), ()))
-            specs.append(_rz(q, phi + HALF_PI))
-        elif case == "sxdg":
-            specs.append(_rz(q, lam - HALF_PI))
-            specs.append((SXDG, (q,), ()))
-            specs.append(_rz(q, phi + HALF_PI))
-        else:
-            specs.append(_rz(q, lam))
-            specs.append((SX, (q,), ()))
-            specs.append(_rz(q, tm))
-            specs.append((SXDG, (q,), ()))
-            specs.append(_rz(q, phi))
-    return _make_circuit(specs, width=c.width)
+    return _make_circuit(_lowered_specs(c.gates, False), c.width)
 
 
 def decompose_dynamic(c: Circuit) -> Circuit:
@@ -263,54 +327,12 @@ def decompose_dynamic(c: Circuit) -> Circuit:
     collapse to virtual Rz only (zero physical duration).  Fixed Sx / Sx^-1
     gates become rx(+-pi/2) so the whole circuit shares one pulse family.
     """
-    specs = []
-    for g in c.gates:
-        if g.kind == SX:
-            specs.append((RX, g.qubits, (HALF_PI,)))
-            continue
-        if g.kind == SXDG:
-            specs.append((RX, g.qubits, (-HALF_PI,)))
-            continue
-        if g.kind != U3:
-            specs.append((g.kind, g.qubits, g.angles))
-            continue
-        (q,) = g.qubits
-        theta, phi, lam = (snap_angle(a) for a in g.angles)
-        case, tm = _theta_cases(theta)
-        if case == "zero":
-            specs.append(_rz(q, phi + lam))
-            continue
-        # minimal-rotation convention: the pulse plays |theta_c| <= pi
-        theta_c = tm if tm <= math.pi + 1e-12 else tm - TWO_PI
-        specs.append(_rz(q, lam - HALF_PI))
-        specs.append((RX, (q,), (theta_c,)))
-        specs.append(_rz(q, phi + HALF_PI))
-    return _make_circuit(specs, width=c.width)
+    return _make_circuit(_lowered_specs(c.gates, True), c.width)
 
 
 def merge_virtual_z(c: Circuit) -> Circuit:
     """Fuse adjacent same-qubit Rz gates and drop Rz that is identity mod 2*pi."""
-    merged: list[list] = []  # [kind, qubits, [angles...]] kept mutable for fusion
-    last_on_qubit: dict[int, int] = {}
-    for g in c.gates:
-        if g.kind == RZ:
-            (q,) = g.qubits
-            prev = last_on_qubit.get(q)
-            if prev is not None and merged[prev][0] == RZ:
-                merged[prev][2][0] = normalize_angle(merged[prev][2][0] + g.angles[0])
-                continue
-        merged.append([g.kind, g.qubits, list(g.angles)])
-        for q in g.qubits:
-            last_on_qubit[q] = len(merged) - 1
-
-    def is_identity_rz(entry):
-        if entry[0] != RZ:
-            return False
-        rem = math.fmod(entry[2][0], TWO_PI)
-        return min(abs(rem), abs(abs(rem) - TWO_PI)) < 1e-12
-
-    specs = [(k, qs, tuple(a)) for k, qs, a in merged if not is_identity_rz([k, qs, a])]
-    return _make_circuit(specs, width=c.width)
+    return _make_circuit(_fused_rz((g.kind, g.qubits, g.angles) for g in c.gates), c.width)
 
 
 def count_pulses(c: Circuit) -> int:

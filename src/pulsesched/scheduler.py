@@ -329,9 +329,16 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
 
 
 def lower(c: circ.Circuit, s: GateSet) -> circ.Circuit:
-    """Decompose U3 gates for the gate set's mode and fuse adjacent virtual Rz."""
-    lowered = circ.decompose_static(c) if s.mode == STATIC else circ.decompose_dynamic(c)
-    return circ.merge_virtual_z(lowered)
+    """Lower a circuit into the physical basis of the gate set's mode.
+
+    One streaming pass decomposes U3, Rx and Sx / Sx^-1 gates into
+    (kind, qubits, angles) specs, a second pass over those specs fuses each
+    run of same-qubit virtual Rz and drops the identity ones, and each output
+    gate is then built and validated once (`circuit.lower_circuit`).  The
+    result equals ``merge_virtual_z(decompose_static(c))`` on a static gate
+    set and ``merge_virtual_z(decompose_dynamic(c))`` on a dynamic one.
+    """
+    return circ.lower_circuit(c, dynamic=s.mode != STATIC)
 
 
 def run_framework(

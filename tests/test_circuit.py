@@ -125,6 +125,11 @@ class TestGateInvariants:
             pytest.param("rz", (0, 1), (0.5,), "rz takes exactly one qubit", id="rz-2q"),
             pytest.param("u3", (0,), (0.1, 0.2), "u3 takes 3 angle(s), got 2", id="u3-2-angles"),
             pytest.param("sx", (0,), (0.1,), "sx takes 0 angle(s), got 1", id="sx-1-angle"),
+            pytest.param("rz", (0,), (math.nan,), "gate 0: angle list (nan,) is not finite", id="nan"),
+            pytest.param("rx", (0,), (-math.inf,), "gate 0: angle list (-inf,) is not finite", id="-inf"),
+            pytest.param(
+                "u3", (0,), (0.5, math.inf, 0.0), "gate 0: angle list (0.5, inf, 0.0) is not finite", id="u3-inf"
+            ),
         ],
     )
     def test_gate_rejected_with_message(self, kind, qubits, angles, message):
