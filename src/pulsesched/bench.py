@@ -163,11 +163,7 @@ class RBResult:
 
 
 def _pulse_durations(graph) -> list[int]:
-    return [
-        n.duration
-        for n in graph.nodes
-        if n.gate.kind in (circ.SX, circ.SXDG, circ.RX)
-    ]
+    return [n.duration for n in graph.nodes if n.gate.kind in circ.X_PULSE_KINDS]
 
 
 def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = False) -> RBResult:

@@ -6,6 +6,8 @@ arbitrary U3 gates into one of two physical bases:
 * static  -> virtual Rz plus calibrated Sx / Sx^-1 pulses,
 * dynamic -> virtual Rz plus one arbitrary Rx pulse.
 
+Lowering alone owns the x-rotation rule: both modes read ``rx theta`` as
+U3(theta, -pi/2, pi/2) (virtual Z, McKay et al., PRA 96, 022330 (2017)).
 Both sequences are emitted in circuit order (first gate applied first) and
 were fixed by checking the composed 2x2 matrix against the U3 matrix; the
 matrix-product reading of the same sequences does not reproduce U3.
@@ -48,8 +50,11 @@ _ARITY = {
     U3: (1,), RZ: (1,), RX: (1,), SX: (1,), SXDG: (1,), ECR: (2,), MEASURE: (1,), BARRIER: (1, 2)
 }
 
+#: single-qubit drive pulses, all x rotations (Sx / Sx^-1 static, Rx dynamic)
+X_PULSE_KINDS = (SX, SXDG, RX)
+
 #: gate kinds that emit an actual drive pulse
-PULSE_KINDS = (SX, SXDG, RX, ECR)
+PULSE_KINDS = X_PULSE_KINDS + (ECR,)
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -230,20 +235,19 @@ def _lowered_specs(gates, dynamic: bool):
     physical basis of the static (``dynamic=False``) or dynamic mode.
 
     Every Rz angle this emits is normalized, as a Gate would store it (the
-    reduced theta of the static chain already lies in [0, 2*pi)).  U3 angles
-    are snapped first.  A theta = 0 gate becomes one phase gate.
-    Static mode plays theta = +-pi/2 as one Sx / Sx^-1 and any other theta as
-    the two-pulse chain rz, sx, rz(theta), sxdg, rz; it reads Rx as
-    U3(theta, -pi/2, pi/2).  Dynamic mode plays rz, rx(theta), rz with theta
-    reduced to the minimal rotation in (-pi, pi], and turns fixed Sx / Sx^-1
-    into rx(+-pi/2) so that the whole circuit shares one pulse family.
-    Every other gate passes through unchanged.
+    reduced theta of the static chain already lies in [0, 2*pi)).  Rx reads
+    as U3(theta, -pi/2, pi/2); U3 angles are snapped first.  A theta = 0 gate
+    becomes one phase gate.  Static mode plays theta = +-pi/2 as one
+    Sx / Sx^-1 and any other theta as the chain rz, sx, rz(theta), sxdg, rz.
+    Dynamic mode plays rz, rx(theta), rz with theta reduced to the minimal
+    rotation in (-pi, pi], and turns fixed Sx / Sx^-1 into rx(+-pi/2) so that
+    the whole circuit shares one pulse family.  Other gates pass unchanged.
     """
     for g in gates:
         kind = g.kind
         if kind == U3:
             angles = g.angles
-        elif kind == RX and not dynamic:
+        elif kind == RX:
             angles = (g.angles[0], -HALF_PI, HALF_PI)
         elif dynamic and kind in (SX, SXDG):
             yield RX, g.qubits, (pulse_angle(g),)
@@ -321,7 +325,7 @@ def decompose_static(c: Circuit) -> Circuit:
 
 
 def decompose_dynamic(c: Circuit) -> Circuit:
-    """Rewrite every U3 into rz, rx(theta), rz with a single arbitrary-x pulse.
+    """Rewrite every U3 (and Rx) into rz, rx(theta), rz: one arbitrary-x pulse.
 
     theta is reduced to the minimal rotation in (-pi, pi]; theta = 0 gates
     collapse to virtual Rz only (zero physical duration).  Fixed Sx / Sx^-1

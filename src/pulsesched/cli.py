@@ -49,18 +49,21 @@ def _load_noise(path) -> NoiseModel:
     return NoiseModel() if path is None else _load(path, "noise model", NoiseModel.from_json)
 
 
-def _parse_int_list(text) -> list[int]:
+def _parse_list(text, number) -> list:
+    """The comma-separated entries of text, each converted by number."""
     try:
-        return [int(p) for p in str(text).split(",") if p != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text) -> list[float]:
-    try:
-        return [float(p) for p in str(text).split(",") if p != ""]
+        return [number(p) for p in str(text).split(",") if p != ""]
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}") from exc
+
+
+def _calibrate(mode, durations, nm, n_qubits, min_dur, max_dur) -> GateSet:
+    """A gate set calibrated against the simulator: one fine-tuned Sx per
+    static duration, or the Rabi tables alone in dynamic mode.  A bound left
+    as None takes the gate set's own default."""
+    if mode == STATIC:
+        return build_static_gateset(durations, nm, n_qubits, min_duration=min_dur, max_duration=max_dur)
+    return build_dynamic_gateset(nm, n_qubits, min_duration=min_dur, max_duration=max_dur)
 
 
 def _cmd_schedule(args) -> int:
@@ -80,15 +83,8 @@ def _cmd_calibrate(args) -> int:
     nm = _load_noise(args.noise)
     if args.qubits < 1:
         raise ConfigError(f"--qubits must be at least 1, got {args.qubits}")
-    if args.mode == STATIC:
-        if not args.durations:
-            raise ConfigError("static calibration needs --durations")
-        gs = build_static_gateset(
-            _parse_int_list(args.durations), nm, args.qubits,
-            min_duration=args.min_dur, max_duration=args.max_dur,
-        )
-    else:
-        gs = build_dynamic_gateset(nm, args.qubits, min_duration=args.min_dur, max_duration=args.max_dur)
+    durations = _parse_list(args.durations, int) if args.durations else DEFAULT_STATIC_DURATIONS
+    gs = _calibrate(args.mode, durations, nm, args.qubits, args.min_dur, args.max_dur)
     _write(args.out, "gate set", gs.write_json)
     print(f"calibrated {args.mode} gate set for {args.qubits} qubit(s) -> {args.out}")
     return 0
@@ -96,7 +92,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_rabi(args) -> int:
     nm = _load_noise(args.noise)
-    amplitudes = _parse_float_list(args.amplitudes)
+    amplitudes = _parse_list(args.amplitudes, float)
     if not amplitudes:
         raise ConfigError("need at least one amplitude")
     data = simulate_rabi(amplitudes, nm, qubit=args.qubit, window_dt=args.window)
@@ -109,7 +105,7 @@ def _cmd_rb(args) -> int:
     nm = _load_noise(args.noise)
     cfg = bench.RBConfig(
         n_qubits=args.qubits,
-        clifford_lengths=tuple(_parse_int_list(args.lengths)),
+        clifford_lengths=tuple(_parse_list(args.lengths, int)),
         circuits_per_length=args.circuits_per_length,
         seed=args.seed,
         shots=args.shots,
@@ -118,17 +114,12 @@ def _cmd_rb(args) -> int:
         gs = _load(args.gateset, "gate set", GateSet.from_json)
         if gs.mode != args.mode:
             raise ConfigError(f"gate set mode {gs.mode!r} does not match RB mode {args.mode!r}")
-        gs = replace(gs, min_duration=args.min_dur, max_duration=args.max_dur)
+        bounds = {"min_duration": args.min_dur, "max_duration": args.max_dur}
+        gs = replace(gs, **{name: dt for name, dt in bounds.items() if dt is not None})
         gs.validate_coverage(cfg.n_qubits)
-    elif args.mode == STATIC:
-        gs = build_static_gateset(
-            [d for d in DEFAULT_STATIC_DURATIONS if d >= args.min_dur],
-            nm, cfg.n_qubits, min_duration=args.min_dur, max_duration=args.max_dur,
-        )
     else:
-        gs = build_dynamic_gateset(
-            nm, cfg.n_qubits, min_duration=args.min_dur, max_duration=args.max_dur
-        )
+        durations = [d for d in DEFAULT_STATIC_DURATIONS if d >= (args.min_dur or 0)]
+        gs = _calibrate(args.mode, durations, nm, cfg.n_qubits, args.min_dur, args.max_dur)
     out = Path(args.out_dir)
     _write(out, "output directory", lambda path: path.mkdir(parents=True, exist_ok=True))
     result = bench.run_rb(cfg, gs, nm)
@@ -158,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("calibrate", help="calibrate a gate set against the simulator")
     pc.add_argument("--mode", choices=(STATIC, DYNAMIC), required=True)
-    pc.add_argument("--durations", help="comma-separated static durations in dt")
+    menu = ",".join(map(str, DEFAULT_STATIC_DURATIONS))
+    pc.add_argument("--durations", help=f"comma-separated static durations in dt (default: {menu})")
     pc.add_argument("--min-dur", type=int, default=None)
     pc.add_argument("--max-dur", type=int, default=None)
     pc.add_argument("--qubits", type=int, default=1)
@@ -178,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--qubits", type=int, required=True)
     pb.add_argument("--lengths", required=True)
     pb.add_argument("--mode", choices=(STATIC, DYNAMIC), default=STATIC)
-    pb.add_argument("--min-dur", type=int, default=32)
-    pb.add_argument("--max-dur", type=int, default=512)
+    pb.add_argument("--min-dur", type=int, default=None, help="default: the gate set's own bound")
+    pb.add_argument("--max-dur", type=int, default=None, help="default: the gate set's own bound")
     pb.add_argument("--shots", type=int, default=1024)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--circuits-per-length", type=int, default=10)

@@ -222,10 +222,6 @@ class GateImpl:
         return f"{self.kind}_q{self.qubit}_d{self.duration}"
 
 
-def _rotation_scale(angle: float) -> float:
-    return abs(angle) / HALF_PI
-
-
 def dynamic_pulse_shape(theta: float, duration: int, amplitude: float) -> ShapeSpec:
     """Envelope for an arbitrary x rotation at a given actual duration.
 
@@ -426,7 +422,7 @@ class GateSet:
     rabi: dict[int, RabiTable] = field(default_factory=dict)
     impls: dict[tuple, GateImpl] = field(default_factory=dict)
     # runtime cache for implementations derived from the catalog (sxdg from
-    # sx, dynamic rx from the Rabi table, the fixed ECR); never serialized
+    # sx, rx from the Rabi table, the fixed ECR); never serialized
     _derived: dict[tuple, GateImpl] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -454,12 +450,19 @@ class GateSet:
 
     # -- duration policy ----------------------------------------------------
 
-    def allowed_durations(self, kind: str, angle: float = 0.0) -> tuple[int, ...]:
-        """Ascending candidate durations for one operation under this policy.
+    def _check_lowered(self, kind: str):
+        """Raise unless lowering emits ``kind`` pulses in this set's mode."""
+        if (kind == circ.RX) != (self.mode == DYNAMIC):
+            raise GateSetError(f"a {self.mode} gate set plays no {kind} pulse; lower the circuit first")
 
-        Dynamic bounds scale with |angle| / (pi/2) and snap inward to the 8-dt
-        grid; both are then floored at ``MIN_DYNAMIC_DURATION``, so a small
-        rotation gets a 24 dt pulse instead of one too short for a Gaussian.
+    def allowed_durations(self, kind: str, angle: float = 0.0) -> tuple[int, ...]:
+        """Ascending candidate durations for one operation of a lowered circuit.
+
+        Static Sx / Sx^-1 take the calibrated menu within the set's bounds.
+        Dynamic Rx bounds scale with |angle| / (pi/2) and snap inward to the
+        8-dt grid; both are then floored at ``MIN_DYNAMIC_DURATION``, so a
+        small rotation gets a 24 dt pulse instead of one too short for a
+        Gaussian.
         """
         if kind == circ.ECR:
             return (self.ecr_duration,)
@@ -467,15 +470,13 @@ class GateSet:
             return (self.measure_duration,)
         if kind == circ.BARRIER:
             return (0,)
-        if kind not in (circ.SX, circ.SXDG, circ.RX):
+        if kind not in circ.X_PULSE_KINDS:
             raise GateSetError(f"no duration policy for gate kind {kind!r}")
+        self._check_lowered(kind)
         if self.mode == STATIC:
-            if kind == circ.RX:
-                raise GateSetError("static mode has no arbitrary-x pulses; decompose first")
             out = tuple(d for d in self.static_durations if self.min_duration <= d <= self.max_duration)
         else:
-            theta = HALF_PI if kind in (circ.SX, circ.SXDG) else angle
-            scale = _rotation_scale(theta)
+            scale = abs(angle) / HALF_PI
             if scale <= 0:
                 raise GateSetError("zero rotation has no physical duration")
             lo = max(MIN_DYNAMIC_DURATION, 8 * math.ceil(self.min_duration * scale / 8.0))
@@ -504,8 +505,7 @@ class GateSet:
             if key not in self._derived:
                 self._derived[key] = _ecr_impl(duration)
             return self._derived[key]
-        if self.mode == DYNAMIC and kind in (circ.SX, circ.SXDG):
-            kind, angle = circ.RX, HALF_PI if kind == circ.SX else -HALF_PI
+        self._check_lowered(kind)
         key = (qubit, kind, _angle_key(angle), duration)
         if key in self.impls:
             return self.impls[key]
@@ -530,8 +530,6 @@ class GateSet:
                 self._derived[key] = impl
                 return impl
             raise GateSetError(f"no calibrated {kind} at {duration} dt for qubit {qubit}")
-        if kind != circ.RX:
-            raise GateSetError(f"dynamic mode cannot synthesize {kind!r}")
         impl = _nominal_impl(qubit, circ.RX, angle, duration, self._table(qubit))
         self._derived[key] = impl
         return impl

@@ -91,7 +91,7 @@ class Schedule:
             line.sort(key=lambda p: (p.start, p.seq))
         return lines
 
-    def to_json(self, include_waveforms: bool = True) -> dict:
+    def to_json(self) -> dict:
         qubits = [
             [
                 {
@@ -107,18 +107,16 @@ class Schedule:
         frames = [[] for _ in range(self.width)]
         for f in sorted(self.frames, key=lambda f: (f.time, f.seq)):
             frames[f.qubit].append({"time_dt": f.time, "angle": f.angle})
-        doc = {
+        return {
             "dt_ns": DT_NS,
             "width": self.width,
             "makespan_dt": self.makespan,
             "measured_qubits": list(self.measured_qubits),
             "qubits": qubits,
             "frames": frames,
-        }
-        if include_waveforms:
             # a frozen dataclass's __dict__ is its fields in declaration order
-            doc["waveforms"] = {wid: dict(vars(spec)) for wid, spec in self.waveforms.items()}
-        return doc
+            "waveforms": {wid: dict(vars(spec)) for wid, spec in self.waveforms.items()},
+        }
 
     def write_json(self, path):
         """Write ``to_json()`` as compact JSON, waveform shapes included.

@@ -66,15 +66,15 @@ class DepNode:
 class DepGraph:
     """Activity-on-node DAG: one node per physical gate, edges follow qubit order.
 
-    Invariant: nodes are in program order and every edge (u, v) has u < v, so
-    index order is a topological order.  ``cpm`` rejects a back edge.
+    Invariant: one node per non-Rz gate of ``circuit``, in program order, and
+    every edge (u, v) has u < v, so index order is a topological order.
+    ``cpm`` rejects a back edge; ``create_schedule`` relies on the order.
     """
 
     circuit: circ.Circuit
     nodes: list[DepNode] = field(default_factory=list)
     succs: list[list[int]] = field(default_factory=list)
     preds: list[list[int]] = field(default_factory=list)
-    node_of_gate: dict[int, int] = field(default_factory=dict)
 
     def edges(self):
         for u, outs in enumerate(self.succs):
@@ -112,7 +112,6 @@ def build_graph(c: circ.Circuit, initial_durations) -> DepGraph:
         )
         g.succs.append([])
         g.preds.append([])
-        g.node_of_gate[gate.id] = idx
         for q in gate.qubits:
             if q in last:
                 u = last[q]
@@ -256,6 +255,7 @@ def _stretch_into_free_float(g: DepGraph, s: GateSet):
 def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
     """Place every node's pulse at its early-start time.
 
+    The n-th node is the circuit's n-th non-Rz gate (the graph's invariant).
     Each pulse's waveform id maps to its implementation's ``ShapeSpec``;
     nothing is sampled here.  Virtual Rz gates become frame shifts pinned
     to the start of the next physical gate on their qubit (or the end of
@@ -270,12 +270,13 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
     pending_rz: dict[int, list[tuple[int, float]]] = {q: [] for q in range(g.circuit.width)}
     last_end = {q: 0 for q in range(g.circuit.width)}
     measured = []
+    nodes = iter(g.nodes)
 
     for gate in g.circuit.gates:
         if gate.kind == circ.RZ:
             pending_rz[gate.qubits[0]].append((gate.id, gate.angles[0]))
             continue
-        node = g.nodes[g.node_of_gate[gate.id]]
+        node = next(nodes)
         for q in gate.qubits:
             for gid, angle in pending_rz[q]:
                 frames.append(FrameShift(qubit=q, time=node.es, angle=angle, seq=gid))

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT
+from pulsesched import bench
 from pulsesched.cli import main
-from pulsesched.gateset import GateSet
+from pulsesched.gateset import DEFAULT_STATIC_DURATIONS, GateSet
 from pulsesched.sim import MAX_SIM_QUBITS
 
 
@@ -77,6 +78,28 @@ class TestScheduleCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert [e["duration_dt"] for e in doc["qubits"][0]] == [24]
+
+    @pytest.mark.parametrize(
+        "text,pulses",
+        [
+            ("rx q0 0\n", []),
+            ("rx q0 6.283185307179586\n", []),
+            ("rx q0 6.0\n", [(24, "rx-0.283185307_q0_d24")]),
+        ],
+        ids=["zero", "full-turn", "beyond-pi"],
+    )
+    def test_dynamic_rx_plays_its_minimal_rotation(self, text, pulses, tmp_path):
+        # rx theta lowers like u3 theta,-pi/2,pi/2: a multiple of 2*pi plays
+        # no pulse, and 6.0 plays the 24 dt pulse of 6.0 - 2*pi
+        gs = tmp_path / "dynamic.json"
+        GateSet.ideal("dynamic", 1).write_json(gs)
+        circuit = tmp_path / "rx.qc"
+        circuit.write_text(text)
+        out = tmp_path / "sched.json"
+        code = main(["schedule", str(circuit), "--gateset", str(gs), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert [(e["duration_dt"], e["waveform_id"]) for e in doc["qubits"][0]] == pulses
 
     def test_bad_syntax_is_config_error(self, gateset_json, tmp_path):
         bad = tmp_path / "bad.qc"
@@ -164,9 +187,12 @@ class TestCalibrateCommand:
         assert code == 2
         assert not (tmp_path / "gs.json").exists()
 
-    def test_static_without_durations_is_config_error(self, tmp_path):
-        code = main(["calibrate", "--mode", "static", "--out", str(tmp_path / "g.json")])
-        assert code == 2
+    def test_static_without_durations_uses_default_menu(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["calibrate", "--mode", "static", "--out", str(out)]) == 0
+        gs = GateSet.from_json(out.read_text())
+        assert gs.static_durations == DEFAULT_STATIC_DURATIONS
+        assert {i.duration for i in gs.impls.values()} == set(DEFAULT_STATIC_DURATIONS)
 
     def test_unphysical_noise_is_config_error(self, tmp_path):
         noise = tmp_path / "noise.json"
@@ -233,6 +259,40 @@ class TestRBCommand:
             "--gateset", gateset_json, "--out-dir", str(tmp_path / "rb"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags,window",
+        [((), (40, 128)), (("--max-dur", "256"), (40, 256)), (("--min-dur", "32", "--max-dur", "64"), (32, 64))],
+        ids=["own", "max-flag", "both-flags"],
+    )
+    def test_loaded_set_keeps_its_bounds_unless_flagged(self, flags, window, tmp_path, monkeypatch):
+        seen = []
+        run_rb = bench.run_rb
+
+        def recording(cfg, gs, nm):
+            seen.append((gs.min_duration, gs.max_duration))
+            return run_rb(cfg, gs, nm)
+
+        monkeypatch.setattr(bench, "run_rb", recording)
+        gs_path = tmp_path / "gs.json"
+        GateSet.ideal("dynamic", 2, min_duration=40, max_duration=128).write_json(gs_path)
+        code = main([
+            "rb", "--qubits", "2", "--lengths", "1", "--mode", "dynamic", *flags,
+            "--shots", "8", "--circuits-per-length", "1", "--gateset", str(gs_path),
+            "--out-dir", str(tmp_path / "rb"),
+        ])
+        assert code == 0
+        assert seen == [window]
+
+    def test_loaded_static_set_window_needs_no_flags(self, gateset_json, tmp_path):
+        # the module gateset is calibrated from 64 dt up, and its own window
+        # starts there too
+        code = main([
+            "rb", "--qubits", "1", "--lengths", "1", "--shots", "8",
+            "--circuits-per-length", "1", "--gateset", gateset_json,
+            "--out-dir", str(tmp_path / "rb"),
+        ])
+        assert code == 0
 
     def test_dynamic_max_below_shortest_pulse_overrides_gateset(self, tmp_path):
         # --min-dur/--max-dur replace a loaded set's bounds; the new bounds

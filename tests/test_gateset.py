@@ -127,12 +127,33 @@ class TestAllowedDurations:
 
     def test_dynamic_max_at_shortest_pulse_accepted(self):
         gs = GateSet.ideal("dynamic", 1, min_duration=8, max_duration=24)
-        assert gs.allowed_durations("sx") == (24,)
+        assert gs.allowed_durations("rx", HALF_PI) == (24,)
 
     def test_rx_rejected_in_static_mode(self):
         gs = GateSet.ideal("static", 1)
         with pytest.raises(GateSetError):
             gs.allowed_durations("rx", HALF_PI)
+
+
+class TestServesOnlyLoweredKinds:
+    """A gate set serves the x-rotation pulses lowering emits for its mode:
+    Sx / Sx^-1 in static mode, Rx in dynamic mode.  Any other one is an
+    unlowered circuit."""
+
+    @pytest.mark.parametrize("kind,angle", [("sx", HALF_PI), ("sxdg", -HALF_PI)])
+    def test_dynamic_set_rejects_sx(self, kind, angle):
+        gs = GateSet.ideal("dynamic", 1)
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.allowed_durations(kind, angle)
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.impl_for(0, kind, angle, 32)
+
+    def test_static_set_rejects_rx(self):
+        gs = GateSet.ideal("static", 1)
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.allowed_durations("rx", HALF_PI)
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.impl_for(0, "rx", HALF_PI, 64)
 
 
 class TestNextDuration:
@@ -151,7 +172,7 @@ class TestNextDuration:
         gs = GateSet.ideal("dynamic", 1, min_duration=32, max_duration=128)
         assert gs.durations_for(rx_gate(HALF_PI)) == tuple(range(32, 129, 8))
         assert gs.durations_for(rx_gate(-PI)) == tuple(range(64, 257, 8))
-        assert gs.durations_for(sx_gate()) == gs.durations_for(rx_gate(-HALF_PI))
+        assert gs.durations_for(rx_gate(HALF_PI)) == gs.durations_for(rx_gate(-HALF_PI))
 
     def test_ecr_never_steps(self):
         gs = GateSet.ideal("static", 1)

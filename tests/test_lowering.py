@@ -3,7 +3,8 @@
 The oracle below is the decompose / build Gates / merge virtual Z pipeline
 that `lower` ran before it became one pass over specs, kept here verbatim as
 the reference: the one-pass lowering must give the same gates, kinds,
-qubits and angle bits in both modes.
+qubits and angle bits in both modes.  One reading has changed since: the
+dynamic oracle, like the static one, now takes Rx as U3(theta, -pi/2, pi/2).
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit
@@ -85,7 +86,7 @@ def decompose_static(c: Circuit) -> Circuit:
 
 
 def decompose_dynamic(c: Circuit) -> Circuit:
-    """Rewrite every U3 into rz, rx(theta), rz with a single arbitrary-x pulse.
+    """Rewrite every U3 (and Rx) into rz, rx(theta), rz with a single arbitrary-x pulse.
 
     theta is reduced to the minimal rotation in (-pi, pi]; theta = 0 gates
     collapse to virtual Rz only (zero physical duration).  Fixed Sx / Sx^-1
@@ -93,6 +94,8 @@ def decompose_dynamic(c: Circuit) -> Circuit:
     """
     specs = []
     for g in c.gates:
+        if g.kind == RX:
+            g = replace(g, kind=U3, angles=(g.angles[0], -HALF_PI, HALF_PI))
         if g.kind == SX:
             specs.append((RX, g.qubits, (HALF_PI,)))
             continue
@@ -247,3 +250,23 @@ class TestLowerBuildsEachGateOnce:
         monkeypatch.setattr(Gate, "__post_init__", counted)
         lowered = lower(c, _GATE_SETS[mode])
         assert len(built) == len(lowered.gates) > len(c.gates)
+
+
+class TestOneXRotationRule:
+    """Lowering reads every ``rx theta`` as U3(theta, -pi/2, pi/2) in both
+    modes, so an x rotation plays exactly the pulse of its U3 twin."""
+
+    @pytest.mark.parametrize("mode", (STATIC, DYNAMIC))
+    @settings(max_examples=150, deadline=None)
+    @given(theta=_ANGLE)
+    @example(theta=0.0)
+    @example(theta=math.pi)
+    @example(theta=-math.pi)
+    @example(theta=TWO_PI)
+    @example(theta=6.0)
+    @example(theta=HALF_PI + 5e-10)
+    @example(theta=-HALF_PI - 2e-9)
+    def test_rx_lowers_like_its_u3_twin(self, mode, theta):
+        rx = _make_circuit([(RX, (0,), (theta,))], 1)
+        u3 = _make_circuit([(U3, (0,), (theta, -HALF_PI, HALF_PI))], 1)
+        assert _bits(lower(rx, _GATE_SETS[mode])) == _bits(lower(u3, _GATE_SETS[mode]))
