@@ -19,8 +19,6 @@ from .gateset import (
     GateSet,
     RabiFit,
     RabiTable,
-    build_dynamic_gateset,
-    build_static_gateset,
     dynamic_amplitude,
     fine_tune,
     fit_rabi,
@@ -86,8 +84,6 @@ __all__ = [
     "interpolate_amplitude",
     "fine_tune",
     "dynamic_amplitude",
-    "build_static_gateset",
-    "build_dynamic_gateset",
     "ShapeSpec",
     "Waveform",
     "normalize",

@@ -339,11 +339,6 @@ def merge_virtual_z(c: Circuit) -> Circuit:
     return _make_circuit(_fused_rz((g.kind, g.qubits, g.angles) for g in c.gates), c.width)
 
 
-def count_pulses(c: Circuit) -> int:
-    """Number of physical drive pulses (excludes virtual Rz, barriers, measures)."""
-    return sum(1 for g in c.gates if g.kind in PULSE_KINDS)
-
-
 def pulse_angle(gate: Gate) -> float:
     """Signed x-rotation a lowered gate's pulse plays: theta for Rx, +pi/2 for
     Sx, -pi/2 for Sx^-1, and 0 for everything else (ECR, measure, barrier)."""

@@ -14,14 +14,7 @@ from pathlib import Path
 from . import bench
 from .circuit import parse_circuit
 from .errors import ConfigError, PulseschedError
-from .gateset import (
-    DEFAULT_STATIC_DURATIONS,
-    DYNAMIC,
-    STATIC,
-    GateSet,
-    build_dynamic_gateset,
-    build_static_gateset,
-)
+from .gateset import DEFAULT_STATIC_DURATIONS, DYNAMIC, STATIC, GateSet
 from .pulses import DT_NS
 from .scheduler import TOTAL_FLOAT, graph_to_dot, lower, run_framework
 from .scheduler import build_graph  # noqa: F401  perfbench/test_harness.py patches it through cli
@@ -57,15 +50,6 @@ def _parse_list(text, number) -> list:
         raise ConfigError(f"bad number list {text!r}") from exc
 
 
-def _calibrate(mode, durations, nm, n_qubits, min_dur, max_dur) -> GateSet:
-    """A gate set calibrated against the simulator: one fine-tuned Sx per
-    static duration, or the Rabi tables alone in dynamic mode.  A bound left
-    as None takes the gate set's own default."""
-    if mode == STATIC:
-        return build_static_gateset(durations, nm, n_qubits, min_duration=min_dur, max_duration=max_dur)
-    return build_dynamic_gateset(nm, n_qubits, min_duration=min_dur, max_duration=max_dur)
-
-
 def _cmd_schedule(args) -> int:
     circuit = _load(args.circuit, "circuit", parse_circuit)
     gs = _load(args.gateset, "gate set", GateSet.from_json)
@@ -83,8 +67,10 @@ def _cmd_calibrate(args) -> int:
     nm = _load_noise(args.noise)
     if args.qubits < 1:
         raise ConfigError(f"--qubits must be at least 1, got {args.qubits}")
+    if args.mode == DYNAMIC and args.durations is not None:
+        raise ConfigError("--durations is a static menu; a dynamic gate set takes --min-dur/--max-dur")
     durations = _parse_list(args.durations, int) if args.durations else DEFAULT_STATIC_DURATIONS
-    gs = _calibrate(args.mode, durations, nm, args.qubits, args.min_dur, args.max_dur)
+    gs = GateSet.calibrated(args.mode, nm, args.qubits, args.min_dur, args.max_dur, durations)
     _write(args.out, "gate set", gs.write_json)
     print(f"calibrated {args.mode} gate set for {args.qubits} qubit(s) -> {args.out}")
     return 0
@@ -118,8 +104,7 @@ def _cmd_rb(args) -> int:
         gs = replace(gs, **{name: dt for name, dt in bounds.items() if dt is not None})
         gs.validate_coverage(cfg.n_qubits)
     else:
-        durations = [d for d in DEFAULT_STATIC_DURATIONS if d >= (args.min_dur or 0)]
-        gs = _calibrate(args.mode, durations, nm, cfg.n_qubits, args.min_dur, args.max_dur)
+        gs = GateSet.calibrated(args.mode, nm, cfg.n_qubits, args.min_dur, args.max_dur)
     out = Path(args.out_dir)
     _write(out, "output directory", lambda path: path.mkdir(parents=True, exist_ok=True))
     result = bench.run_rb(cfg, gs, nm)
@@ -150,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calibrate", help="calibrate a gate set against the simulator")
     pc.add_argument("--mode", choices=(STATIC, DYNAMIC), required=True)
     menu = ",".join(map(str, DEFAULT_STATIC_DURATIONS))
-    pc.add_argument("--durations", help=f"comma-separated static durations in dt (default: {menu})")
+    pc.add_argument("--durations", help=f"comma-separated static durations in dt, static mode only (default: {menu})")
     pc.add_argument("--min-dur", type=int, default=None)
     pc.add_argument("--max-dur", type=int, default=None)
     pc.add_argument("--qubits", type=int, default=1)

@@ -5,6 +5,11 @@ Dynamic mode derives an arbitrary-x-rotation pulse for any multiple-of-8
 duration straight from the Rabi amplitude/frequency interpolation, with
 per-operation duration bounds scaled by rotation angle (a pi rotation spans
 twice the dt range of a pi/2 rotation).
+
+Two constructors build a set: ``GateSet.ideal`` from an exactly linear Rabi
+response, and ``GateSet.calibrated`` against the simulator.  In static mode
+both hold one Sx per qubit and menu duration within the set's bounds, and
+nothing else.
 """
 
 from __future__ import annotations
@@ -410,7 +415,8 @@ class GateSet:
     """Catalog of gate implementations keyed by (qubit, kind, angle, duration).
 
     Unset bounds span the static menu, or ``DEFAULT_DYNAMIC_WINDOW`` in
-    dynamic mode.
+    dynamic mode.  Build one with ``GateSet.ideal`` or ``GateSet.calibrated``,
+    or read one back with ``GateSet.from_json``.
     """
 
     mode: str
@@ -613,7 +619,19 @@ class GateSet:
             gs.impls[(impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)] = impl
         return gs
 
-    # -- analytic construction (no simulator round trip) ----------------------
+    # -- construction ---------------------------------------------------------
+
+    def _fill(self, n_qubits: int, table_of, tune) -> "GateSet":
+        """Give each qubit q the Rabi table ``table_of(q)``; in static mode also
+        store ``tune`` of the nominal Sx at each allowed duration, and nothing
+        else."""
+        durations = self.allowed_durations(circ.SX) if self.mode == STATIC else ()
+        for q in range(n_qubits):
+            table = self.rabi[q] = table_of(q)
+            for d in durations:
+                impl = tune(_nominal_impl(q, circ.SX, HALF_PI, d, table))
+                self.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
+        return self
 
     @classmethod
     def ideal(
@@ -627,19 +645,24 @@ class GateSet:
     ) -> "GateSet":
         """Gate set backed by an exactly linear Rabi response; amplitudes come
         straight from the envelope-area formula with no fine-tuning."""
-        gs = cls(
-            mode=mode,
-            min_duration=min_duration,
-            max_duration=max_duration,
-            static_durations=static_durations,
-            rabi={q: RabiTable.linear(rabi_coefficient_hz) for q in range(n_qubits)},
-        )
-        if mode == STATIC:
-            for q in range(n_qubits):
-                for d in gs.allowed_durations(circ.SX):
-                    impl = _nominal_impl(q, circ.SX, HALF_PI, d, gs._table(q))
-                    gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
-        return gs
+        gs = cls(mode, min_duration, max_duration, static_durations)
+        return gs._fill(n_qubits, lambda q: RabiTable.linear(rabi_coefficient_hz), lambda impl: impl)
+
+    @classmethod
+    def calibrated(
+        cls,
+        mode: str,
+        nm: NoiseModel,
+        n_qubits: int,
+        min_duration: int | None = None,
+        max_duration: int | None = None,
+        static_durations: tuple[int, ...] = DEFAULT_STATIC_DURATIONS,
+    ) -> "GateSet":
+        """Gate set calibrated against the simulator: each qubit's Rabi table
+        from a simulated sweep and, in static mode, one fine-tuned Sx per
+        allowed duration.  Dynamic mode derives its pulses per request."""
+        gs = cls(mode, min_duration, max_duration, static_durations)
+        return gs._fill(n_qubits, lambda q: calibrate_rabi_table(nm, q), lambda impl: fine_tune(impl, nm))
 
 
 def _ecr_impl(duration: int) -> GateImpl:
@@ -673,34 +696,3 @@ def calibrate_rabi_table(
             raise CalibrationError(f"degenerate Rabi signal at amplitude {data.amplitude}")
         omegas.append(fit.omega_hz)
     return RabiTable(amplitudes=tuple(float(a) for a in amplitudes), omegas_hz=tuple(omegas))
-
-
-def build_static_gateset(
-    durations,
-    nm: NoiseModel,
-    n_qubits: int,
-    min_duration: int | None = None,
-    max_duration: int | None = None,
-) -> GateSet:
-    """Calibrate one fine-tuned Sx per duration per qubit plus the fixed ECR."""
-    gs = GateSet(STATIC, min_duration, max_duration, static_durations=durations)
-    for q in range(n_qubits):
-        table = calibrate_rabi_table(nm, q)
-        gs.rabi[q] = table
-        for d in gs.static_durations:
-            impl = fine_tune(_nominal_impl(q, circ.SX, HALF_PI, d, table), nm)
-            gs.impls[(q, circ.SX, _angle_key(HALF_PI), d)] = impl
-    return gs
-
-
-def build_dynamic_gateset(
-    nm: NoiseModel,
-    n_qubits: int,
-    min_duration: int | None = None,
-    max_duration: int | None = None,
-) -> GateSet:
-    """Calibrate Rabi interpolation tables only; pulses are derived per request."""
-    gs = GateSet(DYNAMIC, min_duration, max_duration)
-    for q in range(n_qubits):
-        gs.rabi[q] = calibrate_rabi_table(nm, q)
-    return gs

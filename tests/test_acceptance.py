@@ -43,7 +43,6 @@ from pulsesched.gateset import (
     DEFAULT_ECR_DURATION,
     DEFAULT_STATIC_DURATIONS,
     GateSet,
-    build_static_gateset,
     sigma_of_duration,
 )
 from pulsesched.pulses import (
@@ -89,7 +88,7 @@ def report(number, label):
 @pytest.fixture(scope="module")
 def calibrated(request):
     start = time.perf_counter()
-    gs = build_static_gateset(DEFAULT_STATIC_DURATIONS, NoiseModel(), n_qubits=3)
+    gs = GateSet.calibrated("static", NoiseModel(), n_qubits=3)
     return gs, time.perf_counter() - start
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT
-from pulsesched import bench
+from pulsesched import bench, gateset
 from pulsesched.cli import main
 from pulsesched.gateset import DEFAULT_STATIC_DURATIONS, GateSet
 from pulsesched.sim import MAX_SIM_QUBITS
@@ -194,6 +194,25 @@ class TestCalibrateCommand:
         assert gs.static_durations == DEFAULT_STATIC_DURATIONS
         assert {i.duration for i in gs.impls.values()} == set(DEFAULT_STATIC_DURATIONS)
 
+    def test_dynamic_with_durations_is_config_error(self, tmp_path, capsys):
+        code = main([
+            "calibrate", "--mode", "dynamic", "--durations", "8",
+            "--qubits", "1", "--out", str(tmp_path / "gs.json"),
+        ])
+        assert code == 2
+        assert "--durations" in capsys.readouterr().err
+        assert not (tmp_path / "gs.json").exists()
+
+    def test_static_bounds_keep_only_playable_rows(self, tmp_path):
+        out = tmp_path / "gs.json"
+        code = main([
+            "calibrate", "--mode", "static", "--min-dur", "64", "--max-dur", "120",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = json.loads(out.read_text())["implementations"]
+        assert sorted(row["duration_dt"] for row in rows) == [64, 120]
+
     def test_unphysical_noise_is_config_error(self, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"t1_ns": 1000.0, "t2_ns": 5000.0}))
@@ -320,11 +339,34 @@ class TestRBCommand:
         ])
         assert code == 2
 
-    def test_bad_qubit_count_config_error(self, tmp_path):
+    def test_calibrates_only_playable_durations(self, tmp_path, monkeypatch):
+        calls = []
+        fine_tune = gateset.fine_tune
+
+        def counting(impl, nm):
+            calls.append((impl.qubit, impl.duration))
+            return fine_tune(impl, nm)
+
+        monkeypatch.setattr(gateset, "fine_tune", counting)
         code = main([
-            "rb", "--qubits", str(MAX_SIM_QUBITS + 1), "--lengths", "1", "--out-dir", str(tmp_path / "rb"),
+            "rb", "--qubits", "2", "--lengths", "1", "--min-dur", "32", "--max-dur", "64",
+            "--shots", "8", "--circuits-per-length", "1", "--out-dir", str(tmp_path / "rb"),
         ])
+        assert code == 0
+        assert sorted(calls) == [(q, d) for q in (0, 1) for d in (32, 48, 64)]
+
+    @pytest.mark.parametrize(
+        "flags, blamed",
+        [
+            (("--qubits", str(MAX_SIM_QUBITS + 1)), f"supports 1-{MAX_SIM_QUBITS} qubits"),
+            (("--qubits", "1", "--min-dur", "600"), "min_duration exceeds max_duration"),
+        ],
+        ids=["qubit-count", "min-above-menu"],
+    )
+    def test_bad_input_without_gateset_config_error(self, flags, blamed, tmp_path, capsys):
+        code = main(["rb", *flags, "--lengths", "1", "--out-dir", str(tmp_path / "rb")])
         assert code == 2
+        assert blamed in capsys.readouterr().err
 
 
 class TestBadInputs:

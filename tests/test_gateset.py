@@ -25,8 +25,6 @@ from pulsesched.gateset import (
     _rabi_jacobian,
     _rabi_model,
     _zxz_angles,
-    build_dynamic_gateset,
-    build_static_gateset,
     calibrate_rabi_table,
     dynamic_amplitude,
     fine_tune,
@@ -352,9 +350,27 @@ class TestFineTune:
             fine_tune(gs.impl_for(0, "sx", HALF_PI, 32), NoiseModel(), fidelity_floor=1.0)
 
 
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize(
+    "bounds, durations",
+    [((24, 48), (32,)), ((64, 120), (64, 120)), ((40, 100), (64,))],
+    ids=["below", "equal", "between"],
+)
+@pytest.mark.parametrize("build", ["ideal", "calibrated"])
+def test_one_sx_per_allowed_duration(build, bounds, durations, mode):
+    # bounds below, equal to and between entries of a short menu: both
+    # constructors hold exactly the Sx pulses the set can play
+    kw = dict(min_duration=bounds[0], max_duration=bounds[1], static_durations=(32, 64, 120))
+    gs = GateSet.ideal(mode, 1, **kw) if build == "ideal" else GateSet.calibrated(mode, NoiseModel(), 1, **kw)
+    expected = [(0, "sx", d) for d in durations] if mode == "static" else []
+    assert sorted((i.qubit, i.kind, i.duration) for i in gs.impls.values()) == expected
+    assert list(gs.rabi) == [0]
+    gs.validate_coverage(1)
+
+
 @pytest.fixture(scope="module")
 def calibrated():
-    return build_static_gateset(DEFAULT_STATIC_DURATIONS, NoiseModel(), n_qubits=1)
+    return GateSet.calibrated("static", NoiseModel(), n_qubits=1)
 
 
 class TestStaticBuild:
@@ -383,7 +399,7 @@ class TestStaticBuild:
         assert equal_up_to_phase(u[:2, :2], SXDG_MATRIX, tol=2e-2)
 
     def test_calibration_deterministic(self, calibrated):
-        again = build_static_gateset(DEFAULT_STATIC_DURATIONS, NoiseModel(), n_qubits=1)
+        again = GateSet.calibrated("static", NoiseModel(), n_qubits=1)
         assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
             calibrated.to_json(), sort_keys=True
         )
@@ -491,7 +507,7 @@ class TestDynamicAmplitude:
 
     def test_simulated_rotation_within_one_percent(self):
         nm = NoiseModel()
-        gs = build_dynamic_gateset(nm, 1, min_duration=32, max_duration=128)
+        gs = GateSet.calibrated("dynamic", nm, 1, min_duration=32, max_duration=128)
         impl = gs.impl_for(0, "rx", HALF_PI, 64)
         u = propagate_waveform(impl.waveform(), nm)
         rotation = 2 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
