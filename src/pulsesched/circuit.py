@@ -3,14 +3,17 @@
 A circuit is an ordered gate list over indexed qubits.  Lowering rewrites
 arbitrary U3 gates into one of two physical bases:
 
-* static  -> virtual Rz plus calibrated Sx / Sx^-1 pulses,
+* static  -> virtual Rz plus calibrated Sx pulses,
 * dynamic -> virtual Rz plus one arbitrary Rx pulse.
 
-Lowering alone owns the x-rotation rule: both modes read ``rx theta`` as
-U3(theta, -pi/2, pi/2) (virtual Z, McKay et al., PRA 96, 022330 (2017)).
 Both sequences are emitted in circuit order (first gate applied first) and
 were fixed by checking the composed 2x2 matrix against the U3 matrix; the
 matrix-product reading of the same sequences does not reproduce U3.
+
+Lowering alone owns the x-rotation rule: both modes read ``rx theta`` as
+U3(theta, -pi/2, pi/2) and Sx / Sx^-1 as rx(+-pi/2), and static mode plays
+Sx^-1 as Rz(pi), Sx, Rz(pi) (virtual Z, McKay et al., PRA 96, 022330
+(2017)).  So each mode plays one pulse kind.
 
 Lowering works on (kind, qubits, angles) specs, not on Gates.  One streaming
 pass (`_lowered_specs`) decomposes each input gate for the mode, normalizing
@@ -50,8 +53,8 @@ _ARITY = {
     U3: (1,), RZ: (1,), RX: (1,), SX: (1,), SXDG: (1,), ECR: (2,), MEASURE: (1,), BARRIER: (1, 2)
 }
 
-#: single-qubit drive pulses, all x rotations (Sx / Sx^-1 static, Rx dynamic)
-X_PULSE_KINDS = (SX, SXDG, RX)
+#: single-qubit drive pulses, all x rotations (Sx static, Rx dynamic)
+X_PULSE_KINDS = (SX, RX)
 
 #: gate kinds that emit an actual drive pulse
 PULSE_KINDS = X_PULSE_KINDS + (ECR,)
@@ -230,6 +233,18 @@ def _theta_cases(theta):
     return "general", tm
 
 
+def _x_pulse(qs, tm, dynamic: bool):
+    """Specs of the pulses that rotate by ``tm`` in (0, 2*pi) about x.  Dynamic
+    mode plays one rx of the minimal rotation in (-pi, pi]; static mode only
+    meets tm = pi/2, one sx, and tm = 3*pi/2, Sx^-1, which it plays as
+    rz(pi), sx, rz(pi): conjugating by Z flips an x rotation."""
+    if dynamic:
+        return ((RX, qs, (tm if tm <= math.pi + 1e-12 else tm - TWO_PI,)),)
+    if tm < math.pi:
+        return ((SX, qs, ()),)
+    return (RZ, qs, (math.pi,)), (SX, qs, ()), (RZ, qs, (math.pi,))
+
+
 def _lowered_specs(gates, dynamic: bool):
     """Yield the (kind, qubits, angles) specs that replace ``gates`` in the
     physical basis of the static (``dynamic=False``) or dynamic mode.
@@ -237,44 +252,37 @@ def _lowered_specs(gates, dynamic: bool):
     Every Rz angle this emits is normalized, as a Gate would store it (the
     reduced theta of the static chain already lies in [0, 2*pi)).  Rx reads
     as U3(theta, -pi/2, pi/2); U3 angles are snapped first.  A theta = 0 gate
-    becomes one phase gate.  Static mode plays theta = +-pi/2 as one
-    Sx / Sx^-1 and any other theta as the chain rz, sx, rz(theta), sxdg, rz.
-    Dynamic mode plays rz, rx(theta), rz with theta reduced to the minimal
-    rotation in (-pi, pi], and turns fixed Sx / Sx^-1 into rx(+-pi/2) so that
-    the whole circuit shares one pulse family.  Other gates pass unchanged.
+    becomes one phase gate, any other one rz, `_x_pulse`, rz, except that
+    static mode plays a theta off +-pi/2 as the chain rz, sx, rz(theta),
+    Sx^-1, rz.  Sx and Sx^-1 read as rx(+-pi/2) without its zero outer
+    frames: an Rz(0) would pull a later Rz run on its qubit ahead of other
+    qubits' gates.  Other gates pass unchanged.
     """
     for g in gates:
-        kind = g.kind
+        kind, qs = g.kind, g.qubits
+        if kind in (SX, SXDG):
+            yield from _x_pulse(qs, HALF_PI if kind == SX else 3 * HALF_PI, dynamic)
+            continue
         if kind == U3:
             angles = g.angles
         elif kind == RX:
             angles = (g.angles[0], -HALF_PI, HALF_PI)
-        elif dynamic and kind in (SX, SXDG):
-            yield RX, g.qubits, (pulse_angle(g),)
-            continue
         else:
-            yield kind, g.qubits, g.angles
+            yield kind, qs, g.angles
             continue
-        qs = g.qubits
         theta, phi, lam = map(snap_angle, angles)
         case, tm = _theta_cases(theta)
         if case == "zero":
             yield RZ, qs, (normalize_angle(phi + lam),)
-        elif dynamic:
-            # minimal-rotation convention: the pulse plays |theta_c| <= pi
-            theta_c = tm if tm <= math.pi + 1e-12 else tm - TWO_PI
-            yield RZ, qs, (normalize_angle(lam - HALF_PI),)
-            yield RX, qs, (theta_c,)
-            yield RZ, qs, (normalize_angle(phi + HALF_PI),)
-        elif case == "general":
+        elif case == "general" and not dynamic:
             yield RZ, qs, (normalize_angle(lam),)
             yield SX, qs, ()
             yield RZ, qs, (tm,)
-            yield SXDG, qs, ()
+            yield from _x_pulse(qs, 3 * HALF_PI, False)
             yield RZ, qs, (normalize_angle(phi),)
         else:
             yield RZ, qs, (normalize_angle(lam - HALF_PI),)
-            yield (SX if case == "sx" else SXDG), qs, ()
+            yield from _x_pulse(qs, tm, dynamic)
             yield RZ, qs, (normalize_angle(phi + HALF_PI),)
 
 
@@ -316,10 +324,11 @@ def lower_circuit(c: Circuit, dynamic: bool) -> Circuit:
 
 
 def decompose_static(c: Circuit) -> Circuit:
-    """Rewrite every U3 (and Rx) into virtual Rz plus Sx / Sx^-1 pulses.
+    """Rewrite every U3, Rx and Sx^-1 into virtual Rz plus Sx pulses.
 
     theta = 0 becomes a pure phase gate; theta = +-pi/2 needs a single pulse;
-    anything else uses the two-pulse chain rz, sx, rz(theta), sxdg, rz.
+    anything else uses the two-pulse chain rz, sx, rz(theta), Sx^-1, rz, and
+    each Sx^-1 plays as rz(pi), sx, rz(pi).
     """
     return _make_circuit(_lowered_specs(c.gates, False), c.width)
 
@@ -328,8 +337,8 @@ def decompose_dynamic(c: Circuit) -> Circuit:
     """Rewrite every U3 (and Rx) into rz, rx(theta), rz: one arbitrary-x pulse.
 
     theta is reduced to the minimal rotation in (-pi, pi]; theta = 0 gates
-    collapse to virtual Rz only (zero physical duration).  Fixed Sx / Sx^-1
-    gates become rx(+-pi/2) so the whole circuit shares one pulse family.
+    collapse to virtual Rz only (zero physical duration).  Sx / Sx^-1 gates
+    read as rx(+-pi/2), so the whole circuit shares one pulse family.
     """
     return _make_circuit(_lowered_specs(c.gates, True), c.width)
 
@@ -340,8 +349,9 @@ def merge_virtual_z(c: Circuit) -> Circuit:
 
 
 def pulse_angle(gate: Gate) -> float:
-    """Signed x-rotation a lowered gate's pulse plays: theta for Rx, +pi/2 for
-    Sx, -pi/2 for Sx^-1, and 0 for everything else (ECR, measure, barrier)."""
+    """Signed x-rotation a gate's pulse plays: theta for Rx, +pi/2 for Sx,
+    -pi/2 for an unlowered Sx^-1, and 0 for everything else (ECR, measure,
+    barrier)."""
     if gate.kind == RX:
         return gate.angles[0]
     if gate.kind == SX:

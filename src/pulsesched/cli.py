@@ -69,7 +69,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"--qubits must be at least 1, got {args.qubits}")
     if args.mode == DYNAMIC and args.durations is not None:
         raise ConfigError("--durations is a static menu; a dynamic gate set takes --min-dur/--max-dur")
-    durations = _parse_list(args.durations, int) if args.durations else DEFAULT_STATIC_DURATIONS
+    durations = DEFAULT_STATIC_DURATIONS if args.durations is None else _parse_list(args.durations, int)
     gs = GateSet.calibrated(args.mode, nm, args.qubits, args.min_dur, args.max_dur, durations)
     _write(args.out, "gate set", gs.write_json)
     print(f"calibrated {args.mode} gate set for {args.qubits} qubit(s) -> {args.out}")

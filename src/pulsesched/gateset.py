@@ -370,14 +370,22 @@ def _finite(row: dict, key: str, default=None):
 
 
 def _impl_from_row(row: dict) -> GateImpl:
-    """One gate-set JSON implementation row as a Gaussian ``GateImpl``.
+    """One static gate-set JSON row as a Gaussian Sx ``GateImpl``.
 
     The row is checked here, so every pulse it serves synthesizes without
-    clipping and writes finite JSON.  The normalized envelope peaks at 1,
-    so |amplitude| <= 1 is exactly the no-clipping condition; sigma must
-    be positive and leave the envelope's edge below its peak.
+    clipping and writes finite JSON, and it must be the sx at angle pi/2
+    that a static set plays.  The normalized envelope peaks at 1, so
+    |amplitude| <= 1 is exactly the no-clipping condition; sigma must be
+    positive and leave the envelope's edge below its peak.
     """
+    if row["kind"] != circ.SX:
+        raise GateSetError(f"a static gate set plays only sx pulses, not implementation kind {row['kind']!r}")
+    qubit = row["qubit"]
+    if type(qubit) is not int or qubit < 0:
+        raise GateSetError(f"implementation qubit must be a qubit index, got {qubit!r}")
     amplitude, sigma, angle = (_finite(row, key) for key in ("amplitude", "sigma", "angle"))
+    if _angle_key(angle) != _angle_key(HALF_PI):
+        raise GateSetError(f"implementation angle {angle!r} of an sx row must be pi/2")
     pre_frame, post_frame = (_finite(row, key, 0.0) for key in ("pre_frame", "post_frame"))
     if abs(amplitude) > 1.0:
         raise GateSetError(f"implementation amplitude {amplitude!r} exceeds the unit bound")
@@ -387,20 +395,14 @@ def _impl_from_row(row: dict) -> GateImpl:
     if fidelity is not None and not (isinstance(fidelity, numbers.Real) and 0.0 <= fidelity <= 1.0):
         raise GateSetError(f"implementation fidelity {fidelity!r} must be null or lie in [0, 1]")
     duration = _dt_count(row["duration_dt"], "implementation duration_dt", 1)
-    shape = ShapeSpec(
-        shape=GAUSSIAN,
-        amplitude=amplitude,
-        duration=duration,
-        sigma=sigma,
-        phase=0.0 if angle >= 0 else math.pi,
-    )
+    shape = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=duration, sigma=sigma)
     try:
         evaluate_envelope(shape, 0.0)
     except (ValueError, OverflowError) as exc:
         raise GateSetError(f"implementation sigma {sigma!r} is too wide for {duration} dt: {exc}") from None
     return GateImpl(
-        qubit=row["qubit"],
-        kind=row["kind"],
+        qubit=qubit,
+        kind=circ.SX,
         angle=angle,
         duration=duration,
         shape=shape,
@@ -427,8 +429,8 @@ class GateSet:
     measure_duration: int = 0
     rabi: dict[int, RabiTable] = field(default_factory=dict)
     impls: dict[tuple, GateImpl] = field(default_factory=dict)
-    # runtime cache for implementations derived from the catalog (sxdg from
-    # sx, rx from the Rabi table, the fixed ECR); never serialized
+    # runtime cache for implementations derived from the catalog (rx from
+    # the Rabi table, the fixed ECR); never serialized
     _derived: dict[tuple, GateImpl] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -457,14 +459,14 @@ class GateSet:
     # -- duration policy ----------------------------------------------------
 
     def _check_lowered(self, kind: str):
-        """Raise unless lowering emits ``kind`` pulses in this set's mode."""
-        if (kind == circ.RX) != (self.mode == DYNAMIC):
+        """Raise unless lowering emits ``kind`` pulses in this set's mode (Sx static, Rx dynamic)."""
+        if kind != (circ.RX if self.mode == DYNAMIC else circ.SX):
             raise GateSetError(f"a {self.mode} gate set plays no {kind} pulse; lower the circuit first")
 
     def allowed_durations(self, kind: str, angle: float = 0.0) -> tuple[int, ...]:
         """Ascending candidate durations for one operation of a lowered circuit.
 
-        Static Sx / Sx^-1 take the calibrated menu within the set's bounds.
+        Static Sx takes the calibrated menu within the set's bounds.
         Dynamic Rx bounds scale with |angle| / (pi/2) and snap inward to the
         8-dt grid; both are then floored at ``MIN_DYNAMIC_DURATION``, so a
         small rotation gets a 24 dt pulse instead of one too short for a
@@ -476,8 +478,6 @@ class GateSet:
             return (self.measure_duration,)
         if kind == circ.BARRIER:
             return (0,)
-        if kind not in circ.X_PULSE_KINDS:
-            raise GateSetError(f"no duration policy for gate kind {kind!r}")
         self._check_lowered(kind)
         if self.mode == STATIC:
             out = tuple(d for d in self.static_durations if self.min_duration <= d <= self.max_duration)
@@ -513,32 +513,13 @@ class GateSet:
             return self._derived[key]
         self._check_lowered(kind)
         key = (qubit, kind, _angle_key(angle), duration)
-        if key in self.impls:
-            return self.impls[key]
-        if key in self._derived:
-            return self._derived[key]
         if self.mode == STATIC:
-            if kind == circ.SXDG:
-                # the same pulse driven at phase pi; conjugating the drive
-                # frame flips the rotation sign but leaves the calibrated
-                # virtual-Z corrections unchanged
-                base = self.impl_for(qubit, circ.SX, HALF_PI, duration)
-                impl = GateImpl(
-                    qubit=qubit,
-                    kind=circ.SXDG,
-                    angle=-HALF_PI,
-                    duration=duration,
-                    shape=replace(base.shape, phase=math.pi),
-                    fidelity=base.fidelity,
-                    pre_frame=base.pre_frame,
-                    post_frame=base.post_frame,
-                )
-                self._derived[key] = impl
-                return impl
-            raise GateSetError(f"no calibrated {kind} at {duration} dt for qubit {qubit}")
-        impl = _nominal_impl(qubit, circ.RX, angle, duration, self._table(qubit))
-        self._derived[key] = impl
-        return impl
+            if key not in self.impls:
+                raise GateSetError(f"no calibrated {kind} at {duration} dt for qubit {qubit}")
+            return self.impls[key]
+        if key not in self._derived:
+            self._derived[key] = _nominal_impl(qubit, circ.RX, angle, duration, self._table(qubit))
+        return self._derived[key]
 
     def validate_coverage(self, n_qubits: int):
         """Ensure every allowed static Sx duration has a calibrated entry for
@@ -615,8 +596,15 @@ class GateSet:
         for row in data.get("implementations", []):
             if row["kind"] == circ.ECR:
                 continue  # regenerated on demand
+            if gs.mode == DYNAMIC:
+                raise GateSetError("a dynamic gate set derives its pulses and holds no rows")
             impl = _impl_from_row(row)
-            gs.impls[(impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)] = impl
+            key = (impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)
+            if key in gs.impls:
+                raise GateSetError(f"two sx rows for qubit {impl.qubit} at {impl.duration} dt")
+            if impl.duration not in gs.static_durations:
+                raise GateSetError(f"sx row at {impl.duration} dt is off the static menu {gs.static_durations}")
+            gs.impls[key] = impl
         return gs
 
     # -- construction ---------------------------------------------------------

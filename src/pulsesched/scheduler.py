@@ -332,7 +332,7 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
 def lower(c: circ.Circuit, s: GateSet) -> circ.Circuit:
     """Lower a circuit into the physical basis of the gate set's mode.
 
-    One streaming pass decomposes U3, Rx and Sx / Sx^-1 gates into
+    One streaming pass decomposes U3, Rx, Sx and Sx^-1 gates into
     (kind, qubits, angles) specs, a second pass over those specs fuses each
     run of same-qubit virtual Rz and drops the identity ones, and each output
     gate is then built and validated once (`circuit.lower_circuit`).  The

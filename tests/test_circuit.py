@@ -179,7 +179,15 @@ class TestStaticDecomposition:
         c = parse_circuit(f"u3 q0 {-HALF_PI},{HALF_PI},{-HALF_PI}")
         out = merge_virtual_z(decompose_static(c))
         assert sum(g.kind in PULSE_KINDS for g in out.gates) == 1
-        assert any(g.kind == "sxdg" for g in out.gates)
+        assert {g.kind for g in out.gates} <= {"rz", "sx"}
+        assert equal_up_to_phase(_single_qubit_unitary(out), u3_matrix(-HALF_PI, HALF_PI, -HALF_PI), tol=1e-12)
+
+    def test_sxdg_plays_as_framed_sx(self):
+        out = decompose_static(parse_circuit("sx q0\nsxdg q0"))
+        assert [(g.kind, g.angles) for g in out.gates] == [
+            ("sx", ()), ("rz", (math.pi,)), ("sx", ()), ("rz", (math.pi,))
+        ]
+        assert equal_up_to_phase(_single_qubit_unitary(out), np.eye(2), tol=1e-12)
 
     def test_random_triples_match_u3_matrix(self):
         rng = np.random.default_rng(517)
@@ -187,7 +195,7 @@ class TestStaticDecomposition:
             theta, phi, lam = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
             c = Circuit(width=1, gates=(Gate(id=0, kind="u3", qubits=(0,), angles=(theta, phi, lam)),))
             out = decompose_static(c)
-            assert {g.kind for g in out.gates} <= {"rz", "sx", "sxdg"}
+            assert {g.kind for g in out.gates} <= {"rz", "sx"}
             assert equal_up_to_phase(_single_qubit_unitary(out), u3_matrix(theta, phi, lam), tol=1e-12)
 
     def test_rx_input_accepted(self):

@@ -194,6 +194,14 @@ class TestCalibrateCommand:
         assert gs.static_durations == DEFAULT_STATIC_DURATIONS
         assert {i.duration for i in gs.impls.values()} == set(DEFAULT_STATIC_DURATIONS)
 
+    @pytest.mark.parametrize("durations", ["", ","])
+    def test_static_empty_menu_is_config_error(self, durations, tmp_path, capsys):
+        out = tmp_path / "gs.json"
+        code = main(["calibrate", "--mode", "static", f"--durations={durations}", "--out", str(out)])
+        assert code == 2
+        assert "need an entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dynamic_with_durations_is_config_error(self, tmp_path, capsys):
         code = main([
             "calibrate", "--mode", "dynamic", "--durations", "8",
@@ -539,6 +547,16 @@ class TestBadInputs:
         code = main(["schedule", fig2_file, "--gateset", str(path), "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_gateset_duplicate_row(self, fig2_file, tmp_path, capsys):
+        doc = GateSet.ideal("static", 2).to_json()
+        doc["implementations"].append(dict(doc["implementations"][0], amplitude=0.1))
+        path = tmp_path / "gs.json"
+        path.write_text(json.dumps(doc))
+        code = main(["schedule", fig2_file, "--gateset", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "two sx rows" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("line", ["rz q0 nan", "u3 q1 inf,0,0"])

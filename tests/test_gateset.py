@@ -134,9 +134,9 @@ class TestAllowedDurations:
 
 
 class TestServesOnlyLoweredKinds:
-    """A gate set serves the x-rotation pulses lowering emits for its mode:
-    Sx / Sx^-1 in static mode, Rx in dynamic mode.  Any other one is an
-    unlowered circuit."""
+    """A gate set serves the one x-rotation pulse lowering emits for its mode:
+    Sx in static mode, Rx in dynamic mode.  Any other one is an unlowered
+    circuit."""
 
     @pytest.mark.parametrize("kind,angle", [("sx", HALF_PI), ("sxdg", -HALF_PI)])
     def test_dynamic_set_rejects_sx(self, kind, angle):
@@ -145,6 +145,13 @@ class TestServesOnlyLoweredKinds:
             gs.allowed_durations(kind, angle)
         with pytest.raises(GateSetError, match="lower the circuit first"):
             gs.impl_for(0, kind, angle, 32)
+
+    def test_static_set_rejects_sxdg(self):
+        gs = GateSet.ideal("static", 1)
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.durations_for(Gate(id=0, kind="sxdg", qubits=(0,)))
+        with pytest.raises(GateSetError, match="lower the circuit first"):
+            gs.impl_for(0, "sxdg", -HALF_PI, 32)
 
     def test_static_set_rejects_rx(self):
         gs = GateSet.ideal("static", 1)
@@ -160,7 +167,6 @@ class TestNextDuration:
     def test_static_step(self):
         gs = GateSet.ideal("static", 1, min_duration=32)
         assert gs.durations_for(sx_gate()) == (32, 48, 64, 120, 256, 512)
-        assert gs.durations_for(Gate(id=0, kind="sxdg", qubits=(0,))) == gs.durations_for(sx_gate())
 
     def test_at_max_stays(self):
         gs = GateSet.ideal("static", 1)
@@ -388,16 +394,6 @@ class TestStaticBuild:
             if impl.kind == "sx":
                 assert impl.fidelity >= 0.999
 
-    def test_sxdg_shares_amplitude_with_phase_pi(self, calibrated):
-        sx = calibrated.impl_for(0, "sx", HALF_PI, 120)
-        sxdg = calibrated.impl_for(0, "sxdg", -HALF_PI, 120)
-        assert sxdg.amplitude == sx.amplitude
-        assert sxdg.shape.phase == pytest.approx(math.pi)
-        u = propagate_waveform(sxdg.waveform(), NoiseModel.noiseless())
-        from conftest import SXDG_MATRIX, equal_up_to_phase
-
-        assert equal_up_to_phase(u[:2, :2], SXDG_MATRIX, tol=2e-2)
-
     def test_calibration_deterministic(self, calibrated):
         again = GateSet.calibrated("static", NoiseModel(), n_qubits=1)
         assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
@@ -466,6 +462,52 @@ class TestImplementationValues:
         doc["rabi"]["0"][column][1] = math.nan
         with pytest.raises(GateSetError, match="finite"):
             GateSet.from_json(json.dumps(doc))
+
+
+class TestServedRows:
+    """GateSet.from_json loads only rows the set can serve: a static set one
+    sx row at angle pi/2 per (qubit, duration), a dynamic set none, since it
+    derives every pulse from its Rabi tables.  An ecr row is skipped either
+    way; the set rebuilds the fixed ECR on demand."""
+
+    @pytest.mark.parametrize(
+        "key, value, blamed",
+        [
+            ("kind", "measure", "kind"),
+            ("kind", "sxdg", "kind"),
+            ("kind", "rx", "kind"),
+            ("angle", 0.3, "angle"),
+            ("angle", -HALF_PI, "angle"),
+            ("qubit", "zero", "qubit"),
+            ("qubit", -1, "qubit"),
+            ("qubit", 0.0, "qubit"),
+            ("duration_dt", 100, "off the static menu"),
+        ],
+    )
+    def test_row_it_cannot_serve(self, key, value, blamed):
+        with pytest.raises(GateSetError, match=blamed):
+            GateSet.from_json(json.dumps(ideal_doc_with(key, value)))
+
+    def test_duplicate_row(self):
+        doc = GateSet.ideal("static", 1).to_json()
+        doc["implementations"].append(dict(doc["implementations"][0], amplitude=0.1))
+        with pytest.raises(GateSetError, match="two sx rows for qubit 0 at 32 dt"):
+            GateSet.from_json(json.dumps(doc))
+
+    def test_any_row_in_a_dynamic_set(self):
+        doc = GateSet.ideal("dynamic", 1).to_json()
+        doc["implementations"] = GateSet.ideal("static", 1).to_json()["implementations"][:1]
+        with pytest.raises(GateSetError, match="dynamic"):
+            GateSet.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_ecr_rows_are_skipped(self, mode):
+        doc = GateSet.ideal(mode, 1).to_json()
+        ecr = {"mode": mode, "qubit": -1, "kind": "ecr", "angle": 0.0, "duration_dt": 1320,
+               "sigma": 64.0, "amplitude": 0.12, "fidelity": None}
+        doc["implementations"].append(ecr)
+        loaded = GateSet.from_json(json.dumps(doc))
+        assert loaded.to_json() == GateSet.ideal(mode, 1).to_json()
 
 
 @pytest.fixture(scope="module")

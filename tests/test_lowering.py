@@ -3,8 +3,11 @@
 The oracle below is the decompose / build Gates / merge virtual Z pipeline
 that `lower` ran before it became one pass over specs, kept here verbatim as
 the reference: the one-pass lowering must give the same gates, kinds,
-qubits and angle bits in both modes.  One reading has changed since: the
-dynamic oracle, like the static one, now takes Rx as U3(theta, -pi/2, pi/2).
+qubits and angle bits in both modes.  Two readings have changed since: the
+dynamic oracle, like the static one, now takes Rx as U3(theta, -pi/2, pi/2),
+and static mode plays each Sx^-1 as rz(pi), sx, rz(pi), so the static
+oracle's first pass is rewritten that way (`_sxdg_as_framed_sx`) before its
+fuse pass runs.
 """
 
 import math
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 from conftest import random_circuit
 from pulsesched import circuit as circ
 from pulsesched.circuit import (
+    ECR,
     HALF_PI,
+    PULSE_KINDS,
     RX,
     RZ,
     SX,
@@ -144,6 +149,19 @@ def merge_virtual_z(c: Circuit) -> Circuit:
     return _make_circuit(specs, width=c.width)
 
 
+def _sxdg_as_framed_sx(c: Circuit) -> Circuit:
+    """Each Sx^-1 of ``c`` rewritten as rz(pi), sx, rz(pi), the one-pulse-kind
+    form static lowering plays."""
+    specs = []
+    for g in c.gates:
+        if g.kind == SXDG:
+            (q,) = g.qubits
+            specs += [_rz(q, math.pi), (SX, (q,), ()), _rz(q, math.pi)]
+        else:
+            specs.append((g.kind, g.qubits, g.angles))
+    return _make_circuit(specs, width=c.width)
+
+
 # -- circuits that reach every branch -----------------------------------------
 
 #: offsets from a multiple of pi/2 on both sides of the 1e-12 theta-case and
@@ -194,7 +212,7 @@ def _bits(c: Circuit):
 
 
 _GATE_SETS = {mode: GateSet.ideal(mode, 3) for mode in (STATIC, DYNAMIC)}
-_ORACLES = {STATIC: decompose_static, DYNAMIC: decompose_dynamic}
+_ORACLES = {STATIC: lambda c: _sxdg_as_framed_sx(decompose_static(c)), DYNAMIC: decompose_dynamic}
 
 
 class TestLowerMatchesThreePassOracle:
@@ -234,6 +252,22 @@ class TestLowerMatchesThreePassOracle:
                     specs += [(RZ, (0,), (a,)), (U3, (0,), (theta, phi, near)), (RZ, (0,), (b,))]
         c = _make_circuit(specs, 1)
         assert _bits(lower(c, _GATE_SETS[mode])) == _bits(merge_virtual_z(_ORACLES[mode](c)))
+
+
+class TestOnePulseKindPerMode:
+    """Static lowering plays only Sx and ECR pulses, dynamic lowering only Rx
+    and ECR, and each plays as many pulses as the three-pass oracle did
+    before Sx^-1 became rz(pi), sx, rz(pi)."""
+
+    @pytest.mark.parametrize("mode, x_pulse", ((STATIC, SX), (DYNAMIC, RX)))
+    @settings(max_examples=100, deadline=None)
+    @given(c=_circuits())
+    def test_pulse_kinds_and_count(self, mode, x_pulse, c):
+        lowered = lower(c, _GATE_SETS[mode])
+        pulses = [g.kind for g in lowered.gates if g.kind in PULSE_KINDS + (SXDG,)]
+        assert set(pulses) <= {x_pulse, ECR}
+        oracle = merge_virtual_z(decompose_static(c) if mode == STATIC else decompose_dynamic(c))
+        assert len(pulses) == sum(g.kind in PULSE_KINDS + (SXDG,) for g in oracle.gates)
 
 
 class TestLowerBuildsEachGateOnce:

@@ -588,7 +588,7 @@ class TestCreateSchedule:
             sch = create_schedule(g, gs)  # validates non-overlap on construction
             placed = {p.seq: p for p in sch.placements}
             for n in g.nodes:
-                if n.gate.kind in ("sx", "sxdg", "rx", "ecr"):
+                if n.gate.kind in ("sx", "rx", "ecr"):
                     assert placed[n.gate.id].start == n.es
 
     def test_frame_shifts_recorded(self):
@@ -640,7 +640,7 @@ class TestRunFramework:
         del doc["waveforms"]
         doc = json.dumps(doc, indent=1)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "9128b18e412b3698c66458fb6d2fda66a20821ad5dbe7370972a1c84730b001d"
+            "ff2b272a7f2187a4aecb80b32afa32a78eaee3cbec1c56f9ecd1d0681d8c4a2b"
         )
 
     def test_golden_schedule_json_with_waveforms(self):
@@ -655,9 +655,9 @@ class TestRunFramework:
         c = random_circuit(np.random.default_rng(56), 5, 1000)
         _, sch = run_framework(lower(c, gs), gs)
         text = json.dumps(sch.to_json(), indent=1)
-        assert len(sch.waveforms) == 59
+        assert len(sch.waveforms) == 30
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5b0445e143929c8b14518589f4994f80e6ca4dfdbf42761b5b7dfba5e3cdc271"
+            "69442e9c644b213ba8ce507d641cd17bf00ba11977b217b501e018b98461a819"
         )
 
 

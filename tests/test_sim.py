@@ -449,6 +449,48 @@ class TestFusion:
             assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSxdgAsFramedSx:
+    """Static lowering plays Sx^-1 as Rz(pi).Sx.Rz(pi).  Under the qutrit
+    model that is exactly the Sx shape driven at phase pi between Sx's own
+    frames: conjugating the drive by diag(1, -1, 1) flips its sign, and the
+    frames and the decay commute with that diagonal."""
+
+    @pytest.fixture(scope="class")
+    def gs(self):
+        return GateSet.calibrated("static", DEFAULT, 1, static_durations=(120,))
+
+    @staticmethod
+    def phase_pi_schedule(gs):
+        """sx, rz(0.7), then Sx^-1 as the Sx shape at phase pi, each pulse
+        between its calibrated frames."""
+        sx = gs.impl_for(0, "sx", HALF_PI, 120)
+        sxdg = replace(sx, kind="sxdg", angle=-HALF_PI, shape=replace(sx.shape, phase=math.pi))
+        placements, frames = [], [FrameShift(qubit=0, time=120, angle=0.7, seq=1)]
+        for seq, start, impl in ((0, 0, sx), (2, 120, sxdg)):
+            placements.append(PulsePlacement(
+                qubits=(0,), start=start, duration=120, kind=impl.kind, angle=impl.angle,
+                waveform_id=impl.kind, phase_frames=(0.0,), seq=seq,
+            ))
+            frames.append(FrameShift(qubit=0, time=start, angle=impl.pre_frame, seq=seq))
+            frames.append(FrameShift(qubit=0, time=start + 120, angle=impl.post_frame, seq=seq))
+        return Schedule(width=1, makespan=240, placements=placements, frames=frames,
+                        waveforms={"sx": sx.shape, "sxdg": sxdg.shape})
+
+    @pytest.mark.parametrize("nm", [NOISELESS, DEFAULT], ids=["noiseless", "default"])
+    @pytest.mark.parametrize("ideal_pulses", [False, True])
+    def test_same_probabilities(self, gs, nm, ideal_pulses):
+        lowered = lower(parse_circuit("sx q0\nrz q0 0.7\nsxdg q0"), gs)
+        assert [g.kind for g in lowered.gates] == ["sx", "rz", "sx", "rz"]
+        _, framed = run_framework(lowered, gs, None)
+        sim = ScheduleSimulator(nm, ideal_pulses=ideal_pulses)
+        got = sim.run(framed, shots=1, seed=0)
+        want = sim.run(self.phase_pi_schedule(gs), shots=1, seed=0)
+        assert 0.1 < want.p0 < 0.9
+        assert got.probabilities.keys() == want.probabilities.keys()
+        for k, p in want.probabilities.items():
+            assert got.probabilities[k] == pytest.approx(p, abs=1e-12)
+
+
 class TestParametricWaveforms:
     """A schedule carries ShapeSpecs; the simulator samples them on demand."""
 
