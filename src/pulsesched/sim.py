@@ -21,13 +21,23 @@ already in the propagated waveform.
 
 Channels are plain superoperator arrays (9x9 for one qutrit, 81x81 for a
 pair) in the row-major vec convention, so composing two is ``@``; the
-builders form their Kronecker products by broadcasting.  A schedule run
-folds each qubit's frame shifts, idles and pulses into one pending 9x9
+builders form their Kronecker products by broadcasting.
+
+The state holds rho interleaved: one axis of nine (r_q, c_q) entries per
+qubit, in qubit order, so qubit q's row and column index sit side by side.
+A 9x9 superop in the row-major vec convention acts on that axis as it
+stands, and a 1q channel is one matmul on the (9**q, 9, rest) view of the
+state, with no transpose.  A pair channel is permuted into the layout
+once, when the simulator caches it; an adjacent pair is then one 81x81
+matmul, and a non-adjacent pair keeps one transpose.
+
+A schedule run folds each qubit's idles and pulses into one pending 9x9
 channel and contracts it into the state only when an ECR touches that
-qubit, and once more at the end.  A contraction views the state as a
-tensor with one row and one column axis per qubit, transposes the
-operands' row and column axes to the front, multiplies the resulting
-(9**k, rest) matrix by the 9**k superop in one matmul, and transposes back.
+qubit, and once more at the end.  Frame shifts fold lazily: a qubit's
+frame is a running angle sum, folded into its pending channel as one
+diagonal only before that qubit's next pulse or ECR.  A frame commutes
+with the idle channel, and a trailing frame cannot change Z-basis
+populations, so it is dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +45,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
@@ -58,7 +71,7 @@ _I3 = np.eye(3, dtype=complex)
 #: one sample, in seconds
 _DT_S = DT_NS * 1e-9
 
-#: widest schedule the dense qutrit simulator runs (a 3**w square density matrix)
+#: widest schedule the dense qutrit simulator runs (rho holds 9**w entries)
 MAX_SIM_QUBITS = 5
 
 #: ideal echoed cross-resonance unitary on the two-qubit subspace,
@@ -297,6 +310,7 @@ def _pair_superop(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
 #: advances level n by n*angle, so its superop is the diagonal
 #: exp(1j * angle * _LEVEL_GAPS).
 _LEVEL_GAPS = np.subtract.outer(np.arange(3), np.arange(3)).ravel()
+_EYE9 = np.eye(9, dtype=complex)
 
 
 _PAULI3 = [
@@ -328,80 +342,115 @@ def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int) -> np
     return dec @ dep @ unit
 
 
+def pair_layout(superop: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
+    """A row-major vec pair superop on ``qubits`` in the state layout.
+
+    ``superop`` indexes (r_a r_b c_a c_b) for ``qubits = (a, b)``; the
+    result indexes (r c of the lower qubit, r c of the higher one) on both
+    sides, as ``DensityState.apply_local_superop`` takes it with the
+    operands in ascending order.
+    """
+    p = (0, 2, 1, 3) if qubits[0] < qubits[1] else (1, 3, 0, 2)
+    return superop.reshape((3,) * 8).transpose(*p, *(4 + i for i in p)).reshape(81, 81)
+
+
 # ---------------------------------------------------------------------------
 # state and schedule execution
 
 
+@lru_cache(maxsize=None)
+def _bitstrings(width: int) -> tuple[str, ...]:
+    return tuple("".join(bits) for bits in product("01", repeat=width))
+
+
 @dataclass
 class DensityState:
-    """Density operator over the tensor product of per-qubit 3-level spaces."""
+    """Density operator over the tensor product of per-qubit 3-level spaces.
+
+    ``data`` is rho in the interleaved layout: a flat array of 9**width
+    entries whose axes, in qubit order, each run over one qubit's nine
+    (row, col) level pairs in row-major order.  ``from_matrix`` and
+    ``matrix`` convert to and from the usual 3**width square matrix.
+    """
 
     width: int
     data: np.ndarray = None
 
     def __post_init__(self):
         if self.data is None:
-            d = 3**self.width
-            self.data = np.zeros((d, d), dtype=complex)
-            self.data[0, 0] = 1.0
+            self.data = np.zeros(9**self.width, dtype=complex)
+            self.data[0] = 1.0
+
+    @classmethod
+    def from_matrix(cls, rho: np.ndarray) -> "DensityState":
+        width = round(math.log(len(rho), 3))
+        if rho.shape != (3**width, 3**width):
+            raise ValueError(f"a density matrix over qutrits is 3**w square, got {rho.shape}")
+        perm = [a for q in range(width) for a in (q, width + q)]
+        return cls(width, rho.reshape((3,) * (2 * width)).transpose(perm).reshape(-1))
+
+    def matrix(self) -> np.ndarray:
+        w = self.width
+        perm = [*range(0, 2 * w, 2), *range(1, 2 * w, 2)]
+        return self.data.reshape((3,) * (2 * w)).transpose(perm).reshape(3**w, 3**w)
 
     def validate(self):
-        rho = self.data
+        rho = self.matrix()
+        if not np.isfinite(rho).all():
+            raise SimulationError("state holds a non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise SimulationError("state lost Hermiticity")
         evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
         if evals.min() < -1e-8:
             raise SimulationError(f"state not PSD (min eigenvalue {evals.min():.3e})")
-        if rho.trace().real > 1.0 + 1e-10:
-            raise SimulationError("state trace exceeds 1")
+        trace = rho.trace().real
+        if abs(trace - 1.0) > 1e-10:
+            raise SimulationError(f"state trace {trace!r} is not 1")
 
     def apply_local_unitary(self, u: np.ndarray, qubits: tuple[int, ...]):
-        w = self.width
-        rho = self.data.reshape((3,) * (2 * w))
-        row_axes = [q for q in qubits]
-        col_axes = [w + q for q in qubits]
-        k = len(qubits)
-        uk = u.reshape((3,) * (2 * k))
-        rho = np.tensordot(uk, rho, axes=(list(range(k, 2 * k)), row_axes))
-        # tensordot put the new row axes first; restore layout
-        rho = np.moveaxis(rho, list(range(k)), row_axes)
-        ukc = u.conj().reshape((3,) * (2 * k))
-        rho = np.tensordot(rho, ukc, axes=(col_axes, list(range(k, 2 * k))))
-        rho = np.moveaxis(rho, list(range(-k, 0)), col_axes)
-        self.data = rho.reshape(3**w, 3**w)
+        s = unitary_superop(u)
+        if len(qubits) == 2:
+            s, qubits = pair_layout(s, qubits), tuple(sorted(qubits))
+        self.apply_local_superop(s, qubits)
 
     def apply_local_superop(self, superop: np.ndarray, qubits: tuple[int, ...]):
-        """Contract a 9**k superop into the (row, col) axes of ``qubits``.
+        """Contract a 9**k superop in the state layout into ``qubits``.
 
-        Superop indices run over out-rows, out-cols, in-rows, in-cols, k of
-        each.  One transpose brings the operands' row then column axes
-        first, one matmul contracts the (9**k, rest) matrix, and the
-        inverse transpose restores the layout: the transpose-and-dot that
-        ``np.tensordot`` does internally, so every entry is the same sum.
+        The operands ascend, and ``superop`` indexes their (row, col) axes
+        in that order (``pair_layout`` permutes a pair channel into it).
+        One qubit or an adjacent pair is one matmul on the (outer, 9**k,
+        inner) view of the state, or a right multiply when nothing follows
+        the operands; a non-adjacent pair transposes its second axis next
+        to its first and back.
         """
-        w = self.width
-        in_axes = [*qubits, *(w + q for q in qubits)]
-        perm = in_axes + [a for a in range(2 * w) if a not in in_axes]
-        inverse = [0] * (2 * w)
-        for i, a in enumerate(perm):
-            inverse[a] = i
-        cube = (3,) * (2 * w)
-        rho = self.data.reshape(cube).transpose(perm).reshape(superop.shape[1], -1)
-        rho = (superop @ rho).reshape(cube).transpose(inverse)
-        self.data = rho.reshape(3**w, 3**w)
+        w, lo, hi = self.width, qubits[0], qubits[-1]
+        gap = 9 ** max(hi - lo - 1, 0)
+        inner = 9 ** (w - hi - 1)
+        if gap == 1:
+            if inner == 1:
+                self.data = (self.data.reshape(-1, len(superop)) @ superop.T).reshape(-1)
+            else:
+                self.data = (superop @ self.data.reshape(-1, len(superop), inner)).reshape(-1)
+            return
+        rho = self.data.reshape(9**lo, 9, gap, 9, inner).transpose(0, 1, 3, 2, 4)
+        rho = superop @ rho.reshape(9**lo, 81, gap * inner)
+        self.data = rho.reshape(9**lo, 9, 9, gap, inner).transpose(0, 1, 3, 2, 4).reshape(-1)
 
     def probabilities(self) -> dict[str, float]:
-        """Bitstring distribution; leakage level 2 reads out as 'not |0>' = 1."""
+        """Bitstring distribution; leakage level 2 reads out as 'not |0>' = 1.
+
+        The diagonal is entries 0, 4 and 8 (the (n, n) level pairs) of
+        every qubit's axis; levels 1 and 2 are summed into bit 1 one axis
+        at a time.
+        """
         w = self.width
-        diag = np.real(np.diagonal(self.data)).reshape((3,) * w)
-        probs: dict[str, float] = {}
-        for levels in np.ndindex(*(3,) * w):
-            bits = "".join("0" if l == 0 else "1" for l in levels)
-            probs[bits] = probs.get(bits, 0.0) + float(diag[levels])
-        return probs
+        p = self.data.real.reshape((9,) * w)[(slice(None, None, 4),) * w]
+        for axis in range(w):
+            p = np.add.reduceat(p, [0, 1], axis=axis)
+        return dict(zip(_bitstrings(w), p.ravel().tolist()))
 
     def p_zero(self) -> float:
-        return float(np.real(self.data[0, 0]))
+        return float(self.data[0].real)
 
 
 @dataclass(frozen=True)
@@ -434,11 +483,15 @@ class ScheduleSimulator:
     noiseless randomized-benchmarking sequences compose to the identity
     exactly.
 
-    Operations on different qubits commute, so each qubit's frames, idles
-    and pulses fold into one pending channel in that qubit's event order.
-    The state is only formed when an ECR flushes its operands' channels and
-    applies itself, and at the final flush; ``validate_states`` checks the
-    state after each of those contractions.
+    Operations on different qubits commute, so each qubit's idles and
+    pulses fold into one pending channel in that qubit's event order.  A
+    qubit's frame shifts only add to its frame angle; the sum folds into
+    the pending channel as one diagonal before the qubit's next pulse or
+    ECR, when it is nonzero, and a trailing sum is dropped (see the module
+    docstring).  The state is only formed when an ECR flushes its operands'
+    channels and applies itself, and at the final flush; ``validate_states``
+    checks the state after each of those contractions.  ECR channels are
+    cached already permuted into the state layout (``pair_layout``).
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
@@ -463,7 +516,12 @@ class ScheduleSimulator:
         decay = idle_channel(gap, self.nm, qubit)
         return decay @ unitary_superop(anharmonic_unitary(gap, self.nm, qubit))
 
+    def _ecr_superop(self, qubits: tuple[int, int], duration: int) -> np.ndarray:
+        return pair_layout(ecr_channel(self.nm, qubits, duration), qubits)
+
     def run(self, sch: Schedule, shots: int = 1024, seed=None, validate_states: bool = False) -> RunResult:
+        if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 0:
+            raise ConfigError(f"shots must be a non-negative integer, got {shots!r}")
         if sch.width > MAX_SIM_QUBITS:
             raise SimulationError(
                 f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {sch.width}"
@@ -473,9 +531,13 @@ class ScheduleSimulator:
         state = DensityState(sch.width)
         t_last = [0] * sch.width
         pending: list[np.ndarray | None] = [None] * sch.width
+        frame = [0.0] * sch.width
         pulse_seqs = {p.seq for p in sch.placements} if self.ideal_pulses else set()
 
         def fold(q, s):
+            if frame[q]:
+                s = s * np.exp(1j * frame[q] * _LEVEL_GAPS)
+                frame[q] = 0.0
             pending[q] = s if pending[q] is None else s @ pending[q]
 
         def contract(s, qubits):
@@ -496,40 +558,38 @@ class ScheduleSimulator:
 
         for ev in sch.events():
             if isinstance(ev, FrameShift):
-                if ev.seq in pulse_seqs:
-                    continue
-                d = np.exp(1j * ev.angle * _LEVEL_GAPS)
-                q = ev.qubit
-                pending[q] = np.diag(d) if pending[q] is None else d[:, None] * pending[q]
+                if ev.seq not in pulse_seqs:
+                    frame[ev.qubit] += ev.angle
                 continue
             assert isinstance(ev, PulsePlacement)
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
                 for q in ev.qubits:
+                    if frame[q]:
+                        fold(q, _EYE9)
                     flush(q)
-                s = self._channel((ev.qubits, ev.duration), ecr_channel, self.nm, ev.qubits, ev.duration)
-                contract(s, ev.qubits)
+                s = self._channel((ev.qubits, ev.duration), self._ecr_superop, ev.qubits, ev.duration)
+                contract(s, tuple(sorted(ev.qubits)))
             else:
                 q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
                 fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, spec, q, ev.angle))
             for q in ev.qubits:
                 t_last[q] = ev.start + ev.duration
         for q in range(sch.width):
+            frame[q] = 0.0  # trailing frames cannot change Z-basis populations
             idle_to(q, sch.makespan)
             flush(q)
 
         probs = state.probabilities()
-        p0 = state.p_zero()
-        keys = sorted(probs)
-        pvec = np.clip(np.array([probs[k] for k in keys]), 0.0, None)
+        pvec = np.clip(np.array(list(probs.values())), 0.0, None)
         total = pvec.sum()
         if total <= 0:
             raise SimulationError("state has no measurable population")
         rng = np.random.default_rng(seed)
         draws = rng.multinomial(shots, pvec / total)
-        counts = {k: int(n) for k, n in zip(keys, draws) if n > 0}
-        return RunResult(p0=p0, probabilities=probs, counts=counts, shots=shots)
+        counts = {k: int(n) for k, n in zip(probs, draws) if n > 0}
+        return RunResult(p0=state.p_zero(), probabilities=probs, counts=counts, shots=shots)
 
 
 def run_schedule(

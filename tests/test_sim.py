@@ -1,8 +1,9 @@
 """Three-level simulator: propagation, channels, physicality, Rabi sweeps.
 
-``ScheduleSimulator.run`` fuses each qubit's frames, idles and pulses into
-one pending channel between ECRs; ``unfused_run`` is the per-event oracle it
-is checked against.
+``ScheduleSimulator.run`` fuses each qubit's idles and pulses into one
+pending channel between ECRs and folds its frames lazily; ``unfused_run`` is
+the per-event oracle it is checked against.  States are compared as
+3**w square matrices through ``DensityState.from_matrix`` and ``matrix``.
 """
 
 import math
@@ -40,6 +41,7 @@ from pulsesched.sim import (
     gate_channel,
     hamiltonian_sample,
     idle_channel,
+    pair_layout,
     propagate_waveform,
     run_schedule,
     simulate_rabi,
@@ -87,11 +89,11 @@ def unfused_run(sim, sch):
         for q in ev.qubits:
             idle_to(q, ev.start)
         if ev.kind == "ecr":
-            s = sim._channel((ev.qubits, ev.duration), ecr_channel, sim.nm, ev.qubits, ev.duration)
+            s = pair_layout(ecr_channel(sim.nm, ev.qubits, ev.duration), ev.qubits)
         else:
             q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
             s = sim._channel((ev.waveform_id, q), sim._pulse_superop, spec, q, ev.angle)
-        state.apply_local_superop(s, ev.qubits)
+        state.apply_local_superop(s, tuple(sorted(ev.qubits)))
         for q in ev.qubits:
             t_last[q] = ev.start + ev.duration
     for q in range(sch.width):
@@ -317,6 +319,20 @@ class TestRunSchedule:
         with pytest.raises(SimulationError):
             run_schedule(sch, NOISELESS)
 
+    @pytest.mark.parametrize("shots", [-1, 2.5, True, "8", None])
+    def test_bad_shot_count_is_config_error(self, shots):
+        sch = _schedule_from_pulses([((0,), 0, sx_shape(64, DEFAULT))], 1, 64)
+        with pytest.raises(ConfigError, match="shots"):
+            run_schedule(sch, DEFAULT, shots=shots)
+        with pytest.raises(ConfigError, match="shots"):
+            run_schedule(Schedule(width=0, makespan=0), DEFAULT, shots=shots)
+
+    @pytest.mark.parametrize("shots", [0, 3, np.int64(3)])
+    def test_integer_shot_counts_accepted(self, shots):
+        sch = _schedule_from_pulses([((0,), 0, sx_shape(64, DEFAULT))], 1, 64)
+        res = run_schedule(sch, DEFAULT, shots=shots, seed=1)
+        assert res.shots == shots and sum(res.counts.values()) == shots
+
     def test_counts_deterministic_and_sum_to_shots(self):
         spec = sx_shape(64, DEFAULT)
         sch = _schedule_from_pulses([((0,), 0, spec)], 1, 64)
@@ -393,29 +409,44 @@ class TestRunSchedule:
         assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
 
-class TestFusion:
-    @given(
+def check_against_unfused_oracle(seed, n_qubits, n_gates, mode, ideal_pulses, noiseless, policy):
+    gs = GateSet.ideal(mode, n_qubits)
+    c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
+    _, sch = run_framework(c, gs, policy)
+    sim = ScheduleSimulator(NOISELESS if noiseless else DEFAULT, ideal_pulses=ideal_pulses)
+    fused = sim.run(sch, shots=1, seed=0)
+    oracle = unfused_run(sim, sch)
+    assert fused.p0 == pytest.approx(oracle.p_zero(), abs=1e-12)
+    expected = oracle.probabilities()
+    assert fused.probabilities.keys() == expected.keys()
+    for k, p in expected.items():
+        assert fused.probabilities[k] == pytest.approx(p, abs=1e-12)
+
+
+def fusion_cases(widths):
+    return dict(
         seed=st.integers(0, 2**32 - 1),
-        n_qubits=st.integers(1, 3),
+        n_qubits=st.sampled_from(widths),
         n_gates=st.integers(1, 30),
         mode=st.sampled_from(["static", "dynamic"]),
         ideal_pulses=st.booleans(),
         noiseless=st.booleans(),
         policy=st.sampled_from([FREE_FLOAT, TOTAL_FLOAT]),
     )
+
+
+class TestFusion:
+    @given(**fusion_cases([1, 2, 3]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_unfused_oracle(self, seed, n_qubits, n_gates, mode, ideal_pulses, noiseless, policy):
-        gs = GateSet.ideal(mode, n_qubits)
-        c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
-        _, sch = run_framework(c, gs, policy)
-        sim = ScheduleSimulator(NOISELESS if noiseless else DEFAULT, ideal_pulses=ideal_pulses)
-        fused = sim.run(sch, shots=1, seed=0)
-        oracle = unfused_run(sim, sch)
-        assert fused.p0 == pytest.approx(oracle.p_zero(), abs=1e-12)
-        expected = oracle.probabilities()
-        assert fused.probabilities.keys() == expected.keys()
-        for k, p in expected.items():
-            assert fused.probabilities[k] == pytest.approx(p, abs=1e-12)
+    def test_matches_unfused_oracle(self, **case):
+        check_against_unfused_oracle(**case)
+
+    # widths 4 and 5 reach the middle-qubit matmul and the non-adjacent and
+    # reversed pair paths; they are slow, so they get a few examples only
+    @given(**fusion_cases([4, 5]))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_unfused_oracle_wide(self, **case):
+        check_against_unfused_oracle(**case)
 
     def test_one_contraction_per_ecr_operand_and_qubit(self, monkeypatch):
         # frames fold into the pending channels, so no unitary contraction
@@ -584,28 +615,78 @@ class TestScheduleIdle:
         assert p_idle["0"] == pytest.approx(p_played["0"], abs=1e-12)
 
 
+def random_density_matrix(rng, width):
+    """Random full-rank density matrix over ``width`` qutrits."""
+    a = random_complex(rng, (3**width, 3**width))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def probabilities_oracle(rho, width):
+    """Bitstring distribution summed key by key over all 3**w diagonal entries."""
+    diag = np.real(np.diagonal(rho)).reshape((3,) * width)
+    probs = {}
+    for levels in np.ndindex(*(3,) * width):
+        bits = "".join("0" if l == 0 else "1" for l in levels)
+        probs[bits] = probs.get(bits, 0.0) + float(diag[levels])
+    return probs
+
+
 class TestDensityState:
     def test_ground_state(self):
         s = DensityState(2)
         assert s.p_zero() == 1.0
+        assert s.matrix()[0, 0] == 1.0 and np.count_nonzero(s.matrix()) == 1
         s.validate()
 
     def test_probabilities_fold_leakage_into_one(self):
-        s = DensityState(1)
-        s.data = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        s = DensityState.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
         probs = s.probabilities()
         assert probs["0"] == pytest.approx(0.5)
         assert probs["1"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("width", range(MAX_SIM_QUBITS + 1))
+    def test_matrix_round_trip(self, width):
+        rho = random_complex(np.random.default_rng(width), (3**width, 3**width))
+        s = DensityState.from_matrix(rho)
+        assert s.width == width and s.data.shape == (9**width,)
+        assert np.array_equal(s.matrix(), rho)
+        assert s.p_zero() == rho[0, 0].real
+
+    @pytest.mark.parametrize("width", range(1, MAX_SIM_QUBITS + 1))
+    def test_probabilities_equal_per_key_sum(self, width):
+        rho = random_density_matrix(np.random.default_rng(10 + width), width)
+        got = DensityState.from_matrix(rho).probabilities()
+        want = probabilities_oracle(rho, width)
+        assert list(got) == sorted(want)
+        for k, p in want.items():
+            assert got[k] == pytest.approx(p, abs=1e-15)
+
     def test_validate_rejects_bad_states(self):
-        s = DensityState(1)
-        s.data = np.diag([1.5, -0.5, 0.0]).astype(complex)
+        s = DensityState.from_matrix(np.diag([1.5, -0.5, 0.0]).astype(complex))
         with pytest.raises(SimulationError):
             s.validate()
 
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diagonal", "coherence"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_validate_rejects_non_finite_entries(self, entry, value):
+        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        rho[entry] = rho[entry[::-1]] = value
+        with pytest.raises(SimulationError, match="non-finite"):
+            DensityState.from_matrix(rho).validate()
+
+    @pytest.mark.parametrize("trace", [0.9, 1.0 - 2e-10, 1.0 + 2e-10])
+    def test_validate_rejects_trace_off_one(self, trace):
+        with pytest.raises(SimulationError, match="trace"):
+            DensityState.from_matrix(np.diag([trace, 0.0, 0.0]).astype(complex)).validate()
+
+    def test_validate_accepts_trace_within_tolerance(self):
+        DensityState.from_matrix(np.diag([1.0 - 5e-11, 0.0, 0.0]).astype(complex)).validate()
+
 
 def tensordot_contraction(rho, superop, qubits, width):
-    """Reference: apply_local_superop as tensordot plus moveaxis."""
+    """Reference: a row-major vec superop contracted into the 3**w square
+    matrix by tensordot plus moveaxis."""
     k = len(qubits)
     rho = rho.reshape((3,) * (2 * width))
     s = superop.reshape((3,) * (4 * k))
@@ -642,19 +723,30 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def contract_in_layout(rho, superop, qubits, width):
+    """A row-major vec superop on ``qubits`` (any order) applied through the
+    state layout: permuted by ``pair_layout`` onto ascending operands, then
+    read back as a matrix."""
+    state = DensityState.from_matrix(rho)
+    if len(qubits) == 2:
+        superop, qubits = pair_layout(superop, qubits), tuple(sorted(qubits))
+    state.apply_local_superop(superop, qubits)
+    assert state.data.shape == (9**width,)
+    return state.matrix()
+
+
 class TestLocalContraction:
     @pytest.mark.parametrize("width", range(1, MAX_SIM_QUBITS + 1))
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_equals_tensordot_bit_for_bit(self, width, seed):
+    def test_equals_tensordot(self, width, seed):
         rng = np.random.default_rng(seed)
         rho = random_complex(rng, (3**width, 3**width))
         for qubits in operand_tuples(width):
             superop = random_complex(rng, (9 ** len(qubits),) * 2)
-            state = DensityState(width, rho.copy())
-            state.apply_local_superop(superop, qubits)
-            assert state.data.shape == rho.shape
-            assert np.array_equal(state.data, tensordot_contraction(rho, superop, qubits, width)), qubits
+            got = contract_in_layout(rho, superop, qubits, width)
+            ref = tensordot_contraction(rho, superop, qubits, width)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), qubits
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @settings(max_examples=4, deadline=None)
@@ -664,10 +756,19 @@ class TestLocalContraction:
         rho = random_complex(rng, (3**width, 3**width))
         for qubits in operand_tuples(width):
             superop = random_complex(rng, (9 ** len(qubits),) * 2)
-            state = DensityState(width, rho.copy())
-            state.apply_local_superop(superop, qubits)
+            got = contract_in_layout(rho, superop, qubits, width)
             ref = apply_superop(full_space_superop(superop, qubits, width), rho)
-            assert np.max(np.abs(state.data - ref)) <= 1e-12 * np.max(np.abs(ref)), qubits
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), qubits
+
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 2), (2, 0)])
+    def test_local_unitary_equals_conjugation(self, qubits):
+        rng = np.random.default_rng(6)
+        rho = random_density_matrix(rng, 3)
+        u, _ = np.linalg.qr(random_complex(rng, (9, 9)))
+        state = DensityState.from_matrix(rho)
+        state.apply_local_unitary(u, qubits)
+        full = full_space_superop(unitary_superop(u), qubits, 3)
+        assert np.max(np.abs(state.matrix() - apply_superop(full, rho))) < 1e-12
 
 
 def kron_idle_channel(duration_dt, nm, qubit):
