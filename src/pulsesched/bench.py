@@ -21,7 +21,7 @@ import numpy as np
 from . import circuit as circ
 from .circuit import Circuit
 from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .gateset import GateSet
 from .pulses import DT_NS
 from .scheduler import FREE_FLOAT, lower, run_framework
@@ -53,17 +53,15 @@ class RBConfig:
     shots: int = 1024
 
     def __post_init__(self):
+        check_count("n_qubits", self.n_qubits, 1)
         _check_width(self.n_qubits)
         lens = tuple(self.clifford_lengths)
         if not lens or any(l <= 0 for l in lens) or list(lens) != sorted(lens):
             raise ConfigError("clifford lengths must be positive and ascending")
         object.__setattr__(self, "clifford_lengths", lens)
-        if self.circuits_per_length < 1:
-            raise ConfigError("need at least one circuit per length")
-        if self.shots < 1:
-            raise ConfigError("need at least one shot")
-        if self.seed < 0:
-            raise ConfigError("the seed must be non-negative")
+        check_count("circuits_per_length", self.circuits_per_length, 1)
+        check_count("shots", self.shots, 1)
+        check_count("seed", self.seed, 0)
 
 
 _WORD_GATES = {

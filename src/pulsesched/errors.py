@@ -4,6 +4,8 @@ ConfigError and its subclasses map to CLI exit code 2; every other
 PulseschedError maps to exit code 3.
 """
 
+import numbers
+
 
 class PulseschedError(Exception):
     """Base class for all package errors."""
@@ -11,6 +13,12 @@ class PulseschedError(Exception):
 
 class ConfigError(PulseschedError):
     """Invalid configuration or input (CLI exit code 2)."""
+
+
+def check_count(name: str, value, minimum: int):
+    """Raise ``ConfigError`` unless ``value`` is an integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 class CircuitSyntaxError(ConfigError):

@@ -5,6 +5,11 @@ hardware realizes it by adding ``phase_frame`` to the phase of every later
 pulse on that qubit, the simulator applies it as an instantaneous Z rotation
 at its recorded position; the two pictures agree for Z-basis measurement.
 
+``Schedule.frames`` holds the circuit's own virtual Rz gates; a calibrated
+pulse carries the frames its implementation plays around it as its
+``pre_frame`` and ``post_frame``.  The JSON document lists both kinds in each
+qubit's ``frames`` and derives every ``phase_frame`` from them.
+
 Waveforms are parametric: ``Schedule.waveforms`` maps each waveform id to
 the ``ShapeSpec`` of its envelope, never to samples.  The JSON document
 writes each one as the spec's fields, so ``synthesize(ShapeSpec(**entry))``
@@ -15,6 +20,7 @@ builds that pulse's channel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ScheduleOverlapError
@@ -29,8 +35,9 @@ class PulsePlacement:
     kind: str
     angle: float
     waveform_id: str
-    phase_frames: tuple[float, ...]  # cumulative frame per operand qubit at start
     seq: int  # program position, for stable ordering of simultaneous events
+    pre_frame: float = 0.0  # calibration Rz on a 1q pulse's qubit just before its start
+    post_frame: float = 0.0  # ... and just after its end
 
     @property
     def end(self) -> int:
@@ -58,18 +65,23 @@ class Schedule:
         self.validate()
 
     def validate(self):
-        for q, line in enumerate(self.timelines()):
-            prev_end, prev_id = 0, None
-            for p in line:
-                if p.start < prev_end:
-                    raise ScheduleOverlapError(
-                        f"qubit {q}: {p.waveform_id} at {p.start} overlaps {prev_id}"
-                    )
-                prev_end, prev_id = p.end, p.waveform_id
-                if p.end > self.makespan:
-                    raise ScheduleOverlapError(
-                        f"{p.waveform_id} ends at {p.end} past makespan {self.makespan}"
-                    )
+        """Every event lies on one of the schedule's qubits within
+        [0, makespan], every frame angle is finite, only single-qubit pulses
+        carry pre/post frames, and no two pulses overlap on a qubit."""
+        for f in self.frames:
+            if not (0 <= f.qubit < self.width and 0 <= f.time <= self.makespan and math.isfinite(f.angle)):
+                raise ScheduleOverlapError(f"frame {f.angle} on qubit {f.qubit} at {f.time} is out of range")
+        busy = [(0, None)] * self.width  # each qubit's last pulse end and waveform id
+        for p in sorted(self.placements, key=lambda p: (p.start, p.seq)):
+            if not all(0 <= q < self.width for q in p.qubits) or p.end > self.makespan:
+                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {p.qubits} at {p.end} is out of range")
+            frames = (p.pre_frame, p.post_frame)
+            if not all(map(math.isfinite, frames)) or (len(p.qubits) > 1 and any(frames)):
+                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {p.qubits} cannot play frames {frames}")
+            for q in p.qubits:
+                if p.start < busy[q][0]:
+                    raise ScheduleOverlapError(f"qubit {q}: {p.waveform_id} at {p.start} overlaps {busy[q][1]}")
+                busy[q] = (p.end, p.waveform_id)
 
     def events(self):
         """All placements and frame shifts merged in global time order.
@@ -81,32 +93,32 @@ class Schedule:
         tagged += [((p.start, 1, p.seq), p) for p in self.placements]
         return [ev for _, ev in sorted(tagged, key=lambda kv: kv[0])]
 
-    def timelines(self) -> list[list[PulsePlacement]]:
-        """Every qubit's placements in (start, seq) order, bucketed in one pass."""
-        lines: list[list[PulsePlacement]] = [[] for _ in range(self.width)]
-        for p in self.placements:
-            for q in p.qubits:
-                lines[q].append(p)
-        for line in lines:
-            line.sort(key=lambda p: (p.start, p.seq))
-        return lines
-
     def to_json(self) -> dict:
-        qubits = [
-            [
-                {
-                    "start_dt": p.start,
-                    "duration_dt": p.duration,
-                    "waveform_id": p.waveform_id,
-                    "phase_frame": p.phase_frames[p.qubits.index(q)],
-                }
-                for p in line
-            ]
-            for q, line in enumerate(self.timelines())
-        ]
+        """The schedule document, written in one walk over ``events()``.
+
+        A pulse's pre/post frames join its qubit's ``frames`` at its start
+        and end, and its ``phase_frame`` on each operand is minus the sum of
+        that qubit's frame angles so far, in event order.
+        """
+        qubits = [[] for _ in range(self.width)]
         frames = [[] for _ in range(self.width)]
-        for f in sorted(self.frames, key=lambda f: (f.time, f.seq)):
-            frames[f.qubit].append({"time_dt": f.time, "angle": f.angle})
+        phase = [0.0] * self.width
+
+        def shift(q, time, angle):
+            frames[q].append({"time_dt": time, "angle": angle})
+            phase[q] -= angle
+
+        for ev in self.events():
+            if isinstance(ev, FrameShift):
+                shift(ev.qubit, ev.time, ev.angle)
+                continue
+            if ev.pre_frame:
+                shift(ev.qubits[0], ev.start, ev.pre_frame)
+            for q in ev.qubits:
+                qubits[q].append({"start_dt": ev.start, "duration_dt": ev.duration,
+                                  "waveform_id": ev.waveform_id, "phase_frame": phase[q]})
+            if ev.post_frame:
+                shift(ev.qubits[0], ev.end, ev.post_frame)
         return {
             "dt_ns": DT_NS,
             "width": self.width,

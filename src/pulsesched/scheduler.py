@@ -257,30 +257,26 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
 
     The n-th node is the circuit's n-th non-Rz gate (the graph's invariant).
     Each pulse's waveform id maps to its implementation's ``ShapeSpec``;
-    nothing is sampled here.  Virtual Rz gates become frame shifts pinned
-    to the start of the next physical gate on their qubit (or the end of
-    the previous one when they trail the program); the recorded per-pulse
-    phase_frame is the cumulative phase a hardware backend would add to
-    that pulse, i.e. minus the summed Rz angles so far.
+    nothing is sampled here.  Each placement carries its implementation's
+    calibration pre/post frames, and virtual Rz gates become frame shifts
+    pinned to the start of the next physical gate on their qubit (or the
+    end of the previous one when they trail the program).
     """
     placements: list[PulsePlacement] = []
     frames: list[FrameShift] = []
     waveforms = {}
-    frame_sum = {q: 0.0 for q in range(g.circuit.width)}
-    pending_rz: dict[int, list[tuple[int, float]]] = {q: [] for q in range(g.circuit.width)}
+    pending_rz: dict[int, list[circ.Gate]] = {q: [] for q in range(g.circuit.width)}
     last_end = {q: 0 for q in range(g.circuit.width)}
     measured = []
     nodes = iter(g.nodes)
 
     for gate in g.circuit.gates:
         if gate.kind == circ.RZ:
-            pending_rz[gate.qubits[0]].append((gate.id, gate.angles[0]))
+            pending_rz[gate.qubits[0]].append(gate)
             continue
         node = next(nodes)
         for q in gate.qubits:
-            for gid, angle in pending_rz[q]:
-                frames.append(FrameShift(qubit=q, time=node.es, angle=angle, seq=gid))
-                frame_sum[q] -= angle
+            frames += [FrameShift(q, node.es, rz.angles[0], rz.id) for rz in pending_rz[q]]
             pending_rz[q] = []
         if gate.kind == circ.MEASURE:
             measured.append(gate.qubits[0])
@@ -291,10 +287,6 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
         impl = s.impl_for_gate(gate, node.duration)
         wid = impl.waveform_id()
         waveforms[wid] = impl.shape
-        if impl.pre_frame:
-            q = gate.qubits[0]
-            frames.append(FrameShift(qubit=q, time=node.es, angle=impl.pre_frame, seq=gate.id))
-            frame_sum[q] -= impl.pre_frame
         placements.append(
             PulsePlacement(
                 qubits=gate.qubits,
@@ -303,21 +295,16 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
                 kind=gate.kind,
                 angle=impl.angle,
                 waveform_id=wid,
-                phase_frames=tuple(frame_sum[q] for q in gate.qubits),
                 seq=gate.id,
+                pre_frame=impl.pre_frame,
+                post_frame=impl.post_frame,
             )
         )
-        if impl.post_frame:
-            q = gate.qubits[0]
-            frames.append(FrameShift(qubit=q, time=node.ef, angle=impl.post_frame, seq=gate.id))
-            frame_sum[q] -= impl.post_frame
         for q in gate.qubits:
             last_end[q] = node.ef
 
-    for q, entries in pending_rz.items():
-        for gid, angle in entries:
-            frames.append(FrameShift(qubit=q, time=last_end[q], angle=angle, seq=gid))
-            frame_sum[q] -= angle
+    for q, rzs in pending_rz.items():
+        frames += [FrameShift(q, last_end[q], rz.angles[0], rz.id) for rz in rzs]
 
     return Schedule(
         width=g.circuit.width,

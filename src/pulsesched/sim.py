@@ -30,14 +30,6 @@ stands, and a 1q channel is one matmul on the (9**q, 9, rest) view of the
 state, with no transpose.  A pair channel is permuted into the layout
 once, when the simulator caches it; an adjacent pair is then one 81x81
 matmul, and a non-adjacent pair keeps one transpose.
-
-A schedule run folds each qubit's idles and pulses into one pending 9x9
-channel and contracts it into the state only when an ECR touches that
-qubit, and once more at the end.  Frame shifts fold lazily: a qubit's
-frame is a running angle sum, folded into its pending channel as one
-diagonal only before that qubit's next pulse or ECR.  A frame commutes
-with the idle channel, and a trailing frame cannot change Z-basis
-populations, so it is dropped.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -53,9 +44,9 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, NoiseConfigError, SimulationError
+from .errors import ConfigError, NoiseConfigError, SimulationError, check_count
 from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
-from .schedule import FrameShift, PulsePlacement, Schedule
+from .schedule import FrameShift, Schedule
 
 # ---------------------------------------------------------------------------
 # operators
@@ -475,23 +466,24 @@ class ScheduleSimulator:
 
     With ideal_pulses=True every drive pulse acts as its exact nominal
     rotation over its duration (decoherence still applies, and nothing is
-    synthesized), and the frame shifts a calibrated implementation plays
-    around its pulse (pre/post frames, which share the pulse's seq) are
+    synthesized), and each placement's ``pre_frame`` and ``post_frame`` are
     skipped, since they only null the integrated pulse's phase error; the
-    circuit's own virtual Rz frames still apply.  This isolates decoherence
-    and scheduling effects from pulse-integration error, and makes
-    noiseless randomized-benchmarking sequences compose to the identity
-    exactly.
+    circuit's own virtual Rz frames (``Schedule.frames``) still apply.  This
+    isolates decoherence and scheduling effects from pulse-integration
+    error, and makes noiseless randomized-benchmarking sequences compose to
+    the identity exactly.
 
     Operations on different qubits commute, so each qubit's idles and
-    pulses fold into one pending channel in that qubit's event order.  A
-    qubit's frame shifts only add to its frame angle; the sum folds into
+    pulses fold into one pending 9x9 channel in that qubit's event order.
+    The state is only formed when an ECR flushes its operands' channels and
+    applies itself, and at the final flush; ``validate_states`` checks the
+    state after each of those contractions.  A qubit's frame shifts, and a
+    pulse's pre/post frames just before and after it, only add to its frame
+    angle.  A frame commutes with the idle channel, so the sum folds into
     the pending channel as one diagonal before the qubit's next pulse or
-    ECR, when it is nonzero, and a trailing sum is dropped (see the module
-    docstring).  The state is only formed when an ECR flushes its operands'
-    channels and applies itself, and at the final flush; ``validate_states``
-    checks the state after each of those contractions.  ECR channels are
-    cached already permuted into the state layout (``pair_layout``).
+    ECR, when it is nonzero; a trailing sum cannot change Z-basis
+    populations and is dropped.  ECR channels are cached already permuted
+    into the state layout (``pair_layout``).
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
@@ -520,8 +512,7 @@ class ScheduleSimulator:
         return pair_layout(ecr_channel(self.nm, qubits, duration), qubits)
 
     def run(self, sch: Schedule, shots: int = 1024, seed=None, validate_states: bool = False) -> RunResult:
-        if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 0:
-            raise ConfigError(f"shots must be a non-negative integer, got {shots!r}")
+        check_count("shots", shots, 0)
         if sch.width > MAX_SIM_QUBITS:
             raise SimulationError(
                 f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {sch.width}"
@@ -532,7 +523,6 @@ class ScheduleSimulator:
         t_last = [0] * sch.width
         pending: list[np.ndarray | None] = [None] * sch.width
         frame = [0.0] * sch.width
-        pulse_seqs = {p.seq for p in sch.placements} if self.ideal_pulses else set()
 
         def fold(q, s):
             if frame[q]:
@@ -558,10 +548,8 @@ class ScheduleSimulator:
 
         for ev in sch.events():
             if isinstance(ev, FrameShift):
-                if ev.seq not in pulse_seqs:
-                    frame[ev.qubit] += ev.angle
+                frame[ev.qubit] += ev.angle
                 continue
-            assert isinstance(ev, PulsePlacement)
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
@@ -573,7 +561,10 @@ class ScheduleSimulator:
                 contract(s, tuple(sorted(ev.qubits)))
             else:
                 q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
+                pre, post = (0.0, 0.0) if self.ideal_pulses else (ev.pre_frame, ev.post_frame)
+                frame[q] += pre
                 fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, spec, q, ev.angle))
+                frame[q] += post
             for q in ev.qubits:
                 t_last[q] = ev.start + ev.duration
         for q in range(sch.width):

@@ -132,6 +132,17 @@ class TestRBConfig:
         with pytest.raises(ConfigError):
             RBConfig(n_qubits=2, clifford_lengths=(1,), shots=-1)
 
+    @pytest.mark.parametrize("field", ["n_qubits", "circuits_per_length", "seed", "shots"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2", None])
+    def test_non_integer_count_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RBConfig(**{"n_qubits": 2, "clifford_lengths": (1,), field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = RBConfig(n_qubits=np.int64(2), clifford_lengths=(1,), circuits_per_length=np.int32(1),
+                       seed=np.int64(3), shots=np.uint16(8))
+        assert cfg.shots == 8
+
 
 @pytest.fixture(scope="module")
 def small_rb():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import random_circuit
 from pulsesched import scheduler
+from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import (
     PULSE_KINDS,
     Circuit,
@@ -28,9 +29,10 @@ from pulsesched.circuit import (
     merge_virtual_z,
     parse_circuit,
 )
-from pulsesched.errors import ConfigError, MalformedGraphError
+from pulsesched.errors import ConfigError, MalformedGraphError, ScheduleOverlapError
 from pulsesched.gateset import GateSet
 from pulsesched.pulses import ShapeSpec, synthesize
+from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.scheduler import (
     FREE_FLOAT,
     TOTAL_FLOAT,
@@ -47,6 +49,7 @@ from pulsesched.scheduler import (
     run_framework,
     update_cpm,
 )
+from pulsesched.sim import NoiseModel
 
 HALF_PI = math.pi / 2
 
@@ -157,6 +160,11 @@ IDEAL_SX_AMPLITUDES = {
     256: 0.019659541851304016,
     512: 0.009842280373676222,
 }
+
+
+def timeline(sch, q):
+    """Qubit q's placements in (start, seq) order."""
+    return sorted((p for p in sch.placements if q in p.qubits), key=lambda p: (p.start, p.seq))
 
 
 def fixed_gateset(durations=(64, 128, 192, 256, 320), **kw):
@@ -562,7 +570,7 @@ class TestCreateSchedule:
         g = build_graph(c, {0: 64, 1: 64})
         cpm(g)
         sch = create_schedule(g, gs)
-        starts = [p.start for p in sch.timelines()[0]]
+        starts = [p.start for p in timeline(sch, 0)]
         assert starts == [0, 64]
         assert sch.makespan == 128
 
@@ -571,9 +579,9 @@ class TestCreateSchedule:
         cpm(g)
         optimize_durations(g, gs)
         sch = create_schedule(g, gs)
-        q1 = sch.timelines()[1]
+        q1 = timeline(sch, 1)
         assert q1[0].duration == 192 and q1[0].start == g.nodes[3].es
-        assert all(p.start == n.es for p, n in zip(sch.timelines()[0], [g.nodes[i] for i in (0, 1, 2, 4, 5, 6, 8, 9)]))
+        assert all(p.start == n.es for p, n in zip(timeline(sch, 0), [g.nodes[i] for i in (0, 1, 2, 4, 5, 6, 8, 9)]))
 
     def test_random_non_overlap_and_start_at_es(self):
         rng = np.random.default_rng(53)
@@ -598,8 +606,109 @@ class TestCreateSchedule:
         assert len(sch.frames) > 0
         assert sch.measured_qubits == (0,)
         # cumulative frame on the second pulse reflects the rz between pulses
-        second = sch.timelines()[0][1]
-        assert second.phase_frames[0] != 0.0
+        second = sch.to_json()["qubits"][0][1]
+        assert second["phase_frame"] != 0.0
+
+
+def _pulse(qubits=(0,), start=0, **frames):
+    kind = "ecr" if len(qubits) == 2 else "sx"
+    return PulsePlacement(qubits=qubits, start=start, duration=64, kind=kind, angle=HALF_PI,
+                          waveform_id=kind, seq=start, **frames)
+
+
+class TestScheduleValidate:
+    """A schedule rejects, on construction, every event it cannot play."""
+
+    def test_accepts_events_at_the_bounds(self):
+        Schedule(width=2, makespan=128, placements=[_pulse(pre_frame=0.1, post_frame=-0.2), _pulse((0, 1), 64)],
+                 frames=[FrameShift(qubit=1, time=0, angle=0.3, seq=9), FrameShift(qubit=1, time=128, angle=-4.0, seq=10)])
+
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_frame_qubit_outside_width(self, qubit):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=2, makespan=64, frames=[FrameShift(qubit=qubit, time=0, angle=0.5, seq=1)])
+
+    @pytest.mark.parametrize("time", [-1, 65])
+    def test_frame_time_outside_makespan(self, time):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=1, makespan=64, frames=[FrameShift(qubit=0, time=time, angle=0.5, seq=1)])
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_angle(self, angle):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=1, makespan=64, frames=[FrameShift(qubit=0, time=0, angle=angle, seq=1)])
+
+    @pytest.mark.parametrize("field", ["pre_frame", "post_frame"])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_non_finite_calibration_frame(self, field, angle):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=1, makespan=64, placements=[_pulse(**{field: angle})])
+
+    @pytest.mark.parametrize("qubits", [(1,), (-1,), (0, 1), (1, 0)])
+    def test_placement_operand_outside_width(self, qubits):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=1, makespan=64, placements=[_pulse(qubits)])
+
+    @pytest.mark.parametrize("second", [_pulse(start=63), _pulse((1, 0), 32)], ids=["sx", "ecr"])
+    def test_overlapping_pulses(self, second):
+        with pytest.raises(ScheduleOverlapError, match="overlaps"):
+            Schedule(width=2, makespan=128, placements=[_pulse(), second])
+
+    def test_pulse_past_makespan(self):
+        with pytest.raises(ScheduleOverlapError, match="out of range"):
+            Schedule(width=1, makespan=63, placements=[_pulse()])
+
+    def test_two_qubit_pulse_carries_no_calibration_frames(self):
+        with pytest.raises(ScheduleOverlapError):
+            Schedule(width=2, makespan=64, placements=[_pulse((0, 1), pre_frame=0.1)])
+
+
+@pytest.fixture(scope="module")
+def calibrated_static():
+    return GateSet.calibrated("static", NoiseModel(), n_qubits=3)
+
+
+def calibrated_rb_schedules(gs, policy):
+    for n, length, seed in ((2, 11, 0), (3, 5, 1), (3, 7, 2)):
+        yield run_framework(lower(random_clifford_circuit(n, length, seed), gs), gs, policy)[1]
+
+
+class TestScheduleJsonFrames:
+    @pytest.mark.parametrize("policy", [None, FREE_FLOAT, TOTAL_FLOAT])
+    def test_frames_are_only_virtual_rz(self, calibrated_static, policy):
+        # calibration frames ride on their placements, never as frame shifts
+        for sch in calibrated_rb_schedules(calibrated_static, policy):
+            seqs = {p.seq for p in sch.placements}
+            assert sch.frames and not any(f.seq in seqs for f in sch.frames)
+            assert any(p.pre_frame for p in sch.placements)
+
+    @pytest.mark.parametrize("policy", [None, FREE_FLOAT, TOTAL_FLOAT])
+    def test_phase_frame_is_minus_running_angle_sum(self, calibrated_static, policy):
+        # per qubit, walking frames and pulses in time order (frames first),
+        # each pulse's phase_frame is minus the angles so far, and each Sx
+        # sits between its calibrated pre frame at its start and post frame
+        # at its end
+        gs = calibrated_static
+        sx = {impl.waveform_id(): impl for impl in gs.impls.values()}
+        assert all(impl.pre_frame and impl.post_frame for impl in sx.values())
+        pulses = 0
+        for sch in calibrated_rb_schedules(gs, policy):
+            doc = json.loads(json.dumps(sch.to_json()))
+            for frames, line in zip(doc["frames"], doc["qubits"]):
+                times = [f["time_dt"] for f in frames]
+                assert times == sorted(times) and 0 <= times[0] and times[-1] <= doc["makespan_dt"]
+                i, phase = 0, 0.0
+                for p in line:
+                    while i < len(frames) and frames[i]["time_dt"] <= p["start_dt"]:
+                        phase -= frames[i]["angle"]
+                        i += 1
+                    assert p["phase_frame"].hex() == phase.hex()
+                    if p["waveform_id"] in sx:
+                        impl, end = sx[p["waveform_id"]], p["start_dt"] + p["duration_dt"]
+                        assert frames[i - 1] == {"time_dt": p["start_dt"], "angle": impl.pre_frame}
+                        assert frames[i] == {"time_dt": end, "angle": impl.post_frame}
+                        pulses += 1
+        assert pulses > 100
 
 
 class TestRunFramework:
@@ -615,7 +724,7 @@ class TestRunFramework:
         _, base = run_framework(fig2_circuit, gs, None)
         _, opt = run_framework(fig2_circuit, gs, TOTAL_FLOAT)
         assert base.makespan == opt.makespan
-        durs_opt = sorted(p.duration for p in opt.timelines()[1] if p.kind == "sx")
+        durs_opt = sorted(p.duration for p in timeline(opt, 1) if p.kind == "sx")
         assert durs_opt == [128, 192]
 
     def test_rb_circuits_latency_equality(self):

@@ -69,10 +69,13 @@ def random_waveform(rng, duration=40):
 
 def unfused_run(sim, sch):
     """Per-event oracle for ScheduleSimulator.run: contract every frame,
-    idle, pulse and ECR into the state as it comes, in global time order."""
+    idle, pulse and ECR into the state as it comes, in global time order,
+    with a pulse's calibration frames as explicit Rz unitaries around it."""
     state = DensityState(sch.width)
     t_last = [0] * sch.width
-    pulse_seqs = {p.seq for p in sch.placements} if sim.ideal_pulses else set()
+
+    def rz(angle, q):
+        state.apply_local_unitary(np.diag([1.0, np.exp(1j * angle), np.exp(2j * angle)]), (q,))
 
     def idle_to(q, t):
         gap = t - t_last[q]
@@ -82,9 +85,7 @@ def unfused_run(sim, sch):
 
     for ev in sch.events():
         if isinstance(ev, FrameShift):
-            if ev.seq not in pulse_seqs:
-                rz = np.diag([1.0, np.exp(1j * ev.angle), np.exp(2j * ev.angle)])
-                state.apply_local_unitary(rz, (ev.qubit,))
+            rz(ev.angle, ev.qubit)
             continue
         for q in ev.qubits:
             idle_to(q, ev.start)
@@ -93,7 +94,11 @@ def unfused_run(sim, sch):
         else:
             q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
             s = sim._channel((ev.waveform_id, q), sim._pulse_superop, spec, q, ev.angle)
+            if not sim.ideal_pulses:
+                rz(ev.pre_frame, q)
         state.apply_local_superop(s, tuple(sorted(ev.qubits)))
+        if ev.kind != "ecr" and not sim.ideal_pulses:
+            rz(ev.post_frame, ev.qubits[0])
         for q in ev.qubits:
             t_last[q] = ev.start + ev.duration
     for q in range(sch.width):
@@ -272,7 +277,6 @@ def _schedule_from_pulses(pulses, width, makespan, frames=()):
                 kind="sx",
                 angle=HALF_PI,
                 waveform_id=wid,
-                phase_frames=(0.0,) * len(qubits),
                 seq=seq,
             )
         )
@@ -400,19 +404,30 @@ class TestRunSchedule:
     def test_ideal_pulses_skip_calibration_frames(self):
         # pre/post frames null an integrated pulse's phase error; an ideal
         # pulse has none, so replaying them would rotate the qubit off course
-        gs = GateSet.ideal("static", 2)
-        gs.impls = {k: replace(i, pre_frame=0.3, post_frame=-0.2) for k, i in gs.impls.items()}
+        gs = with_calibration_frames(GateSet.ideal("static", 2), np.random.default_rng(0))
         _, sch = run_framework(lower(random_clifford_circuit(2, 5, 0), gs), gs)
-        pulse_seqs = {p.seq for p in sch.placements}
-        assert any(f.seq in pulse_seqs for f in sch.frames)
+        assert all(p.pre_frame and p.post_frame for p in sch.placements if p.kind == "sx")
         res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
         assert res.p0 == pytest.approx(1.0, abs=1e-9)
+        assert run_schedule(sch, NOISELESS, shots=1, seed=0).p0 < 0.99
+
+
+def with_calibration_frames(gs, rng):
+    """The gate set with nonzero pre/post frames drawn onto every impl."""
+    gs.impls = {
+        k: replace(i, pre_frame=float(rng.uniform(-3, 3)), post_frame=float(rng.uniform(-3, 3)))
+        for k, i in gs.impls.items()
+    }
+    return gs
 
 
 def check_against_unfused_oracle(seed, n_qubits, n_gates, mode, ideal_pulses, noiseless, policy):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n_qubits, n_gates)
     gs = GateSet.ideal(mode, n_qubits)
-    c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
-    _, sch = run_framework(c, gs, policy)
+    if mode == "static":
+        gs = with_calibration_frames(gs, rng)
+    _, sch = run_framework(lower(c, gs), gs, policy)
     sim = ScheduleSimulator(NOISELESS if noiseless else DEFAULT, ideal_pulses=ideal_pulses)
     fused = sim.run(sch, shots=1, seed=0)
     oracle = unfused_run(sim, sch)
@@ -496,15 +511,15 @@ class TestSxdgAsFramedSx:
         between its calibrated frames."""
         sx = gs.impl_for(0, "sx", HALF_PI, 120)
         sxdg = replace(sx, kind="sxdg", angle=-HALF_PI, shape=replace(sx.shape, phase=math.pi))
-        placements, frames = [], [FrameShift(qubit=0, time=120, angle=0.7, seq=1)]
-        for seq, start, impl in ((0, 0, sx), (2, 120, sxdg)):
-            placements.append(PulsePlacement(
+        placements = [
+            PulsePlacement(
                 qubits=(0,), start=start, duration=120, kind=impl.kind, angle=impl.angle,
-                waveform_id=impl.kind, phase_frames=(0.0,), seq=seq,
-            ))
-            frames.append(FrameShift(qubit=0, time=start, angle=impl.pre_frame, seq=seq))
-            frames.append(FrameShift(qubit=0, time=start + 120, angle=impl.post_frame, seq=seq))
-        return Schedule(width=1, makespan=240, placements=placements, frames=frames,
+                waveform_id=impl.kind, seq=seq, pre_frame=impl.pre_frame, post_frame=impl.post_frame,
+            )
+            for seq, start, impl in ((0, 0, sx), (2, 120, sxdg))
+        ]
+        return Schedule(width=1, makespan=240, placements=placements,
+                        frames=[FrameShift(qubit=0, time=120, angle=0.7, seq=1)],
                         waveforms={"sx": sx.shape, "sxdg": sxdg.shape})
 
     @pytest.mark.parametrize("nm", [NOISELESS, DEFAULT], ids=["noiseless", "default"])
