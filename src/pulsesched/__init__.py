@@ -37,6 +37,7 @@ from .scheduler import (
     graph_to_dot,
     initial_durations,
     lower,
+    minimum_duration_graph,
     optimize_durations,
     run_framework,
     update_cpm,
@@ -70,6 +71,7 @@ __all__ = [
     "cpm",
     "critical_path",
     "update_cpm",
+    "minimum_duration_graph",
     "optimize_durations",
     "create_schedule",
     "lower",

@@ -24,7 +24,7 @@ from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
 from .errors import ConfigError, check_count
 from .gateset import GateSet
 from .pulses import DT_NS
-from .scheduler import FREE_FLOAT, lower, run_framework
+from .scheduler import FREE_FLOAT, create_schedule, lower, minimum_duration_graph, optimize_durations
 from .sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator
 
 HALF_PI = math.pi / 2.0
@@ -167,9 +167,12 @@ def _pulse_durations(graph) -> list[int]:
 def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = False) -> RBResult:
     """Schedule and simulate every circuit under both policies.
 
-    Each circuit is lowered once and scheduled by ``scheduler.run_framework``
-    twice: the FIXED arm keeps every gate at its minimum duration, and the
-    OPTIMIZED arm stretches gates only into their free float.  Paired
+    Each circuit is lowered once and its dependency graph built once, at
+    minimum durations with CPM run on it (``minimum_duration_graph``).  The
+    FIXED schedule is placed from that graph as it stands; then the same
+    graph is stretched, only into free float, and placed again as the
+    OPTIMIZED schedule.  So each arm equals ``run_framework`` under its
+    policy (None, then ``"free"``), from one graph instead of two.  Paired
     schedules therefore have equal makespans and identical pulse start
     times, and differ only in pulse durations: a stretch fills idle time
     before the next gate and never keeps a qubit busy where the fixed arm
@@ -192,8 +195,13 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
             gen_ss, fixed_ss, opt_ss = children[k].spawn(3)
             k += 1
             lowered = lower(random_clifford_circuit(cfg.n_qubits, length, gen_ss), gs)
-            for policy, float_policy, ss in ((FIXED, None, fixed_ss), (OPTIMIZED, FREE_FLOAT, opt_ss)):
-                graph, sch = run_framework(lowered, gs, float_policy)
+            graph = minimum_duration_graph(lowered, gs)
+            fixed = create_schedule(graph, gs)
+            result.durations[FIXED].update(_pulse_durations(graph))
+            optimize_durations(graph, gs, FREE_FLOAT)
+            optimized = create_schedule(graph, gs)
+            result.durations[OPTIMIZED].update(_pulse_durations(graph))
+            for policy, sch, ss in ((FIXED, fixed, fixed_ss), (OPTIMIZED, optimized, opt_ss)):
                 run = sim.run(sch, shots=cfg.shots, seed=ss)
                 result.rows.append(
                     RBRow(
@@ -206,7 +214,6 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
                         counts=dict(sorted(run.counts.items())),
                     )
                 )
-                result.durations[policy].update(_pulse_durations(graph))
     return result
 
 

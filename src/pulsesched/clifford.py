@@ -10,13 +10,12 @@ The two-qubit entangler is the echoed cross-resonance gate; a CX is the ECR
 conjugated by fixed single-qubit Cliffords (dressing derived numerically from
 the ECR matrix and verified in the test suite).
 
-A single-qubit Clifford maps each tableau row's (x_q, z_q) bits to new bits
-plus a sign flip that depends on those two bits alone (Aaronson & Gottesman,
-PRA 70, 052328 (2004)), and the ECR does the same on (x_c, z_c, x_t, z_t).
-So each of the 24 ``CLIFFORD_1Q`` words, each gate name that
-``synthesize_identity`` emits, and the ECR is a lookup table, read off at
-import time by replaying the h/s/cx rules on a probe tableau whose rows hold
-every bit pattern; a tableau applies one with a single indexing per column.
+The tableau packs its bits by column, one Python int per qubit's x and z
+bits and one for the signs, so the Aaronson-Gottesman rules (PRA 70, 052328
+(2004)) for h, s and cx update every row of a column in a few bitwise
+operations (bit packing as in Stim: Gidney, Quantum 5, 497 (2021)).  Every
+other gate is replayed through those three rules: the ``CLIFFORD_1Q`` words
+and gate names as h/s words, and the ECR as its CX dressing.
 """
 
 from __future__ import annotations
@@ -117,116 +116,6 @@ ECR_AS_CX_WORDS = {part: _invert_word(word) for part, word in CX_DRESSING.items(
 # ---------------------------------------------------------------------------
 # tableau
 
-
-@dataclass
-class Tableau:
-    """Conjugation tableau over n qubits: 2n rows of x|z bits plus sign bits.
-
-    Row i < n is the image of X_i, row n+i the image of Z_i.  ``h``, ``s``
-    and ``cx`` are the primitive column rules.  Every other gate is a lookup
-    table indexed by the operand columns' bits of each row (x_q, z_q per
-    operand, in operand order) that gives their new bits and the row's sign
-    flip, built from those rules at import time.
-    """
-
-    n: int
-    x: np.ndarray = None
-    z: np.ndarray = None
-    r: np.ndarray = None
-
-    def __post_init__(self):
-        if self.x is None:
-            self.x = np.zeros((2 * self.n, self.n), dtype=bool)
-            self.z = np.zeros((2 * self.n, self.n), dtype=bool)
-            self.r = np.zeros(2 * self.n, dtype=bool)
-            for i in range(self.n):
-                self.x[i, i] = True
-                self.z[self.n + i, i] = True
-
-    def copy(self) -> "Tableau":
-        t = Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
-        return t
-
-    def is_identity(self) -> bool:
-        ref = Tableau(self.n)
-        return (
-            np.array_equal(self.x, ref.x)
-            and np.array_equal(self.z, ref.z)
-            and np.array_equal(self.r, ref.r)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tableau)
-            and self.n == other.n
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.r, other.r)
-        )
-
-    # -- primitive gate updates (standard Aaronson-Gottesman rules) -------
-
-    def h(self, q: int):
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
-
-    def s(self, q: int):
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
-
-    def cx(self, c: int, t: int):
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ True)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
-
-    # -- table lookups ----------------------------------------------------
-
-    def _lookup(self, table: np.ndarray, qubits):
-        index = [slice(None)]
-        for q in qubits:
-            index += self.x[:, q].view(np.uint8), self.z[:, q].view(np.uint8)
-        *bits, flip = table[tuple(index)]
-        for i, q in enumerate(qubits):
-            self.x[:, q], self.z[:, q] = bits[2 * i], bits[2 * i + 1]
-        self.r ^= flip
-
-    def ecr(self, c: int, t: int):
-        self._lookup(_ECR_TABLE, (c, t))
-
-    def apply_word(self, word, q: int):
-        """Apply one of the 24 ``CLIFFORD_1Q`` words to qubit q."""
-        self._lookup(_WORD_TABLES[word], (q,))
-
-    def apply_gate(self, name: str, qubits):
-        if name == "cx":
-            self.cx(*qubits)
-        elif name == "ecr":
-            self.ecr(*qubits)
-        else:
-            self._lookup(_GATE_TABLES[name], qubits)
-
-
-def _lookup_table(n_cols: int, ops) -> np.ndarray:
-    """Table of the Clifford that the (rule, columns) ``ops`` apply to
-    columns 0..n_cols-1, with rule one of ``h``, ``s`` and ``cx``.
-
-    The probe's 4**n_cols rows hold every (x, z) bit pattern of those
-    columns; since each row updates on its own, the replayed rows are the
-    table.  Shape (2 n_cols + 1,) + (2,) * 2 n_cols: ``table[:, x_0, z_0,
-    x_1, ...]`` gives the new bits in the same order, then the sign flip.
-    """
-    rules = {"h": Tableau.h, "s": Tableau.s, "cx": Tableau.cx}
-    bits = np.array(list(np.ndindex(*(2,) * (2 * n_cols))), dtype=bool)
-    probe = Tableau(n_cols, bits[:, 0::2].copy(), bits[:, 1::2].copy(), np.zeros(len(bits), dtype=bool))
-    for rule, cols in ops:
-        rules[rule](probe, *cols)
-    out = np.empty((2 * n_cols + 1, len(bits)), dtype=bool)
-    out[0:-1:2] = probe.x.T
-    out[1:-1:2] = probe.z.T
-    out[-1] = probe.r
-    return out.reshape((2 * n_cols + 1,) + (2,) * (2 * n_cols))
-
-
 #: every single-qubit gate name that ``apply_gate`` takes, as an h/s word
 _GATE_WORDS = {
     "h": ("h",),
@@ -237,19 +126,95 @@ _GATE_WORDS = {
 }
 
 
-def _on(word, q: int):
-    return [(g, (q,)) for g in word]
+@dataclass
+class Tableau:
+    """Conjugation tableau over n qubits: 2n rows of x|z bits plus sign bits.
 
+    Row i < n is the image of X_i, row n+i the image of Z_i.  The bits are
+    packed by column: ``x[q]`` and ``z[q]`` are Python ints whose bit i is
+    row i's x or z bit on qubit q, and ``r`` holds the sign bits the same
+    way.  ``h``, ``s`` and ``cx`` are the only rules, each a few bitwise
+    operations on whole columns; every other gate replays its h/s word, and
+    the ECR its CX dressing, through them.
+    """
 
-_WORD_TABLES = {word: _lookup_table(1, _on(word, 0)) for word, _ in CLIFFORD_1Q}
-_GATE_TABLES = {name: _lookup_table(1, _on(word, 0)) for name, word in _GATE_WORDS.items()}
-_ECR_TABLE = _lookup_table(2, [
-    *_on(ECR_AS_CX_WORDS["pre_c"], 0),
-    *_on(ECR_AS_CX_WORDS["pre_t"], 1),
-    ("cx", (0, 1)),
-    *_on(ECR_AS_CX_WORDS["post_c"], 0),
-    *_on(ECR_AS_CX_WORDS["post_t"], 1),
-])
+    n: int
+    x: list[int] = None
+    z: list[int] = None
+    r: int = 0
+
+    def __post_init__(self):
+        if self.x is None:
+            self.x = [1 << q for q in range(self.n)]
+            self.z = [1 << (self.n + q) for q in range(self.n)]
+
+    @classmethod
+    def from_arrays(cls, x, z, r) -> "Tableau":
+        """Tableau from row-major bits: ``x[row][q]``, ``z[row][q]``, ``r[row]``."""
+        n = len(r) // 2
+
+        def pack(bits):
+            return sum(1 << row for row, bit in enumerate(bits) if bit)
+
+        return cls(n, [pack(row[q] for row in x) for q in range(n)],
+                   [pack(row[q] for row in z) for q in range(n)], pack(r))
+
+    def arrays(self) -> tuple[list[list[bool]], list[list[bool]], list[bool]]:
+        """The row-major bits ``from_arrays`` takes, as nested lists of bools."""
+        rows = range(2 * self.n)
+        x = [[bool(col >> row & 1) for col in self.x] for row in rows]
+        z = [[bool(col >> row & 1) for col in self.z] for row in rows]
+        return x, z, [bool(self.r >> row & 1) for row in rows]
+
+    def copy(self) -> "Tableau":
+        return Tableau(self.n, list(self.x), list(self.z), self.r)
+
+    def is_identity(self) -> bool:
+        return self == Tableau(self.n)
+
+    # -- the rules (Aaronson-Gottesman, one column of every row at once) --
+
+    def h(self, q: int):
+        x, z = self.x[q], self.z[q]
+        self.r ^= x & z
+        self.x[q], self.z[q] = z, x
+
+    def s(self, q: int):
+        x = self.x[q]
+        self.r ^= x & self.z[q]
+        self.z[q] ^= x
+
+    def cx(self, c: int, t: int):
+        xs, zs = self.x, self.z
+        self.r ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
+        xs[t] ^= xs[c]
+        zs[c] ^= zs[t]
+
+    # -- replayed gates ---------------------------------------------------
+
+    def apply_word(self, word, q: int):
+        """Apply an h/s word (one of the 24 ``CLIFFORD_1Q`` words) to qubit q."""
+        for g in word:
+            if g == "h":
+                self.h(q)
+            else:
+                self.s(q)
+
+    def ecr(self, c: int, t: int):
+        w = ECR_AS_CX_WORDS
+        self.apply_word(w["pre_c"], c)
+        self.apply_word(w["pre_t"], t)
+        self.cx(c, t)
+        self.apply_word(w["post_c"], c)
+        self.apply_word(w["post_t"], t)
+
+    def apply_gate(self, name: str, qubits):
+        if name == "cx":
+            self.cx(*qubits)
+        elif name == "ecr":
+            self.ecr(*qubits)
+        else:
+            self.apply_word(_GATE_WORDS[name], *qubits)
 
 
 #: x-rotation by pi/2 as a conjugation word: fixes X, maps Y -> Z, Z -> -Y
@@ -268,7 +233,7 @@ def synthesize_identity(t: Tableau) -> list[tuple[str, tuple[int, ...]]]:
     """
     work = t.copy()
     ops: list[tuple[str, tuple[int, ...]]] = []
-    n = work.n
+    n, x, z = work.n, work.x, work.z  # the rules update these lists in place
 
     def emit(name, *qubits):
         ops.append((name, tuple(qubits)))
@@ -278,44 +243,44 @@ def synthesize_identity(t: Tableau) -> list[tuple[str, tuple[int, ...]]]:
         xrow, zrow = q, n + q
 
         # --- reduce the X_q image to +-X_q ---
-        if not any(work.x[xrow, j] for j in range(q, n)):
-            j = next(j for j in range(q, n) if work.z[xrow, j])
+        if not any(x[j] >> xrow & 1 for j in range(q, n)):
+            j = next(j for j in range(q, n) if z[j] >> xrow & 1)
             emit("h", j)
-        if not work.x[xrow, q]:
-            j = next(j for j in range(q + 1, n) if work.x[xrow, j])
+        if not x[q] >> xrow & 1:
+            j = next(j for j in range(q + 1, n) if x[j] >> xrow & 1)
             emit("cx", j, q)
             emit("cx", q, j)
             emit("cx", j, q)
         for j in range(q + 1, n):
-            if work.z[xrow, j]:
+            if z[j] >> xrow & 1:
                 # Y factor: S strips the z part; lone Z factor: H makes it X
-                emit("s" if work.x[xrow, j] else "h", j)
+                emit("s" if x[j] >> xrow & 1 else "h", j)
         for j in range(q + 1, n):
-            if work.x[xrow, j]:
+            if x[j] >> xrow & 1:
                 emit("cx", q, j)
-        if work.z[xrow, q]:
+        if z[q] >> xrow & 1:
             emit("s", q)
 
         # --- reduce the Z_q image to +-Z_q without touching X_q ---
         # anticommutation with the pinned X_q guarantees z bit at column q
         for j in range(q + 1, n):
-            if work.x[zrow, j] and work.z[zrow, j]:
+            if (x[j] & z[j]) >> zrow & 1:
                 emit("s", j)
         for j in range(q + 1, n):
-            if work.x[zrow, j]:
+            if x[j] >> zrow & 1:
                 emit("h", j)
         for j in range(q + 1, n):
-            if work.z[zrow, j]:
+            if z[j] >> zrow & 1:
                 emit("cx", j, q)
-        if work.x[zrow, q]:
+        if x[q] >> zrow & 1:
             # Y at q: rotate about x (fixes the X_q image) to turn it into Z
             for g in _SX_WORD:
                 emit(g, q)
 
         # --- signs: Z flips the X_q image, X flips the Z_q image ---
-        if work.r[xrow]:
+        if work.r >> xrow & 1:
             emit("z", q)
-        if work.r[zrow]:
+        if work.r >> zrow & 1:
             emit("x", q)
 
     if not work.is_identity():

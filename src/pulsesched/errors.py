@@ -15,9 +15,14 @@ class ConfigError(PulseschedError):
     """Invalid configuration or input (CLI exit code 2)."""
 
 
+def is_integer(value) -> bool:
+    """An integer of any integral type, but not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def check_count(name: str, value, minimum: int):
     """Raise ``ConfigError`` unless ``value`` is an integer, not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 

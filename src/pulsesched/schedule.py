@@ -22,9 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .errors import ScheduleOverlapError
+from .errors import ScheduleOverlapError, is_integer
 from .pulses import DT_NS, ShapeSpec
+
+
+_start_seq = attrgetter("start", "seq")
 
 
 @dataclass(frozen=True)
@@ -66,22 +70,40 @@ class Schedule:
 
     def validate(self):
         """Every event lies on one of the schedule's qubits within
-        [0, makespan], every frame angle is finite, only single-qubit pulses
-        carry pre/post frames, and no two pulses overlap on a qubit."""
+        [0, makespan], every frame angle is finite, and no two pulses
+        overlap on a qubit.  Every pulse is one the simulator can play: its
+        start and duration are integers (and start and seq order it among
+        the others) and the duration is not negative; an
+        ``ecr`` acts on two distinct qubits; any other kind acts on one qubit,
+        names a waveform in ``waveforms``, and alone may carry pre/post
+        frames."""
         for f in self.frames:
             if not (0 <= f.qubit < self.width and 0 <= f.time <= self.makespan and math.isfinite(f.angle)):
                 raise ScheduleOverlapError(f"frame {f.angle} on qubit {f.qubit} at {f.time} is out of range")
-        busy = [(0, None)] * self.width  # each qubit's last pulse end and waveform id
-        for p in sorted(self.placements, key=lambda p: (p.start, p.seq)):
-            if not all(0 <= q < self.width for q in p.qubits) or p.end > self.makespan:
-                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {p.qubits} at {p.end} is out of range")
-            frames = (p.pre_frame, p.post_frame)
-            if not all(map(math.isfinite, frames)) or (len(p.qubits) > 1 and any(frames)):
-                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {p.qubits} cannot play frames {frames}")
-            for q in p.qubits:
-                if p.start < busy[q][0]:
-                    raise ScheduleOverlapError(f"qubit {q}: {p.waveform_id} at {p.start} overlaps {busy[q][1]}")
-                busy[q] = (p.end, p.waveform_id)
+        width, waveforms = self.width, self.waveforms
+        busy = [(0, None)] * width  # each qubit's last pulse end and waveform id
+        try:
+            placements = sorted(self.placements, key=_start_seq)
+        except TypeError as exc:
+            raise ScheduleOverlapError(f"placements cannot be put in time order: {exc}") from exc
+        for p in placements:
+            qubits, start, duration, pre, post = p.qubits, p.start, p.duration, p.pre_frame, p.post_frame
+            if not (is_integer(start) and is_integer(duration) and duration >= 0):
+                raise ScheduleOverlapError(f"{p.waveform_id} at {start!r} lasts {duration!r} dt")
+            if not all(0 <= q < width for q in qubits) or start + duration > self.makespan:
+                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {qubits} at {p.end} is out of range")
+            if p.kind == "ecr":
+                playable = len(qubits) == 2 and qubits[0] != qubits[1]
+            else:
+                playable = len(qubits) == 1 and p.waveform_id in waveforms
+            if not playable:
+                raise ScheduleOverlapError(f"{p.kind} {p.waveform_id} on qubits {qubits} cannot be played")
+            if not (math.isfinite(pre) and math.isfinite(post)) or (len(qubits) > 1 and (pre or post)):
+                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
+            for q in qubits:
+                if start < busy[q][0]:
+                    raise ScheduleOverlapError(f"qubit {q}: {p.waveform_id} at {start} overlaps {busy[q][1]}")
+                busy[q] = (start + duration, p.waveform_id)
 
     def events(self):
         """All placements and frame shifts merged in global time order.

@@ -2,9 +2,13 @@
 duration optimization.
 
 ``lower`` and ``run_framework`` are the one compile-to-schedule pipeline:
-lower a circuit into the gate set's basis, build its dependency graph at
-minimum durations, run CPM, stretch off-critical-path gates, and place the
-pulses.  Every caller (the CLI, the RB harness) goes through them.
+lower a circuit into the gate set's basis, then run three stages on it.
+``minimum_duration_graph`` builds the dependency graph at minimum durations
+and runs CPM, ``optimize_durations`` stretches off-critical-path gates
+without moving the makespan, and ``create_schedule`` places the pulses.
+The CLI calls ``run_framework``; the RB harness calls the stages itself, so
+that both of its arms come from one graph: it places the FIXED schedule
+before stretching and the OPTIMIZED one after.
 
 The dependency graph's node order is program order, and every edge points
 from an earlier node to a later one, so node order is its topological order:
@@ -211,12 +215,20 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
     durations; one final CPM pass refreshes LS/LF.
 
     Critical-path nodes keep their minimum durations under both policies.
+    The graph must hold CPM times on entry; its makespan is asserted
+    unchanged on exit.
     """
+    before = g.makespan
     if float == FREE_FLOAT:
         _stretch_into_free_float(g, s)
-        return
-    if float != TOTAL_FLOAT:
+    elif float == TOTAL_FLOAT:
+        _stretch_into_total_float(g, s)
+    else:
         raise ConfigError(f"unknown float policy {float!r}")
+    assert g.makespan == before, "latency invariance violated"
+
+
+def _stretch_into_total_float(g: DepGraph, s: GateSet):
     menus: dict[int, tuple[int, ...]] = {}
     queue: list[tuple[float, int]] = []
     for n in g.nodes:
@@ -329,21 +341,27 @@ def lower(c: circ.Circuit, s: GateSet) -> circ.Circuit:
     return circ.lower_circuit(c, dynamic=s.mode != STATIC)
 
 
+def minimum_duration_graph(c: circ.Circuit, s: GateSet) -> DepGraph:
+    """The dependency graph of a lowered circuit at minimum durations, with
+    its CPM times: the first stage of ``run_framework``."""
+    g = build_graph(c, initial_durations(c, s))
+    cpm(g)
+    return g
+
+
 def run_framework(
     c: circ.Circuit, s: GateSet, float: str | None = TOTAL_FLOAT
 ) -> tuple[DepGraph, Schedule]:
-    """Build the dependency graph of a lowered circuit at minimum durations,
-    run CPM, stretch off-critical-path gates under the ``float`` policy, and
-    emit the pulse schedule; returns (graph, schedule).
+    """Compile a lowered circuit in three stages: ``minimum_duration_graph``,
+    ``optimize_durations`` under the ``float`` policy, then
+    ``create_schedule``; returns (graph, schedule).
 
     The schedule's makespan always equals the minimum-duration makespan;
     ``float=None`` skips stretching and gives the fixed-duration baseline.
     """
-    g = build_graph(c, initial_durations(c, s))
-    before = cpm(g)
+    g = minimum_duration_graph(c, s)
     if float is not None:
         optimize_durations(g, s, float)
-        assert g.makespan == before, "latency invariance violated"
     return g, create_schedule(g, s)
 
 

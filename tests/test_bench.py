@@ -3,11 +3,13 @@
 import csv
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import circuit_unitary, equal_up_to_phase
+from pulsesched import bench
 from pulsesched.bench import (
     FIXED,
     OPTIMIZED,
@@ -23,10 +25,11 @@ from pulsesched.bench import (
     write_rbresult_csv,
     write_timescale_csv,
 )
+from pulsesched.circuit import X_PULSE_KINDS
 from pulsesched.errors import ConfigError
 from pulsesched.gateset import GateSet
 from pulsesched.scheduler import FREE_FLOAT, lower, run_framework
-from pulsesched.sim import MAX_SIM_QUBITS, NoiseModel, run_schedule
+from pulsesched.sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator, run_schedule
 
 
 def ideal_static(n):
@@ -190,6 +193,50 @@ class TestRunRB:
         assert min_duration_fraction(result, OPTIMIZED) <= 1.0
         fixed_hist = duration_histogram(result, FIXED)
         assert set(fixed_hist) == {32}
+
+
+@pytest.fixture(scope="module", params=["static", "dynamic"])
+def calibrated_3q(request):
+    bounds = {"min_duration": 32, "max_duration": 128} if request.param == "dynamic" else {}
+    gs = GateSet.calibrated(request.param, NoiseModel(), 3, **bounds)
+    if request.param == "static":
+        assert all(impl.pre_frame and impl.post_frame for impl in gs.impls.values())
+    return gs
+
+
+class TestSharedArmGraph:
+    """run_rb builds one graph per circuit for both arms; each arm must equal
+    run_framework under its own policy, schedule for schedule."""
+
+    @pytest.mark.parametrize("n_qubits, seed", [(2, 2026), (3, 2027)])
+    def test_arms_equal_run_framework(self, calibrated_3q, monkeypatch, n_qubits, seed):
+        gs = calibrated_3q
+        circuits, schedules = [], []
+        generate, simulate = bench.random_clifford_circuit, ScheduleSimulator.run
+
+        def record_circuit(*args, **kwargs):
+            circuits.append(generate(*args, **kwargs))
+            return circuits[-1]
+
+        def record_schedule(self, sch, *args, **kwargs):
+            schedules.append(sch)
+            return simulate(self, sch, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "random_clifford_circuit", record_circuit)
+        monkeypatch.setattr(ScheduleSimulator, "run", record_schedule)
+        cfg = RBConfig(n_qubits=n_qubits, clifford_lengths=(1, 4), circuits_per_length=2, seed=seed, shots=8)
+        result = run_rb(cfg, gs, NoiseModel())
+
+        assert len(schedules) == 2 * len(circuits) == 8
+        durations = {FIXED: Counter(), OPTIMIZED: Counter()}
+        for k, circuit in enumerate(circuits):
+            lowered = lower(circuit, gs)
+            for arm, (policy, float_policy) in enumerate(((FIXED, None), (OPTIMIZED, FREE_FLOAT))):
+                g, sch = run_framework(lowered, gs, float_policy)
+                assert schedules[2 * k + arm].to_json() == sch.to_json(), (k, policy)
+                durations[policy].update(n.duration for n in g.nodes if n.gate.kind in X_PULSE_KINDS)
+        assert result.durations == durations
+        assert durations[OPTIMIZED] != durations[FIXED]
 
 
 class TestDurationHistogram:

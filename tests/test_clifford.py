@@ -72,28 +72,36 @@ def circuit_matrix(ops, n):
 def tableau_from_unitary(u, n):
     """Oracle: read the Pauli conjugation action off the dense unitary."""
     paulis = [I2, X, Y, Z]
-    t = Tableau(n)
+    x = np.zeros((2 * n, n), dtype=bool)
+    z = np.zeros((2 * n, n), dtype=bool)
+    r = np.zeros(2 * n, dtype=bool)
+    strings = []
+    for combo in np.ndindex(*(4,) * n):
+        p = np.array([[1.0]], dtype=complex)
+        for k in combo:
+            p = np.kron(p, paulis[k])
+        strings.append((combo, p))
     for row in range(2 * n):
         q = row % n
         base = X if row < n else Z
         m = embed(base, [q], n)
         img = u @ m @ u.conj().T
-        # match img against +-(pauli string)
+        # match img against +-(pauli string); distinct strings are orthogonal,
+        # so only the one with a large overlap can match
         found = None
-        for combo in np.ndindex(*(4,) * n):
-            p = np.array([[1.0]], dtype=complex)
-            for k in combo:
-                p = np.kron(p, paulis[k])
+        for combo, p in strings:
+            if abs(np.vdot(p, img)) < 2**n / 2:
+                continue
             for sign in (1, -1):
                 if np.allclose(img, sign * p, atol=1e-8):
                     found = (combo, sign)
         assert found is not None, "conjugation image is not a Pauli"
         combo, sign = found
         for q2, k in enumerate(combo):
-            t.x[row, q2] = k in (1, 2)
-            t.z[row, q2] = k in (2, 3)
-        t.r[row] = sign < 0
-    return t
+            x[row, q2] = k in (1, 2)
+            z[row, q2] = k in (2, 3)
+        r[row] = sign < 0
+    return Tableau.from_arrays(x, z, r)
 
 
 def random_ops(rng, n, count):
@@ -155,7 +163,7 @@ class TestTableau:
     def test_identity_initial(self):
         assert Tableau(3).is_identity()
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_unitary_conjugation_oracle(self, n):
         rng = np.random.default_rng(23 + n)
         for _ in range(40):
@@ -173,7 +181,7 @@ class TestTableau:
         assert t == expected
 
 
-#: each gate name as an h/s word: the rules the tableau's lookup tables replace
+#: each gate name as an h/s word
 REPLAY_WORDS = {
     "h": ("h",),
     "s": ("s",),
@@ -183,65 +191,90 @@ REPLAY_WORDS = {
 }
 
 
-def replay_word(t, word, q):
-    """Reference: apply a word gate by gate through the primitive h/s rules."""
-    for g in word:
-        {"h": t.h, "s": t.s}[g](q)
+class NumpyTableau:
+    """Oracle: the Aaronson-Gottesman h/s/cx rules on dense bool arrays,
+    rows by columns, with no packing; words and the ECR replay through them."""
 
+    def __init__(self, x, z, r):
+        self.x, self.z, self.r = x.copy(), z.copy(), r.copy()
 
-def replay_ecr(t, c, tgt):
-    """Reference: the ECR as its CX dressing around the primitive cx rule."""
-    w = ECR_AS_CX_WORDS
-    replay_word(t, w["pre_c"], c)
-    replay_word(t, w["pre_t"], tgt)
-    t.cx(c, tgt)
-    replay_word(t, w["post_c"], c)
-    replay_word(t, w["post_t"], tgt)
+    def h(self, q):
+        self.r ^= self.x[:, q] & self.z[:, q]
+        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+
+    def s(self, q):
+        self.r ^= self.x[:, q] & self.z[:, q]
+        self.z[:, q] ^= self.x[:, q]
+
+    def cx(self, c, t):
+        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ True)
+        self.x[:, t] ^= self.x[:, c]
+        self.z[:, c] ^= self.z[:, t]
+
+    def word(self, word, q):
+        for g in word:
+            {"h": self.h, "s": self.s}[g](q)
+
+    def ecr(self, c, t):
+        w = ECR_AS_CX_WORDS
+        self.word(w["pre_c"], c)
+        self.word(w["pre_t"], t)
+        self.cx(c, t)
+        self.word(w["post_c"], c)
+        self.word(w["post_t"], t)
 
 
 @st.composite
-def tableaux(draw, min_n=1, max_n=4):
-    """Any bits at all: every row updates on its own, so the lookups must
-    match the rules on arbitrary rows, not only on valid tableaux."""
+def tableau_bits(draw, min_n=1, max_n=5):
+    """Any bits at all, as (x, z, r) arrays: every row updates on its own,
+    so the packed rules must match the oracle on arbitrary rows, not only on
+    valid tableaux."""
     n = draw(st.integers(min_n, max_n))
-    x = draw(arrays(bool, (2 * n, n)))
-    z = draw(arrays(bool, (2 * n, n)))
-    r = draw(arrays(bool, 2 * n))
-    return Tableau(n, x, z, r)
+    return (draw(arrays(bool, (2 * n, n))), draw(arrays(bool, (2 * n, n))), draw(arrays(bool, 2 * n)))
 
 
-class TestLookupTables:
+def assert_same_bits(t, ref, what):
+    x, z, r = t.arrays()
+    assert np.array_equal(x, ref.x) and np.array_equal(z, ref.z) and np.array_equal(r, ref.r), what
+
+
+class TestPackedRulesMatchNumpyOracle:
     @settings(max_examples=60, deadline=None)
-    @given(tableaux())
-    def test_every_clifford_word_matches_replay(self, t):
+    @given(tableau_bits())
+    def test_every_clifford_word_matches_oracle(self, bits):
+        t = Tableau.from_arrays(*bits)
+        assert_same_bits(t, NumpyTableau(*bits), "round trip")
         for word, _ in CLIFFORD_1Q:
             for q in range(t.n):
-                got, ref = t.copy(), t.copy()
+                got, ref = t.copy(), NumpyTableau(*bits)
                 got.apply_word(word, q)
-                replay_word(ref, word, q)
-                assert got == ref, (word, q)
+                ref.word(word, q)
+                assert_same_bits(got, ref, (word, q))
 
     @settings(max_examples=60, deadline=None)
-    @given(tableaux())
-    def test_every_gate_name_matches_replay(self, t):
+    @given(tableau_bits())
+    def test_every_gate_name_matches_oracle(self, bits):
+        t = Tableau.from_arrays(*bits)
         for name, word in REPLAY_WORDS.items():
             for q in range(t.n):
-                got, ref = t.copy(), t.copy()
+                got, ref = t.copy(), NumpyTableau(*bits)
                 got.apply_gate(name, (q,))
-                replay_word(ref, word, q)
-                assert got == ref, (name, q)
+                ref.word(word, q)
+                assert_same_bits(got, ref, (name, q))
 
     @settings(max_examples=60, deadline=None)
-    @given(tableaux(min_n=2))
-    def test_ecr_on_every_ordered_pair_matches_replay(self, t):
+    @given(tableau_bits(min_n=2))
+    def test_cx_and_ecr_on_every_ordered_pair_match_oracle(self, bits):
+        t = Tableau.from_arrays(*bits)
         for c in range(t.n):
             for tgt in range(t.n):
                 if c == tgt:
                     continue
-                got, ref = t.copy(), t.copy()
-                got.ecr(c, tgt)
-                replay_ecr(ref, c, tgt)
-                assert got == ref, (c, tgt)
+                for name in ("cx", "ecr"):
+                    got, ref = t.copy(), NumpyTableau(*bits)
+                    got.apply_gate(name, (c, tgt))
+                    getattr(ref, name)(c, tgt)
+                    assert_same_bits(got, ref, (name, c, tgt))
 
 
 class TestSynthesizeIdentity:
@@ -274,8 +307,6 @@ class TestSynthesizeIdentity:
         t = Tableau(2)
         t.h(0)
         t.cx(0, 1)
-        snapshot = (t.x.copy(), t.z.copy(), t.r.copy())
+        snapshot = t.arrays()
         synthesize_identity(t)
-        assert np.array_equal(t.x, snapshot[0])
-        assert np.array_equal(t.z, snapshot[1])
-        assert np.array_equal(t.r, snapshot[2])
+        assert t.arrays() == snapshot

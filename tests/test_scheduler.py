@@ -610,57 +610,93 @@ class TestCreateSchedule:
         assert second["phase_frame"] != 0.0
 
 
-def _pulse(qubits=(0,), start=0, **frames):
-    kind = "ecr" if len(qubits) == 2 else "sx"
-    return PulsePlacement(qubits=qubits, start=start, duration=64, kind=kind, angle=HALF_PI,
+def _pulse(qubits=(0,), start=0, duration=64, kind=None, **frames):
+    kind = kind or ("ecr" if len(qubits) == 2 else "sx")
+    return PulsePlacement(qubits=qubits, start=start, duration=duration, kind=kind, angle=HALF_PI,
                           waveform_id=kind, seq=start, **frames)
+
+
+def _schedule(width, makespan, placements=(), frames=(), waveforms=("sx",)):
+    """A schedule whose named waveforms all exist, unless left out of ``waveforms``."""
+    shapes = {wid: ShapeSpec("gaussian", 0.1, 64, sigma=16.0) for wid in waveforms}
+    return Schedule(width=width, makespan=makespan, placements=list(placements), frames=list(frames),
+                    waveforms=shapes)
 
 
 class TestScheduleValidate:
     """A schedule rejects, on construction, every event it cannot play."""
 
     def test_accepts_events_at_the_bounds(self):
-        Schedule(width=2, makespan=128, placements=[_pulse(pre_frame=0.1, post_frame=-0.2), _pulse((0, 1), 64)],
-                 frames=[FrameShift(qubit=1, time=0, angle=0.3, seq=9), FrameShift(qubit=1, time=128, angle=-4.0, seq=10)])
+        _schedule(2, 128, [_pulse(pre_frame=0.1, post_frame=-0.2), _pulse((0, 1), 64)],
+                  [FrameShift(qubit=1, time=0, angle=0.3, seq=9), FrameShift(qubit=1, time=128, angle=-4.0, seq=10)])
 
     @pytest.mark.parametrize("qubit", [-1, 2])
     def test_frame_qubit_outside_width(self, qubit):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=2, makespan=64, frames=[FrameShift(qubit=qubit, time=0, angle=0.5, seq=1)])
+            _schedule(2, 64, frames=[FrameShift(qubit=qubit, time=0, angle=0.5, seq=1)])
 
     @pytest.mark.parametrize("time", [-1, 65])
     def test_frame_time_outside_makespan(self, time):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=1, makespan=64, frames=[FrameShift(qubit=0, time=time, angle=0.5, seq=1)])
+            _schedule(1, 64, frames=[FrameShift(qubit=0, time=time, angle=0.5, seq=1)])
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_frame_angle(self, angle):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=1, makespan=64, frames=[FrameShift(qubit=0, time=0, angle=angle, seq=1)])
+            _schedule(1, 64, frames=[FrameShift(qubit=0, time=0, angle=angle, seq=1)])
 
     @pytest.mark.parametrize("field", ["pre_frame", "post_frame"])
     @pytest.mark.parametrize("angle", [math.nan, math.inf])
     def test_non_finite_calibration_frame(self, field, angle):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=1, makespan=64, placements=[_pulse(**{field: angle})])
+            _schedule(1, 64, [_pulse(**{field: angle})])
 
     @pytest.mark.parametrize("qubits", [(1,), (-1,), (0, 1), (1, 0)])
     def test_placement_operand_outside_width(self, qubits):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=1, makespan=64, placements=[_pulse(qubits)])
+            _schedule(1, 64, [_pulse(qubits)])
 
     @pytest.mark.parametrize("second", [_pulse(start=63), _pulse((1, 0), 32)], ids=["sx", "ecr"])
     def test_overlapping_pulses(self, second):
         with pytest.raises(ScheduleOverlapError, match="overlaps"):
-            Schedule(width=2, makespan=128, placements=[_pulse(), second])
+            _schedule(2, 128, [_pulse(), second])
 
     def test_pulse_past_makespan(self):
         with pytest.raises(ScheduleOverlapError, match="out of range"):
-            Schedule(width=1, makespan=63, placements=[_pulse()])
+            _schedule(1, 63, [_pulse()])
 
     def test_two_qubit_pulse_carries_no_calibration_frames(self):
         with pytest.raises(ScheduleOverlapError):
-            Schedule(width=2, makespan=64, placements=[_pulse((0, 1), pre_frame=0.1)])
+            _schedule(2, 64, [_pulse((0, 1), pre_frame=0.1)])
+
+    def test_missing_waveform(self):
+        # the simulator looks a 1q pulse's envelope up by its waveform id
+        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
+            _schedule(1, 64, [_pulse()], waveforms=())
+
+    @pytest.mark.parametrize("qubits, duration", [((0,), 64), ((0, 1, 2), 64), ((1, 1), 0)])
+    def test_ecr_needs_two_distinct_operands(self, qubits, duration):
+        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
+            _schedule(3, 64, [_pulse(qubits, duration=duration, kind="ecr")])
+
+    def test_one_qubit_kind_needs_one_operand(self):
+        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
+            _schedule(2, 64, [_pulse((0, 1), kind="sx")])
+
+    def test_negative_duration(self):
+        with pytest.raises(ScheduleOverlapError, match="lasts"):
+            _schedule(1, 64, [_pulse(start=16, duration=-8)])
+
+    @pytest.mark.parametrize("start, duration", [(0, 63.5), (0, 64.0), (0, True), (0, "64"), (0.5, 32)])
+    def test_non_integer_start_or_duration(self, start, duration):
+        with pytest.raises(ScheduleOverlapError, match="lasts"):
+            _schedule(1, 64, [_pulse(start=start, duration=duration)])
+
+    @pytest.mark.parametrize("start, seq", [("0", 0), (0, None)])
+    def test_unorderable_placements(self, start, seq):
+        first = PulsePlacement(qubits=(0,), start=start, duration=32, kind="sx", angle=HALF_PI, waveform_id="sx", seq=seq)
+        with pytest.raises(ScheduleOverlapError, match="time order"):
+            _schedule(1, 64, [first, _pulse(start=0, duration=32)])
 
 
 @pytest.fixture(scope="module")
