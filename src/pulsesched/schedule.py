@@ -22,13 +22,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .errors import ScheduleOverlapError, is_integer
 from .pulses import DT_NS, ShapeSpec
-
-
-_start_seq = attrgetter("start", "seq")
 
 
 @dataclass(frozen=True)
@@ -69,41 +65,44 @@ class Schedule:
         self.validate()
 
     def validate(self):
-        """Every event lies on one of the schedule's qubits within
-        [0, makespan], every frame angle is finite, and no two pulses
-        overlap on a qubit.  Every pulse is one the simulator can play: its
-        start and duration are integers (and start and seq order it among
-        the others) and the duration is not negative; an
-        ``ecr`` acts on two distinct qubits; any other kind acts on one qubit,
-        names a waveform in ``waveforms``, and alone may carry pre/post
-        frames."""
-        for f in self.frames:
-            if not (0 <= f.qubit < self.width and 0 <= f.time <= self.makespan and math.isfinite(f.angle)):
-                raise ScheduleOverlapError(f"frame {f.angle} on qubit {f.qubit} at {f.time} is out of range")
-        width, waveforms = self.width, self.waveforms
+        """One walk over ``events()``: every qubit, time, start and duration
+        is an integer, not a bool, and every frame angle a finite number;
+        each event lies on one of the schedule's qubits within [0, makespan];
+        no duration is negative and no two pulses overlap on a qubit.  An
+        ``ecr`` acts on two distinct qubits; any other kind acts on one,
+        fills its slot with a waveform from ``waveforms`` of that duration,
+        and alone may carry pre/post frames.  Fields that cannot be ordered
+        or compared raise ``ScheduleOverlapError`` too."""
+        width, makespan, waveforms = self.width, self.makespan, self.waveforms
         busy = [(0, None)] * width  # each qubit's last pulse end and waveform id
         try:
-            placements = sorted(self.placements, key=_start_seq)
-        except TypeError as exc:
-            raise ScheduleOverlapError(f"placements cannot be put in time order: {exc}") from exc
-        for p in placements:
-            qubits, start, duration, pre, post = p.qubits, p.start, p.duration, p.pre_frame, p.post_frame
-            if not (is_integer(start) and is_integer(duration) and duration >= 0):
-                raise ScheduleOverlapError(f"{p.waveform_id} at {start!r} lasts {duration!r} dt")
-            if not all(0 <= q < width for q in qubits) or start + duration > self.makespan:
-                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {qubits} at {p.end} is out of range")
-            if p.kind == "ecr":
-                playable = len(qubits) == 2 and qubits[0] != qubits[1]
-            else:
-                playable = len(qubits) == 1 and p.waveform_id in waveforms
-            if not playable:
-                raise ScheduleOverlapError(f"{p.kind} {p.waveform_id} on qubits {qubits} cannot be played")
-            if not (math.isfinite(pre) and math.isfinite(post)) or (len(qubits) > 1 and (pre or post)):
-                raise ScheduleOverlapError(f"{p.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
-            for q in qubits:
-                if start < busy[q][0]:
-                    raise ScheduleOverlapError(f"qubit {q}: {p.waveform_id} at {start} overlaps {busy[q][1]}")
-                busy[q] = (start + duration, p.waveform_id)
+            for ev in self.events():
+                if type(ev) is FrameShift:
+                    q, t = ev.qubit, ev.time
+                    if not (is_integer(q) and is_integer(t) and 0 <= q < width and 0 <= t <= makespan
+                            and math.isfinite(ev.angle)):
+                        raise ScheduleOverlapError(f"frame {ev.angle!r} on qubit {q!r} at {t!r} is out of range")
+                    continue
+                qubits, start, duration, pre, post = ev.qubits, ev.start, ev.duration, ev.pre_frame, ev.post_frame
+                if not (is_integer(start) and is_integer(duration) and duration >= 0):
+                    raise ScheduleOverlapError(f"{ev.waveform_id} at {start!r} lasts {duration!r} dt")
+                if not all(is_integer(q) and 0 <= q < width for q in qubits) or start + duration > makespan:
+                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits!r} at {ev.end} is out of range")
+                if ev.kind == "ecr":
+                    playable = len(qubits) == 2 and qubits[0] != qubits[1]
+                else:  # the simulator plays the waveform's samples and moves the clock by the duration
+                    spec = waveforms.get(ev.waveform_id) if len(qubits) == 1 else None
+                    playable = spec is not None and spec.duration == duration
+                if not playable:
+                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot be played in {duration} dt")
+                if not (math.isfinite(pre) and math.isfinite(post)) or (len(qubits) > 1 and (pre or post)):
+                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
+                for q in qubits:
+                    if start < busy[q][0]:
+                        raise ScheduleOverlapError(f"qubit {q}: {ev.waveform_id} at {start} overlaps {busy[q][1]}")
+                    busy[q] = (start + duration, ev.waveform_id)
+        except (TypeError, OverflowError) as exc:
+            raise ScheduleOverlapError(f"events cannot be checked in time order: {exc}") from exc
 
     def events(self):
         """All placements and frame shifts merged in global time order.

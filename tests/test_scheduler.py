@@ -11,6 +11,7 @@ import json
 import math
 import time
 from bisect import bisect_right
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,7 @@ from pulsesched.scheduler import (
     run_framework,
     update_cpm,
 )
-from pulsesched.sim import NoiseModel
+from pulsesched.sim import NoiseModel, ScheduleSimulator
 
 HALF_PI = math.pi / 2
 
@@ -640,13 +641,13 @@ class TestScheduleValidate:
         with pytest.raises(ScheduleOverlapError):
             _schedule(1, 64, frames=[FrameShift(qubit=0, time=time, angle=0.5, seq=1)])
 
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "0.1", pytest.param(10**400, id="huge")])
     def test_non_finite_frame_angle(self, angle):
         with pytest.raises(ScheduleOverlapError):
             _schedule(1, 64, frames=[FrameShift(qubit=0, time=0, angle=angle, seq=1)])
 
     @pytest.mark.parametrize("field", ["pre_frame", "post_frame"])
-    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, "0.1", None, pytest.param(10**400, id="huge")])
     def test_non_finite_calibration_frame(self, field, angle):
         with pytest.raises(ScheduleOverlapError):
             _schedule(1, 64, [_pulse(**{field: angle})])
@@ -697,6 +698,100 @@ class TestScheduleValidate:
         first = PulsePlacement(qubits=(0,), start=start, duration=32, kind="sx", angle=HALF_PI, waveform_id="sx", seq=seq)
         with pytest.raises(ScheduleOverlapError, match="time order"):
             _schedule(1, 64, [first, _pulse(start=0, duration=32)])
+
+    @pytest.mark.parametrize("qubit", [0.5, True, "0"], ids=["half", "bool", "str"])
+    def test_frame_qubit_not_an_integer(self, qubit):
+        # 0.5 passed and then failed as a list index in the simulator; True
+        # passed and shifted qubit 1
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(2, 64, frames=[FrameShift(qubit=qubit, time=0, angle=0.5, seq=1)])
+
+    @pytest.mark.parametrize("time", [1.5, None], ids=["half", "none"])
+    def test_frame_time_not_an_integer(self, time):
+        # 1.5 passed, and the document would have said "time_dt": 1.5
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, frames=[FrameShift(qubit=0, time=time, angle=0.5, seq=1)])
+
+    @pytest.mark.parametrize("qubits", [(True,), (0.5,), (0, True)], ids=["bool", "half", "ecr-bool"])
+    def test_placement_operand_not_an_integer(self, qubits):
+        # (True,) passed and played on qubit 1; (0.5,) raised a raw TypeError
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(2, 64, [_pulse(qubits)])
+
+    @pytest.mark.parametrize("slot, shape", [(64, 32), (32, 64)])
+    def test_pulse_fills_its_slot(self, slot, shape):
+        # the simulator plays the waveform's samples but moves the qubit's
+        # clock by the placement's duration
+        spec = ShapeSpec("gaussian", 0.1, shape, sigma=8.0)
+        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
+            Schedule(width=1, makespan=64, placements=[_pulse(duration=slot)], waveforms={"sx": spec})
+
+
+# numeric values a document or an API caller can hand a schedule field
+_ODD_VALUES = st.one_of(
+    st.integers(-2, 140),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 1e300, -1e300, 10**400, -(10**400), "0", "0.1", None]),
+)
+_SHAPES = {"sx32": ShapeSpec("gaussian", 0.1, 32, sigma=8.0), "sx64": ShapeSpec("gaussian", 0.1, 64, sigma=16.0)}
+_ECR_DT = 96
+_FIELDS = {
+    FrameShift: ["qubit", "time", "angle", "seq"],
+    PulsePlacement: ["qubits", "start", "duration", "angle", "seq", "pre_frame", "post_frame"],
+}
+
+
+@st.composite
+def schedule_fields(draw):
+    """A playable schedule on 1-3 qubits, its events packed back to back,
+    with up to two of its fields then replaced by drawn values."""
+    width = draw(st.integers(1, 3))
+    clock = [0] * width
+    events = []
+    for seq in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["frame", "sx32", "sx64", "ecr"][: 4 if width > 1 else 3]))
+        if op == "frame":
+            q = draw(st.integers(0, width - 1))
+            events.append(FrameShift(q, clock[q], draw(st.floats(-4, 4)), seq))
+            continue
+        if op == "ecr":
+            kind, qubits, duration, pre_post = "ecr", tuple(draw(st.permutations(range(width)))[:2]), _ECR_DT, ()
+        else:
+            kind, qubits, duration = "sx", (draw(st.integers(0, width - 1)),), _SHAPES[op].duration
+            pre_post = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        start = max(clock[q] for q in qubits)
+        events.append(PulsePlacement(qubits, start, duration, kind, HALF_PI, op, seq, *pre_post))
+        for q in qubits:
+            clock[q] = start + duration
+    for _ in range(draw(st.integers(0, 2)) if events else 0):
+        i = draw(st.integers(0, len(events) - 1))
+        name, value = draw(st.sampled_from(_FIELDS[type(events[i])])), draw(_ODD_VALUES)
+        if name == "qubits" and draw(st.booleans()):
+            value = (value,) + events[i].qubits[1:]
+        events[i] = replace(events[i], **{name: value})
+    makespan = max(clock) + draw(st.integers(0, 8))
+    placements = [ev for ev in events if isinstance(ev, PulsePlacement)]
+    return width, makespan, placements, [ev for ev in events if isinstance(ev, FrameShift)]
+
+
+class TestScheduleProperty:
+    """Whatever values its fields hold, a schedule is either rejected on
+    construction or simulated and written as strict JSON."""
+
+    SIM = ScheduleSimulator(NoiseModel())  # channels cached per waveform id and qubit across examples
+
+    @settings(max_examples=150, deadline=None)
+    @given(schedule_fields())
+    def test_rejected_or_playable(self, fields):
+        width, makespan, placements, frames = fields
+        try:
+            sch = Schedule(width, makespan, placements, frames, dict(_SHAPES))
+        except ScheduleOverlapError:
+            return
+        res = self.SIM.run(sch, shots=4, seed=0, validate_states=True)
+        assert sum(res.counts.values()) == 4
+        json.dumps(sch.to_json(), allow_nan=False)
 
 
 @pytest.fixture(scope="module")
