@@ -40,6 +40,7 @@ from .scheduler import (
     minimum_duration_graph,
     optimize_durations,
     run_framework,
+    stretched_schedule,
     update_cpm,
 )
 from .sim import (
@@ -74,6 +75,7 @@ __all__ = [
     "minimum_duration_graph",
     "optimize_durations",
     "create_schedule",
+    "stretched_schedule",
     "lower",
     "run_framework",
     "graph_to_dot",

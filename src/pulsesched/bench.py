@@ -24,7 +24,14 @@ from .clifford import CLIFFORD_1Q, CX_DRESSING, Tableau, synthesize_identity
 from .errors import ConfigError, check_count
 from .gateset import GateSet
 from .pulses import DT_NS
-from .scheduler import FREE_FLOAT, create_schedule, lower, minimum_duration_graph, optimize_durations
+from .scheduler import (
+    FREE_FLOAT,
+    create_schedule,
+    lower,
+    minimum_duration_graph,
+    optimize_durations,
+    stretched_schedule,
+)
 from .sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator
 
 HALF_PI = math.pi / 2.0
@@ -170,13 +177,14 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     Each circuit is lowered once and its dependency graph built once, at
     minimum durations with CPM run on it (``minimum_duration_graph``).  The
     FIXED schedule is placed from that graph as it stands; then the same
-    graph is stretched, only into free float, and placed again as the
-    OPTIMIZED schedule.  So each arm equals ``run_framework`` under its
-    policy (None, then ``"free"``), from one graph instead of two.  Paired
-    schedules therefore have equal makespans and identical pulse start
-    times, and differ only in pulse durations: a stretch fills idle time
-    before the next gate and never keeps a qubit busy where the fixed arm
-    would have finished its sequence.
+    graph is stretched, only into free float, and ``stretched_schedule``
+    builds the OPTIMIZED schedule from the FIXED one, placing again only the
+    pulses that grew.  So each arm equals ``run_framework`` under its policy
+    (None, then ``"free"``), from one graph and one full placement instead
+    of two.  Paired schedules therefore have equal makespans and identical
+    pulse start times, and differ only in pulse durations: a stretch fills
+    idle time before the next gate and never keeps a qubit busy where the
+    fixed arm would have finished its sequence.
 
     RNG streams are spawned per circuit from the master seed, so results are
     reproducible and independent of execution order.  Mean P(0) uses the
@@ -199,7 +207,7 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
             fixed = create_schedule(graph, gs)
             result.durations[FIXED].update(_pulse_durations(graph))
             optimize_durations(graph, gs, FREE_FLOAT)
-            optimized = create_schedule(graph, gs)
+            optimized = stretched_schedule(fixed, graph, gs)
             result.durations[OPTIMIZED].update(_pulse_durations(graph))
             for policy, sch, ss in ((FIXED, fixed, fixed_ss), (OPTIMIZED, optimized, opt_ss)):
                 run = sim.run(sch, shots=cfg.shots, seed=ss)

@@ -41,6 +41,7 @@ from .pulses import (
     evaluate_envelope,
     synthesize,
 )
+from .schedule import MAX_FRAME_ANGLE
 from .sim import NoiseModel, ideal_rx, propagate_waveform, simulate_rabi
 
 HALF_PI = math.pi / 2.0
@@ -361,11 +362,14 @@ def _dt_count(value, what: str, minimum: int) -> int:
     return int(value)
 
 
-def _finite(row: dict, key: str, default=None):
-    """row[key], or default when the key is absent, checked to be a finite number."""
+def _finite(row: dict, key: str, default=None, bound: float = math.inf):
+    """row[key], or default when the key is absent, checked to be a finite
+    number within ±bound, not a bool."""
     value = row[key] if default is None else row.get(key, default)
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise GateSetError(f"implementation {key} must be a finite number, got {value!r}")
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+            and abs(value) <= bound):
+        within = f" within ±{bound:.6g}" if bound < math.inf else ""
+        raise GateSetError(f"implementation {key} must be a finite number{within}, got {value!r}")
     return value
 
 
@@ -373,7 +377,8 @@ def _impl_from_row(row: dict) -> GateImpl:
     """One static gate-set JSON row as a Gaussian Sx ``GateImpl``.
 
     The row is checked here, so every pulse it serves synthesizes without
-    clipping and writes finite JSON, and it must be the sx at angle pi/2
+    clipping and writes finite JSON, its frames lie within the schedule's
+    ``MAX_FRAME_ANGLE``, and it must be the sx at angle pi/2
     that a static set plays.  The normalized envelope peaks at 1, so
     |amplitude| <= 1 is exactly the no-clipping condition; sigma must be
     positive and leave the envelope's edge below its peak.
@@ -386,7 +391,7 @@ def _impl_from_row(row: dict) -> GateImpl:
     amplitude, sigma, angle = (_finite(row, key) for key in ("amplitude", "sigma", "angle"))
     if _angle_key(angle) != _angle_key(HALF_PI):
         raise GateSetError(f"implementation angle {angle!r} of an sx row must be pi/2")
-    pre_frame, post_frame = (_finite(row, key, 0.0) for key in ("pre_frame", "post_frame"))
+    pre_frame, post_frame = (_finite(row, key, 0.0, MAX_FRAME_ANGLE) for key in ("pre_frame", "post_frame"))
     if abs(amplitude) > 1.0:
         raise GateSetError(f"implementation amplitude {amplitude!r} exceeds the unit bound")
     if sigma <= 0:

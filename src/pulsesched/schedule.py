@@ -21,10 +21,22 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .errors import ScheduleOverlapError, is_integer
+from .errors import ScheduleOverlapError
 from .pulses import DT_NS, ShapeSpec
+
+#: the largest frame angle a schedule holds: the period ``normalize_angle``
+#: wraps by.  Every frame lowering or calibration makes lies within it, and
+#: the simulator's running frame phase stays finite.
+MAX_FRAME_ANGLE = 4.0 * math.pi
+
+
+def _is_real(value, bound: float = sys.float_info.max) -> bool:
+    """An int or float (numpy's float64 is one), not a bool, within ±bound:
+    the comparison rejects NaN, infinities and ints too large for a float."""
+    return (type(value) is float or type(value) is int or isinstance(value, float)) and -bound <= value <= bound
 
 
 @dataclass(frozen=True)
@@ -65,28 +77,34 @@ class Schedule:
         self.validate()
 
     def validate(self):
-        """One walk over ``events()``: every qubit, time, start and duration
-        is an integer, not a bool, and every frame angle a finite number;
-        each event lies on one of the schedule's qubits within [0, makespan];
-        no duration is negative and no two pulses overlap on a qubit.  An
-        ``ecr`` acts on two distinct qubits; any other kind acts on one,
-        fills its slot with a waveform from ``waveforms`` of that duration,
-        and alone may carry pre/post frames.  Fields that cannot be ordered
-        or compared raise ``ScheduleOverlapError`` too."""
+        """One walk over ``events()``: the width, the makespan and every
+        qubit, time, start and duration is a plain non-negative int, every
+        pulse angle a finite number and every frame angle (pre/post frames
+        included) a finite number within ``MAX_FRAME_ANGLE``, none of them a
+        bool; each event lies on one of the schedule's qubits within [0,
+        makespan], and no two pulses overlap on a qubit.  An ``ecr`` acts on
+        two distinct qubits; any other kind acts on one, fills its slot with
+        a waveform from ``waveforms`` of that duration, and alone may carry
+        pre/post frames.  Fields that cannot be ordered or compared raise
+        ``ScheduleOverlapError`` too."""
         width, makespan, waveforms = self.width, self.makespan, self.waveforms
+        # integer fields are plain ints: not bools, nor numpy integers, which to_json cannot write
+        if not (type(width) is int and type(makespan) is int and width >= 0 and makespan >= 0):
+            raise ScheduleOverlapError(f"width {width!r} and makespan {makespan!r} must be non-negative ints")
         busy = [(0, None)] * width  # each qubit's last pulse end and waveform id
         try:
             for ev in self.events():
                 if type(ev) is FrameShift:
                     q, t = ev.qubit, ev.time
-                    if not (is_integer(q) and is_integer(t) and 0 <= q < width and 0 <= t <= makespan
-                            and math.isfinite(ev.angle)):
+                    if not (type(q) is int and type(t) is int and 0 <= q < width and 0 <= t <= makespan
+                            and _is_real(ev.angle, MAX_FRAME_ANGLE)):
                         raise ScheduleOverlapError(f"frame {ev.angle!r} on qubit {q!r} at {t!r} is out of range")
                     continue
                 qubits, start, duration, pre, post = ev.qubits, ev.start, ev.duration, ev.pre_frame, ev.post_frame
-                if not (is_integer(start) and is_integer(duration) and duration >= 0):
-                    raise ScheduleOverlapError(f"{ev.waveform_id} at {start!r} lasts {duration!r} dt")
-                if not all(is_integer(q) and 0 <= q < width for q in qubits) or start + duration > makespan:
+                if not (type(start) is int and type(duration) is int and duration >= 0 and _is_real(ev.angle)):
+                    raise ScheduleOverlapError(
+                        f"{ev.waveform_id} at {start!r} lasts {duration!r} dt at angle {ev.angle!r}")
+                if not all(type(q) is int and 0 <= q < width for q in qubits) or start + duration > makespan:
                     raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits!r} at {ev.end} is out of range")
                 if ev.kind == "ecr":
                     playable = len(qubits) == 2 and qubits[0] != qubits[1]
@@ -95,7 +113,8 @@ class Schedule:
                     playable = spec is not None and spec.duration == duration
                 if not playable:
                     raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot be played in {duration} dt")
-                if not (math.isfinite(pre) and math.isfinite(post)) or (len(qubits) > 1 and (pre or post)):
+                frames_ok = _is_real(pre, MAX_FRAME_ANGLE) and _is_real(post, MAX_FRAME_ANGLE)
+                if not frames_ok or (len(qubits) > 1 and (pre or post)):
                     raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
                 for q in qubits:
                     if start < busy[q][0]:

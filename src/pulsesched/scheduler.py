@@ -8,7 +8,8 @@ and runs CPM, ``optimize_durations`` stretches off-critical-path gates
 without moving the makespan, and ``create_schedule`` places the pulses.
 The CLI calls ``run_framework``; the RB harness calls the stages itself, so
 that both of its arms come from one graph: it places the FIXED schedule
-before stretching and the OPTIMIZED one after.
+before stretching, and after free-float stretching ``stretched_schedule``
+derives the OPTIMIZED one from it, placing again only the nodes that grew.
 
 The dependency graph's node order is program order, and every edge points
 from an earlier node to a later one, so node order is its topological order:
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import circuit as circ
 from .errors import ConfigError, MalformedGraphError
 from .gateset import STATIC, GateSet
+from .pulses import ShapeSpec
 from .schedule import FrameShift, PulsePlacement, Schedule
 
 #: float policies of optimize_durations
@@ -142,11 +144,19 @@ def cpm(g: DepGraph) -> int:
     successor LS (makespan at sinks).  A back edge, the only way a cycle can
     enter a graph in node order, raises ``MalformedGraphError``.
     """
+    _forward_sweep(g)
+    return _backward_sweep(g)
+
+
+def _forward_sweep(g: DepGraph):
     for i, n in enumerate(g.nodes):
         if any(p >= i for p in g.preds[i]):
             raise MalformedGraphError(f"dependency graph has a back edge into node {i}")
         n.es = max((g.nodes[p].ef for p in g.preds[i]), default=0)
         n.ef = n.es + n.duration
+
+
+def _backward_sweep(g: DepGraph) -> int:
     makespan = g.makespan
     for i in range(len(g.nodes) - 1, -1, -1):
         n = g.nodes[i]
@@ -212,7 +222,7 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
     ``float="free"``: every node takes the longest allowed duration that
     finishes by its free-float limit, min(successor ES) or the makespan at a
     sink.  No ES moves, so every gate starts when it would at minimum
-    durations; one final CPM pass refreshes LS/LF.
+    durations; one final backward sweep refreshes LS/LF.
 
     Critical-path nodes keep their minimum durations under both policies.
     The graph must hold CPM times on entry; its makespan is asserted
@@ -261,7 +271,7 @@ def _stretch_into_free_float(g: DepGraph, s: GateSet):
         if fits:
             n.duration = fits[-1]
             n.ef = n.es + n.duration
-    cpm(g)
+    _backward_sweep(g)
 
 
 def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
@@ -296,22 +306,9 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
             for q in gate.qubits:
                 last_end[q] = max(last_end[q], node.ef)
             continue
-        impl = s.impl_for_gate(gate, node.duration)
-        wid = impl.waveform_id()
-        waveforms[wid] = impl.shape
-        placements.append(
-            PulsePlacement(
-                qubits=gate.qubits,
-                start=node.es,
-                duration=node.duration,
-                kind=gate.kind,
-                angle=impl.angle,
-                waveform_id=wid,
-                seq=gate.id,
-                pre_frame=impl.pre_frame,
-                post_frame=impl.post_frame,
-            )
-        )
+        placement, spec = _place(node, s)
+        waveforms[placement.waveform_id] = spec
+        placements.append(placement)
         for q in gate.qubits:
             last_end[q] = node.ef
 
@@ -325,6 +322,82 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
         frames=frames,
         waveforms=waveforms,
         measured_qubits=tuple(sorted(set(measured))) or tuple(range(g.circuit.width)),
+    )
+
+
+def _place(node: DepNode, s: GateSet) -> tuple[PulsePlacement, ShapeSpec]:
+    """A pulse node's placement at its early start, and its waveform's spec."""
+    gate = node.gate
+    impl = s.impl_for_gate(gate, node.duration)
+    placement = PulsePlacement(
+        qubits=gate.qubits,
+        start=node.es,
+        duration=node.duration,
+        kind=gate.kind,
+        angle=impl.angle,
+        waveform_id=impl.waveform_id(),
+        seq=gate.id,
+        pre_frame=impl.pre_frame,
+        post_frame=impl.post_frame,
+    )
+    return placement, impl.shape
+
+
+def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
+    """``create_schedule`` of a graph stretched into free float, built from
+    ``fixed``, the schedule ``create_schedule`` placed from it before.
+
+    Free float moves no early start, so the two schedules share every frame
+    shift, every ECR and every placement whose node kept its duration; only
+    stretched nodes are placed again, and ``waveforms`` is rebuilt in
+    placement order, as ``create_schedule`` builds it.  A stretched pulse
+    that ends its qubits' programs may grow up to the makespan, and the
+    trailing virtual Rz pinned to its end move with it.  That no early start
+    moved is checked: a node whose ES differs from its fixed placement's
+    start (or, for a measure or barrier, from its predecessors' fixed
+    finishes), or whose gate is not that placement's, raises
+    ``MalformedGraphError``.  The result is a ``Schedule``, validated in full.
+    """
+    if g.makespan != fixed.makespan or g.circuit.width != fixed.width:
+        raise MalformedGraphError("the stretched graph's makespan or width differs from the fixed schedule's")
+    placements: list[PulsePlacement] = []
+    waveforms = {}
+    fixed_ef = [0] * len(g.nodes)
+    trailing: dict[int, PulsePlacement] = {}  # qubit -> its last pulse, when that stretched
+    old = iter(fixed.placements)
+    for node in g.nodes:
+        i = node.index
+        if node.gate.kind in (circ.MEASURE, circ.BARRIER):  # never stretched: one duration each
+            if node.es != max((fixed_ef[p] for p in g.preds[i]), default=0):
+                raise MalformedGraphError(f"node {i} starts at {node.es}, not where it did before stretching")
+            fixed_ef[i] = node.ef
+            continue
+        p = next(old, None)
+        if p is None or p.start != node.es or p.seq != node.gate.id:
+            raise MalformedGraphError(f"node {i} at {node.es} is not the fixed schedule's placement {p}")
+        fixed_ef[i] = p.end
+        if p.duration == node.duration:
+            spec = fixed.waveforms[p.waveform_id]
+        else:
+            p, spec = _place(node, s)
+            if not g.succs[i]:
+                trailing.update((q, p) for q in p.qubits)
+        waveforms[p.waveform_id] = spec
+        placements.append(p)
+    if next(old, None) is not None:
+        raise MalformedGraphError("the fixed schedule has more placements than the graph has pulses")
+    frames = [
+        replace(f, time=trailing[f.qubit].end)
+        if f.qubit in trailing and f.seq > trailing[f.qubit].seq else f
+        for f in fixed.frames
+    ]
+    return Schedule(
+        width=fixed.width,
+        makespan=fixed.makespan,
+        placements=placements,
+        frames=frames,
+        waveforms=waveforms,
+        measured_qubits=fixed.measured_qubits,
     )
 
 

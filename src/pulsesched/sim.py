@@ -312,14 +312,23 @@ _PAULI3 = [
 ]
 
 
-def _depolarizing_pair_superop(strength: float) -> np.ndarray:
-    """Two-qubit Pauli twirl of given strength, identity on leakage levels."""
+def _pauli_twirl_sum() -> np.ndarray:
+    """Sum of P ⊗ conj(P) over the 16 two-qubit Paulis P, identity on leakage levels."""
     mix = np.zeros((81, 81), dtype=complex)
     for pa in _PAULI3:
         for pb in _PAULI3:
             p = _kron(pa, pb)
             mix += _kron(p, p.conj())
-    return (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
+    return mix
+
+
+#: the noise-independent part of every ECR's depolarizing proxy, built once
+_PAULI_TWIRL_SUM = _pauli_twirl_sum()
+
+
+def _depolarizing_pair_superop(strength: float) -> np.ndarray:
+    """Two-qubit Pauli twirl of given strength, identity on leakage levels."""
+    return (1.0 - strength) * np.eye(81) + (strength / 16.0) * _PAULI_TWIRL_SUM
 
 
 def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int) -> np.ndarray:

@@ -163,6 +163,12 @@ def random_circuit(rng, n_qubits, n_gates, u3_only=False, with_measure=True):
     return Circuit(width=n_qubits, gates=gates)
 
 
+def schedule_fields_of(sch):
+    """Every field of a schedule, waveforms in insertion order: ``to_json()``
+    equality ignores the order of the waveform dict."""
+    return sch.width, sch.makespan, sch.placements, sch.frames, list(sch.waveforms.items()), sch.measured_qubits
+
+
 #: transcription of the worked two-qubit example: a three-gate chain runs on
 #: qubit 0 against one gate on qubit 1 before the first ECR (idle 128 dt),
 #: then a two-gate chain against one gate before the second ECR (idle 64 dt)

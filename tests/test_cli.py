@@ -101,6 +101,20 @@ class TestScheduleCommand:
         doc = json.loads(out.read_text())
         assert [(e["duration_dt"], e["waveform_id"]) for e in doc["qubits"][0]] == pulses
 
+    @pytest.mark.parametrize("frame", ["pre_frame", "post_frame"])
+    def test_huge_gateset_frame_is_config_error(self, frame, tmp_path):
+        # such a frame was written as "phase_frame": -Infinity with exit 0
+        doc = GateSet.ideal("static", 2).to_json()
+        for row in doc["implementations"]:
+            row[frame] = 1e308
+        gs = tmp_path / "gs.json"
+        gs.write_text(json.dumps(doc))
+        circuit = tmp_path / "bell.qc"
+        circuit.write_text("sx q0\necr q0 q1\nsx q1\nmeasure q0\nmeasure q1\n")
+        out = tmp_path / "sched.json"
+        assert main(["schedule", str(circuit), "--gateset", str(gs), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_syntax_is_config_error(self, gateset_json, tmp_path):
         bad = tmp_path / "bad.qc"
         bad.write_text("frobnicate q0\n")

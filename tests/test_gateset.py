@@ -439,6 +439,10 @@ class TestImplementationValues:
             ("pre_frame", math.inf),
             ("post_frame", math.nan),
             ("post_frame", -math.inf),
+            ("pre_frame", 1e308),
+            ("post_frame", -13.0),
+            ("pre_frame", True),
+            ("amplitude", True),
             ("fidelity", math.nan),
             ("fidelity", 1.5),
             ("fidelity", -0.1),
@@ -449,7 +453,8 @@ class TestImplementationValues:
         with pytest.raises(GateSetError, match=key):
             GateSet.from_json(text)
 
-    @pytest.mark.parametrize("key, value", [("amplitude", 1.0), ("amplitude", -1.0), ("fidelity", None)])
+    @pytest.mark.parametrize("key, value", [("amplitude", 1.0), ("amplitude", -1.0), ("fidelity", None),
+                                            ("pre_frame", 4 * math.pi), ("post_frame", -4 * math.pi)])
     def test_bounds_accepted(self, key, value):
         gs = GateSet.from_json(ideal_doc_with(key, value))
         impl = min(gs.impls.values(), key=lambda i: i.duration)

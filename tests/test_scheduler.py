@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit
+from conftest import random_circuit, schedule_fields_of
 from pulsesched import scheduler
 from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import (
@@ -46,8 +46,10 @@ from pulsesched.scheduler import (
     graph_to_dot,
     initial_durations,
     lower,
+    minimum_duration_graph,
     optimize_durations,
     run_framework,
+    stretched_schedule,
     update_cpm,
 )
 from pulsesched.sim import NoiseModel, ScheduleSimulator
@@ -611,6 +613,70 @@ class TestCreateSchedule:
         assert second["phase_frame"] != 0.0
 
 
+def fixed_then_stretched(c, gs, float=FREE_FLOAT):
+    """The FIXED schedule placed from a circuit's minimum-duration graph, then
+    ``stretched_schedule`` of that graph stretched under ``float``."""
+    g = minimum_duration_graph(c, gs)
+    fixed = create_schedule(g, gs)
+    optimize_durations(g, gs, float)
+    return fixed, stretched_schedule(fixed, g, gs)
+
+
+class TestStretchedSchedule:
+    """The OPTIMIZED schedule built as a delta of the FIXED one equals
+    ``create_schedule`` of the stretched graph, field for field."""
+
+    def test_random_circuits_equal_run_framework(self):
+        rng = np.random.default_rng(61)
+        gs = fixed_gateset((32, 48, 64, 120, 256, 512))
+        stretched = 0
+        for _ in range(80):
+            c = lower(random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(1, 40))), gs)
+            fixed, sch = fixed_then_stretched(c, gs)
+            assert schedule_fields_of(sch) == schedule_fields_of(run_framework(c, gs, FREE_FLOAT)[1])
+            stretched += sch.placements != fixed.placements
+        assert stretched > 20
+
+    def test_trailing_rz_follows_its_stretched_pulse(self):
+        # q0's only pulse ends its program and grows to the makespan; the Rz
+        # after it is pinned to its end, so that frame moves with it
+        c = parse_circuit("sx q1\nsx q1\nsx q1\nsx q0\nrz q0 0.5\nrz q1 0.25")
+        gs = fixed_gateset((64, 128, 192))
+        fixed, sch = fixed_then_stretched(c, gs)
+        assert [(f.qubit, f.time) for f in fixed.frames] == [(0, 64), (1, 192)]
+        assert [(f.qubit, f.time) for f in sch.frames] == [(0, 192), (1, 192)]
+        assert schedule_fields_of(sch) == schedule_fields_of(run_framework(c, gs, FREE_FLOAT)[1])
+
+    def test_unstretched_placements_are_shared(self):
+        gs = GateSet.ideal("static", 3)
+        c = lower(random_clifford_circuit(3, 7, 5), gs)
+        fixed, sch = fixed_then_stretched(c, gs)
+        kept = [p for p in sch.placements if any(p is q for q in fixed.placements)]
+        assert 0 < len(kept) < len(sch.placements)
+        assert sch.frames == fixed.frames and sch.frames is not fixed.frames
+
+    def test_total_float_moves_a_start(self):
+        # total float grows q1's first Sx and pushes its second one later
+        c = parse_circuit("sx q0\nsx q0\nsx q0\nsx q0\nsx q1\nsx q1\necr q0 q1")
+        with pytest.raises(MalformedGraphError, match="node 5"):
+            fixed_then_stretched(c, fixed_gateset((64, 128, 192)), TOTAL_FLOAT)
+
+    def test_total_float_moves_only_a_measure(self):
+        # every pulse keeps its start, but q1's Sx grows into the measure's
+        # total float and pushes it, and the Rz pinned to the measure with it
+        c = parse_circuit("sx q1\nrz q1 0.5\nmeasure q1\nsx q0\nsx q0\nsx q0")
+        with pytest.raises(MalformedGraphError, match="node 1"):
+            fixed_then_stretched(c, fixed_gateset((64, 128, 192)), TOTAL_FLOAT)
+
+    def test_schedule_of_another_graph(self):
+        gs = fixed_gateset()
+        g = minimum_duration_graph(parse_circuit("sx q0\nsx q0"), gs)
+        for other in ("sx q0", "sx q0\nsx q0\nsx q0", "sx q0\necr q0 q1"):
+            fixed = create_schedule(minimum_duration_graph(parse_circuit(other), gs), gs)
+            with pytest.raises(MalformedGraphError):
+                stretched_schedule(fixed, g, gs)
+
+
 def _pulse(qubits=(0,), start=0, duration=64, kind=None, **frames):
     kind = kind or ("ecr" if len(qubits) == 2 else "sx")
     return PulsePlacement(qubits=qubits, start=start, duration=duration, kind=kind, angle=HALF_PI,
@@ -725,6 +791,65 @@ class TestScheduleValidate:
         spec = ShapeSpec("gaussian", 0.1, shape, sigma=8.0)
         with pytest.raises(ScheduleOverlapError, match="cannot be played"):
             Schedule(width=1, makespan=64, placements=[_pulse(duration=slot)], waveforms={"sx": spec})
+
+    @pytest.mark.parametrize("width, makespan", [(1.5, 0), ("2", 0), (-1, 0), (1, math.nan), (1, -1), (True, 0),
+                                                 (1, 64.0), (np.int64(1), 0), (1, np.int64(64))])
+    def test_width_and_makespan_are_non_negative_ints(self, width, makespan):
+        # 1.5 and "2" raised a raw TypeError, -1 reached the simulator, and a
+        # NaN makespan failed strict JSON
+        with pytest.raises(ScheduleOverlapError, match="width"):
+            Schedule(width, makespan)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, True, "0.1", None, pytest.param(10**400, id="huge")])
+    def test_placement_angle_is_a_finite_number(self, angle):
+        # an ideal pulse plays its angle: NaN ended in numpy's raw ValueError
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, [replace(_pulse(), angle=angle)])
+
+    def test_bool_frame_angles(self):
+        # a bool passed math.isfinite and was written as "angle": true
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, frames=[FrameShift(qubit=0, time=0, angle=True, seq=1)])
+        for field in ("pre_frame", "post_frame"):
+            with pytest.raises(ScheduleOverlapError):
+                _schedule(1, 64, [_pulse(**{field: True})])
+
+    @pytest.mark.parametrize("field", ["qubit", "time"])
+    def test_numpy_integer_frame_fields(self, field):
+        # to_json cannot write a numpy integer
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, frames=[replace(FrameShift(qubit=0, time=0, angle=0.5, seq=1),
+                                             **{field: np.int64(0)})])
+
+    @pytest.mark.parametrize("changes", [{"start": np.int64(0)}, {"duration": np.int64(64)},
+                                         {"qubits": (np.int64(0),)}], ids=["start", "duration", "qubits"])
+    def test_numpy_integer_placement_fields(self, changes):
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, [replace(_pulse(), **changes)])
+
+    def test_huge_calibration_frame(self):
+        # a frame this large passed validate, and the simulator's frame phase
+        # overflowed to NaN, which the shot sampler raised as a raw ValueError
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, [_pulse(pre_frame=8.98846567431158e+307)])
+
+    def test_huge_frames_summing_past_float(self):
+        # each of these is finite, their sum on one qubit is not; to_json
+        # wrote -Infinity
+        frames = [FrameShift(qubit=0, time=0, angle=1e308, seq=s) for s in (1, 2)]
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, [_pulse()], frames)
+
+    @pytest.mark.parametrize("bound", [4 * math.pi, -4 * math.pi])
+    def test_frames_at_four_pi_play(self, bound):
+        frames = [FrameShift(qubit=0, time=0, angle=bound, seq=s) for s in (1, 2)]
+        sch = _schedule(1, 64, [_pulse(pre_frame=bound, post_frame=bound)], frames)
+        res = ScheduleSimulator(NoiseModel()).run(sch, shots=4, seed=0, validate_states=True)
+        assert sum(res.counts.values()) == 4
+        json.dumps(sch.to_json(), allow_nan=False)
+        with pytest.raises(ScheduleOverlapError):
+            _schedule(1, 64, [_pulse(pre_frame=math.nextafter(bound, 2 * bound))])
+
 
 
 # numeric values a document or an API caller can hand a schedule field

@@ -818,6 +818,18 @@ PER_QUBIT = NoiseModel(t1_ns=[180e3, 60e3], t2_ns=[120e3, 90e3], ecr_fidelity=0.
 
 
 class TestKronFree:
+    @pytest.mark.parametrize("strength", [0.0, 1.0 - DEFAULT.ecr_fidelity, 1.0 - PER_QUBIT.ecr_fidelity, 0.5, 1.0])
+    def test_depolarizing_proxy_equals_per_call_build(self, strength):
+        # the noise-independent twirl sum is built once at import; each
+        # channel must equal the one built from scratch per call, bit for bit
+        mix = np.zeros((81, 81), dtype=complex)
+        for pa in _PAULI3:
+            for pb in _PAULI3:
+                p = _kron(pa, pb)
+                mix += _kron(p, p.conj())
+        want = (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
+        assert np.array_equal(sim._depolarizing_pair_superop(strength), want)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_broadcast_kron_equals_np_kron(self, seed):
