@@ -184,7 +184,11 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     of two.  Paired schedules therefore have equal makespans and identical
     pulse start times, and differ only in pulse durations: a stretch fills
     idle time before the next gate and never keeps a qubit busy where the
-    fixed arm would have finished its sequence.
+    fixed arm would have finished its sequence.  So the two arms share one
+    skeleton, and ``ScheduleSimulator.run_arms`` simulates them in one walk
+    over a state with an arm axis: every shared frame, idle, ECR and pulse
+    is one step for both arms, and only the stretched pulses and the idles
+    and frames they move are stepped per arm.
 
     RNG streams are spawned per circuit from the master seed, so results are
     reproducible and independent of execution order.  Mean P(0) uses the
@@ -209,8 +213,8 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
             optimize_durations(graph, gs, FREE_FLOAT)
             optimized = stretched_schedule(fixed, graph, gs)
             result.durations[OPTIMIZED].update(_pulse_durations(graph))
-            for policy, sch, ss in ((FIXED, fixed, fixed_ss), (OPTIMIZED, optimized, opt_ss)):
-                run = sim.run(sch, shots=cfg.shots, seed=ss)
+            runs = sim.run_arms((fixed, optimized), cfg.shots, (fixed_ss, opt_ss))
+            for policy, sch, run in zip((FIXED, OPTIMIZED), (fixed, optimized), runs):
                 result.rows.append(
                     RBRow(
                         length=length,

@@ -95,14 +95,18 @@ class Gate:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        kind = self.kind
-        qubits = tuple(map(int, self.qubits))
-        angles = tuple(map(float, self.angles))
-        if not all(map(math.isfinite, angles)):
-            raise ValueError(f"gate {self.id}: angle list {angles} is not finite")
-        angles = tuple(map(normalize_angle, angles))
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angles", angles)
+        kind, qubits, angles = self.kind, self.qubits, self.angles
+        # a tuple of plain ints, and one of plain floats in (-2*pi, 2*pi], is
+        # already what the conversions make of it, bit for bit
+        if type(qubits) is not tuple or not all(type(q) is int for q in qubits):
+            qubits = tuple(map(int, qubits))
+            object.__setattr__(self, "qubits", qubits)
+        if type(angles) is not tuple or not all(type(a) is float and -TWO_PI < a <= TWO_PI for a in angles):
+            angles = tuple(map(float, angles))
+            if not all(map(math.isfinite, angles)):
+                raise ValueError(f"gate {self.id}: angle list {angles} is not finite")
+            angles = tuple(map(normalize_angle, angles))
+            object.__setattr__(self, "angles", angles)
         if kind not in KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         arity = len(qubits)

@@ -30,6 +30,14 @@ stands, and a 1q channel is one matmul on the (9**q, 9, rest) view of the
 state, with no transpose.  A pair channel is permuted into the layout
 once, when the simulator caches it; an adjacent pair is then one 81x81
 matmul, and a non-adjacent pair keeps one transpose.
+
+``ScheduleSimulator.run_arms`` walks k schedules that share one skeleton
+(the fixed and stretched arms of one circuit) in one pass.  The state then
+carries a leading arm axis, shape (k, 9**width), and ``contract_arms``
+contracts a channel into every arm at once: one channel broadcast over the
+axis where the arms agree, a (k, ...) stack of per-arm channels where they
+do not.  Each arm's slice takes the product a lone state would take, so
+every arm gets the bits a run of its schedule alone gives.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from scipy.linalg import expm
 
 from .errors import ConfigError, NoiseConfigError, SimulationError, check_count
 from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
-from .schedule import FrameShift, Schedule
+from .schedule import FrameShift, PulsePlacement, Schedule
 
 # ---------------------------------------------------------------------------
 # operators
@@ -347,8 +355,8 @@ def pair_layout(superop: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
 
     ``superop`` indexes (r_a r_b c_a c_b) for ``qubits = (a, b)``; the
     result indexes (r c of the lower qubit, r c of the higher one) on both
-    sides, as ``DensityState.apply_local_superop`` takes it with the
-    operands in ascending order.
+    sides, as ``contract_arms`` takes it with the operands in ascending
+    order.
     """
     p = (0, 2, 1, 3) if qubits[0] < qubits[1] else (1, 3, 0, 2)
     return superop.reshape((3,) * 8).transpose(*p, *(4 + i for i in p)).reshape(81, 81)
@@ -361,6 +369,33 @@ def pair_layout(superop: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _bitstrings(width: int) -> tuple[str, ...]:
     return tuple("".join(bits) for bits in product("01", repeat=width))
+
+
+def contract_arms(data: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
+    """Contract a 9**m superop in the state layout into ``qubits`` of k states.
+
+    ``data`` holds one state of ``width`` qubits per arm, shape (k,
+    9**width).  ``superop`` is one (9**m, 9**m) channel, broadcast over the
+    arm axis, or a (k, 9**m, 9**m) stack of one channel per arm.  The
+    operands ascend, and ``superop`` indexes their (row, col) axes in that
+    order (``pair_layout`` permutes a pair channel into it).  One qubit or
+    an adjacent pair is one matmul on the (k, outer, 9**m, inner) view of
+    the states, or a right multiply when nothing follows the operands; a
+    non-adjacent pair transposes its second axis next to its first and back.
+    Every arm's slice is the product one state alone would take.
+    """
+    k, n = len(data), superop.shape[-1]
+    lo, hi = qubits[0], qubits[-1]
+    gap = 9 ** max(hi - lo - 1, 0)
+    inner = 9 ** (width - hi - 1)
+    if gap == 1 and inner == 1:
+        return (data.reshape(k, -1, n) @ superop.swapaxes(-1, -2)).reshape(k, -1)
+    s = superop[:, None] if superop.ndim == 3 else superop
+    if gap == 1:
+        return (s @ data.reshape(k, -1, n, inner)).reshape(k, -1)
+    rho = data.reshape(k, 9**lo, 9, gap, 9, inner).transpose(0, 1, 2, 4, 3, 5)
+    rho = s @ rho.reshape(k, 9**lo, 81, gap * inner)
+    return rho.reshape(k, 9**lo, 9, 9, gap, inner).transpose(0, 1, 2, 4, 3, 5).reshape(k, -1)
 
 
 @dataclass
@@ -414,27 +449,9 @@ class DensityState:
         self.apply_local_superop(s, qubits)
 
     def apply_local_superop(self, superop: np.ndarray, qubits: tuple[int, ...]):
-        """Contract a 9**k superop in the state layout into ``qubits``.
-
-        The operands ascend, and ``superop`` indexes their (row, col) axes
-        in that order (``pair_layout`` permutes a pair channel into it).
-        One qubit or an adjacent pair is one matmul on the (outer, 9**k,
-        inner) view of the state, or a right multiply when nothing follows
-        the operands; a non-adjacent pair transposes its second axis next
-        to its first and back.
-        """
-        w, lo, hi = self.width, qubits[0], qubits[-1]
-        gap = 9 ** max(hi - lo - 1, 0)
-        inner = 9 ** (w - hi - 1)
-        if gap == 1:
-            if inner == 1:
-                self.data = (self.data.reshape(-1, len(superop)) @ superop.T).reshape(-1)
-            else:
-                self.data = (superop @ self.data.reshape(-1, len(superop), inner)).reshape(-1)
-            return
-        rho = self.data.reshape(9**lo, 9, gap, 9, inner).transpose(0, 1, 3, 2, 4)
-        rho = superop @ rho.reshape(9**lo, 81, gap * inner)
-        self.data = rho.reshape(9**lo, 9, 9, gap, inner).transpose(0, 1, 3, 2, 4).reshape(-1)
+        """Contract a 9**k superop in the state layout into ``qubits``
+        (``contract_arms`` on this one state)."""
+        self.data = contract_arms(self.data[None], superop, qubits, self.width)[0]
 
     def probabilities(self) -> dict[str, float]:
         """Bitstring distribution; leakage level 2 reads out as 'not |0>' = 1.
@@ -462,12 +479,16 @@ class RunResult:
 
 
 class ScheduleSimulator:
-    """Caches channels across many run_schedule calls, keyed by (waveform id,
-    qubit) for pulses, (gap, qubit) for idles and (qubits, duration) for ECRs.
+    """Caches channels across many runs, keyed by (spec number, qubit, None)
+    for pulses, (gap, qubit) for idles and (qubits, duration) for ECRs.
 
     A schedule carries each pulse as its ``ShapeSpec``; the pulse channel
-    builder synthesizes the samples, so a waveform is sampled once per
-    (waveform id, qubit) cache miss and never on a hit.
+    builder synthesizes the samples, so a pulse is sampled once per cache
+    miss and never on a hit.  A pulse's key is built from what its channel
+    is built from, not from its waveform id: each run numbers its
+    schedules' specs once, one number per distinct spec this simulator has
+    seen, so two schedules that name different pulses alike each play
+    their own.
 
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
@@ -477,7 +498,8 @@ class ScheduleSimulator:
     rotation over its duration (decoherence still applies, and nothing is
     synthesized), and each placement's ``pre_frame`` and ``post_frame`` are
     skipped, since they only null the integrated pulse's phase error; the
-    circuit's own virtual Rz frames (``Schedule.frames``) still apply.  This
+    circuit's own virtual Rz frames (``Schedule.frames``) still apply.  A
+    pulse's key then holds its placement's angle in place of None.  This
     isolates decoherence and scheduling effects from pulse-integration
     error, and makes noiseless randomized-benchmarking sequences compose to
     the identity exactly.
@@ -493,18 +515,42 @@ class ScheduleSimulator:
     ECR, when it is nonzero; a trailing sum cannot change Z-basis
     populations and is dropped.  ECR channels are cached already permuted
     into the state layout (``pair_layout``).
+
+    ``run_arms`` walks k schedules in one pass, and ``run`` is its one-arm
+    case.  The arms must share one skeleton: equal width, makespan and
+    event count, and ``events()`` that zip step by step.  A step equal in
+    every arm is shared: it folds one channel or makes one contraction,
+    broadcast over the state's arm axis, and a pulse it names must be the
+    same ``ShapeSpec`` in every arm.  A step that differs, such as a
+    stretched pulse, must be a 1q pulse that agrees on ``seq``, qubits,
+    start and kind (an ECR never stretches, so it must be one step of every
+    arm); each arm folds its own channel, and the qubit's pending channel,
+    clock and frame sum become per-arm until they agree again (the pending
+    channel at the next flush).  A frame shift must agree on qubit, angle and
+    ``seq``; its time may differ, since no frame time is read.  When the
+    arms' frame lists differ, the frames behind each qubit's last pulse,
+    which no pulse reads and which a stretched arm retimes, leave the walk
+    before the steps are zipped.  Zipped steps keep every qubit's event
+    order, so each arm gets the bits a run of its schedule alone gives.  Any
+    other difference raises ``SimulationError``.
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
         self.nm = nm
         self.ideal_pulses = ideal_pulses
         self._channels: dict = {}
+        self._spec_numbers: dict[ShapeSpec, int] = {}
 
     def _channel(self, key, build, *args) -> np.ndarray:
         ch = self._channels.get(key)
         if ch is None:
             ch = self._channels[key] = build(*args)
         return ch
+
+    def _spec_keys(self, sch: Schedule) -> dict[str, int]:
+        """Each waveform id of ``sch`` -> the number of its ShapeSpec."""
+        numbers = self._spec_numbers
+        return {wid: numbers.setdefault(spec, len(numbers)) for wid, spec in sch.waveforms.items()}
 
     def _pulse_superop(self, spec: ShapeSpec, qubit: int, angle: float) -> np.ndarray:
         if not self.ideal_pulses:
@@ -521,75 +567,199 @@ class ScheduleSimulator:
         return pair_layout(ecr_channel(self.nm, qubits, duration), qubits)
 
     def run(self, sch: Schedule, shots: int = 1024, seed=None, validate_states: bool = False) -> RunResult:
+        """Propagate one schedule and sample ``shots`` outcomes: ``run_arms`` of one arm."""
+        return self.run_arms((sch,), shots, (seed,), validate_states)[0]
+
+    def run_arms(self, schedules, shots: int, seeds, validate_states: bool = False) -> list[RunResult]:
+        """Propagate k schedules of one skeleton in one walk, and sample
+        ``shots`` outcomes of each from its own seed; one result per arm, in order."""
         check_count("shots", shots, 0)
-        if sch.width > MAX_SIM_QUBITS:
-            raise SimulationError(
-                f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {sch.width}"
-            )
-        if sch.width == 0:
-            return RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots)
-        state = DensityState(sch.width)
-        t_last = [0] * sch.width
-        pending: list[np.ndarray | None] = [None] * sch.width
-        frame = [0.0] * sch.width
+        k = len(schedules)
+        if k == 0 or len(seeds) != k:
+            raise ConfigError(f"{k} schedule(s) need one seed each, got {len(seeds)}")
+        width, makespan = schedules[0].width, schedules[0].makespan
+        if any(sch.width != width or sch.makespan != makespan for sch in schedules):
+            raise SimulationError("arms differ in width or makespan")
+        if width > MAX_SIM_QUBITS:
+            raise SimulationError(f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {width}")
+        if width == 0:
+            return [RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots) for _ in schedules]
+        walks = [sch.events() for sch in schedules]
+        if any(sch.frames != schedules[0].frames for sch in schedules[1:]):
+            # a stretched arm retimes the frames behind a qubit's last pulse;
+            # no pulse reads those, so they leave the walk and the steps zip
+            walks = [_without_trailing_frames(walk, width) for walk in walks]
+        if any(len(walk) != len(walks[0]) for walk in walks):
+            raise SimulationError("arms differ in event count")
+        keys = [self._spec_keys(sch) for sch in schedules]
+        specs = [sch.waveforms for sch in schedules]
+        # waveform ids that name another spec in some arm than in arm 0
+        clash = {wid for arm in keys[1:] for wid, n in arm.items() if keys[0].get(wid, n) != n}
+        ideal = self.ideal_pulses
+        data = np.zeros((k, 9**width), dtype=complex)
+        data[:, 0] = 1.0
+        # per qubit: one value for every arm, or a tuple of one per arm
+        t_last = [0] * width
+        frame = [0.0] * width
+        pending: list[np.ndarray | None] = [None] * width  # (9, 9) for every arm, or (k, 9, 9)
+
+        def per_arm(values):
+            return values[0] if values.count(values[0]) == k else tuple(values)
+
+        def add_frame(q, angles):
+            f = frame[q]
+            if type(f) is tuple or type(angles) is tuple:
+                fs = f if type(f) is tuple else (f,) * k
+                angles = angles if type(angles) is tuple else (angles,) * k
+                frame[q] = per_arm([x + a for x, a in zip(fs, angles)])
+            else:
+                frame[q] = f + angles
 
         def fold(q, s):
-            if frame[q]:
-                s = s * np.exp(1j * frame[q] * _LEVEL_GAPS)
+            f = frame[q]
+            if type(f) is tuple:
+                fold_arms(q, [s] * k)
+                return
+            if f:
+                s = s * np.exp(1j * f * _LEVEL_GAPS)
                 frame[q] = 0.0
-            pending[q] = s if pending[q] is None else s @ pending[q]
+            p = pending[q]
+            pending[q] = s if p is None else s @ p
+
+        def fold_arms(q, channels):
+            """Arm a folds channels[a] (None: nothing) after its own frame sum.
+
+            A None comes only with a per-arm clock or frame sum, which only
+            a stretched pulse makes, so every arm holds a pending channel then.
+            """
+            f, p = frame[q], pending[q]
+            fs = f if type(f) is tuple else (f,) * k
+            folded = [None] * k if p is None else list(p) if p.ndim == 3 else [p] * k
+            left = list(fs)
+            for a, s in enumerate(channels):
+                if s is None:
+                    continue
+                if fs[a]:
+                    s = s * np.exp(1j * fs[a] * _LEVEL_GAPS)
+                    left[a] = 0.0
+                folded[a] = s if folded[a] is None else s @ folded[a]
+            pending[q] = np.array(folded)
+            frame[q] = per_arm(left)
 
         def contract(s, qubits):
-            state.apply_local_superop(s, qubits)
+            nonlocal data
+            data = contract_arms(data, s, qubits, width)
             if validate_states:
-                state.validate()
+                for rho in data:
+                    DensityState(width, rho).validate()
 
         def flush(q):
             if pending[q] is not None:
                 contract(pending[q], (q,))
                 pending[q] = None
 
+        def idle(q, gap):
+            return self._channel((gap, q), self._idle_superop, gap, q)
+
         def idle_to(q, t):
-            gap = t - t_last[q]
-            if gap > 0:
-                fold(q, self._channel((gap, q), self._idle_superop, gap, q))
+            last = t_last[q]
+            if type(last) is tuple:
+                fold_arms(q, [idle(q, t - l) if t > l else None for l in last])
+            elif t > last:
+                fold(q, idle(q, t - last))
             t_last[q] = t
 
-        for ev in sch.events():
-            if isinstance(ev, FrameShift):
-                frame[ev.qubit] += ev.angle
+        def pulse(a, ev):
+            q, wid = ev.qubits[0], ev.waveform_id
+            key = (keys[a][wid], q, ev.angle if ideal else None)
+            return self._channel(key, self._pulse_superop, specs[a][wid], q, ev.angle)
+
+        for evs in zip(*walks):
+            ev = evs[0]
+            shared = evs.count(ev) == k
+            if not shared:
+                _check_skeleton(evs)
+            if type(ev) is FrameShift:
+                add_frame(ev.qubit, ev.angle)
                 continue
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
                 for q in ev.qubits:
-                    if frame[q]:
+                    f = frame[q]
+                    if type(f) is tuple:
+                        fold_arms(q, [_EYE9 if x else None for x in f])
+                    elif f:
                         fold(q, _EYE9)
                     flush(q)
                 s = self._channel((ev.qubits, ev.duration), self._ecr_superop, ev.qubits, ev.duration)
                 contract(s, tuple(sorted(ev.qubits)))
+            elif shared:
+                if ev.waveform_id in clash:
+                    raise SimulationError(f"arms name different pulses {ev.waveform_id!r}")
+                q = ev.qubits[0]
+                if not ideal:
+                    add_frame(q, ev.pre_frame)
+                fold(q, pulse(0, ev))
+                if not ideal:
+                    add_frame(q, ev.post_frame)
             else:
-                q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
-                pre, post = (0.0, 0.0) if self.ideal_pulses else (ev.pre_frame, ev.post_frame)
-                frame[q] += pre
-                fold(q, self._channel((ev.waveform_id, q), self._pulse_superop, spec, q, ev.angle))
-                frame[q] += post
+                q = ev.qubits[0]
+                if not ideal:
+                    add_frame(q, tuple(e.pre_frame for e in evs))
+                fold_arms(q, [pulse(a, e) for a, e in enumerate(evs)])
+                if not ideal:
+                    add_frame(q, tuple(e.post_frame for e in evs))
+            end = ev.start + ev.duration if shared else per_arm([e.start + e.duration for e in evs])
             for q in ev.qubits:
-                t_last[q] = ev.start + ev.duration
-        for q in range(sch.width):
+                t_last[q] = end
+        for q in range(width):
             frame[q] = 0.0  # trailing frames cannot change Z-basis populations
-            idle_to(q, sch.makespan)
+            idle_to(q, makespan)
             flush(q)
 
-        probs = state.probabilities()
-        pvec = np.clip(np.array(list(probs.values())), 0.0, None)
-        total = pvec.sum()
-        if total <= 0:
-            raise SimulationError("state has no measurable population")
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(shots, pvec / total)
-        counts = {k: int(n) for k, n in zip(probs, draws) if n > 0}
-        return RunResult(p0=state.p_zero(), probabilities=probs, counts=counts, shots=shots)
+        results = []
+        for rho, seed in zip(data, seeds):
+            state = DensityState(width, rho)
+            probs = state.probabilities()
+            pvec = np.clip(np.array(list(probs.values())), 0.0, None)
+            total = pvec.sum()
+            if total <= 0:
+                raise SimulationError("state has no measurable population")
+            draws = np.random.default_rng(seed).multinomial(shots, pvec / total)
+            counts = {key: int(n) for key, n in zip(probs, draws) if n > 0}
+            results.append(RunResult(p0=state.p_zero(), probabilities=probs, counts=counts, shots=shots))
+        return results
+
+
+def _without_trailing_frames(events, width):
+    """``events`` less the frame shifts behind their qubit's last pulse."""
+    pulsed = [False] * width
+    kept = []
+    for ev in reversed(events):
+        if type(ev) is not FrameShift:
+            for q in ev.qubits:
+                pulsed[q] = True
+        elif not pulsed[ev.qubit]:
+            continue
+        kept.append(ev)
+    return kept[::-1]
+
+
+def _check_skeleton(evs):
+    """Raise unless zipped steps that differ are one step of every arm:
+    1q pulses alike in type, ``seq``, qubits, start and kind, or frame
+    shifts alike in all but time."""
+    ev = evs[0]
+    if type(ev) is FrameShift:
+        same = all(type(e) is FrameShift and (e.qubit, e.angle, e.seq) == (ev.qubit, ev.angle, ev.seq)
+                   for e in evs)
+    else:
+        same = ev.kind != "ecr" and all(
+            type(e) is PulsePlacement and (e.seq, e.qubits, e.start, e.kind) == (ev.seq, ev.qubits, ev.start, ev.kind)
+            for e in evs)
+    if not same:
+        raise SimulationError(f"arms do not share one skeleton: {evs}")
 
 
 def run_schedule(

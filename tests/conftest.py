@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from pulsesched.circuit import Circuit, Gate
+from pulsesched.scheduler import FREE_FLOAT, create_schedule, minimum_duration_graph, optimize_durations, stretched_schedule
+from pulsesched.sim import ScheduleSimulator
 
 HALF_PI = math.pi / 2.0
 
@@ -161,6 +163,23 @@ def random_circuit(rng, n_qubits, n_gates, u3_only=False, with_measure=True):
         specs.append(("measure", (int(rng.integers(n_qubits)),), ()))
     gates = tuple(Gate(id=i, kind=k, qubits=q, angles=a) for i, (k, q, a) in enumerate(specs))
     return Circuit(width=n_qubits, gates=gates)
+
+
+def stretched_pair(c, gs):
+    """The FIXED and OPTIMIZED arms of a lowered circuit, built as ``run_rb`` builds them."""
+    g = minimum_duration_graph(c, gs)
+    fixed = create_schedule(g, gs)
+    optimize_durations(g, gs, FREE_FLOAT)
+    return fixed, stretched_schedule(fixed, g, gs)
+
+
+def assert_arms_equal_runs(simulator, arms, validate_states=False):
+    """``run_arms`` gives each arm the bits that a fresh simulator's ``run`` of it alone gives."""
+    seeds = tuple(range(11, 11 + len(arms)))
+    got = simulator.run_arms(arms, 64, seeds, validate_states)
+    alone = ScheduleSimulator(simulator.nm, ideal_pulses=simulator.ideal_pulses)
+    want = [alone.run(sch, 64, seed, validate_states) for sch, seed in zip(arms, seeds)]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
 
 
 def schedule_fields_of(sch):

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import circuit_unitary, equal_up_to_phase, schedule_fields_of
+from conftest import assert_arms_equal_runs, circuit_unitary, equal_up_to_phase, schedule_fields_of, stretched_pair
 from pulsesched import bench
 from pulsesched.bench import (
     FIXED,
@@ -221,18 +221,18 @@ class TestSharedArmGraph:
     def test_arms_equal_run_framework(self, calibrated_3q, monkeypatch, n_qubits, seed):
         gs = calibrated_3q
         circuits, schedules = [], []
-        generate, simulate = bench.random_clifford_circuit, ScheduleSimulator.run
+        generate, simulate = bench.random_clifford_circuit, ScheduleSimulator.run_arms
 
         def record_circuit(*args, **kwargs):
             circuits.append(generate(*args, **kwargs))
             return circuits[-1]
 
-        def record_schedule(self, sch, *args, **kwargs):
-            schedules.append(sch)
-            return simulate(self, sch, *args, **kwargs)
+        def record_schedules(self, arms, *args, **kwargs):
+            schedules.extend(arms)
+            return simulate(self, arms, *args, **kwargs)
 
         monkeypatch.setattr(bench, "random_clifford_circuit", record_circuit)
-        monkeypatch.setattr(ScheduleSimulator, "run", record_schedule)
+        monkeypatch.setattr(ScheduleSimulator, "run_arms", record_schedules)
         cfg = RBConfig(n_qubits=n_qubits, clifford_lengths=(1, 4), circuits_per_length=2, seed=seed, shots=8)
         result = run_rb(cfg, gs, NoiseModel())
 
@@ -246,6 +246,30 @@ class TestSharedArmGraph:
                 durations[policy].update(n.duration for n in g.nodes if n.gate.kind in X_PULSE_KINDS)
         assert result.durations == durations
         assert durations[OPTIMIZED] != durations[FIXED]
+
+
+class TestRunArmsOnRB:
+    """``run_rb`` simulates both arms in one ``run_arms`` walk; each arm must
+    equal ``run`` of it alone, bit for bit."""
+
+    @pytest.mark.parametrize("n_qubits, length", [(2, 41), (3, 7)])
+    def test_calibrated_pairs(self, calibrated_3q, n_qubits, length):
+        simulator = ScheduleSimulator(NoiseModel())
+        stretched = 0
+        for seed in range(3):
+            pair = stretched_pair(lower(random_clifford_circuit(n_qubits, length, seed), calibrated_3q), calibrated_3q)
+            assert_arms_equal_runs(simulator, pair, validate_states=seed == 0)
+            stretched += pair[0].placements != pair[1].placements
+        assert stretched > 0
+
+    @pytest.mark.parametrize("ideal_pulses", [False, True])
+    def test_five_qubit_pair(self, ideal_pulses):
+        # five qubits reach the middle-qubit matmul and non-adjacent ECRs
+        gs = GateSet.ideal("static", 5)
+        pair = stretched_pair(lower(random_clifford_circuit(5, 3, 3), gs), gs)
+        assert pair[0].placements != pair[1].placements
+        assert any(abs(p.qubits[0] - p.qubits[1]) > 1 for p in pair[0].placements if p.kind == "ecr")
+        assert_arms_equal_runs(ScheduleSimulator(NoiseModel(), ideal_pulses=ideal_pulses), pair)
 
 
 class TestDurationHistogram:

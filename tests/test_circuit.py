@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -106,6 +106,27 @@ class TestParser:
             assert again == parsed
 
 
+def _converted_fields(gate_id, qubits, angles):
+    """A Gate's qubits and angles by the full conversion of every value."""
+    qubits = tuple(map(int, qubits))
+    angles = tuple(map(float, angles))
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"gate {gate_id}: angle list {angles} is not finite")
+    return qubits, tuple(map(normalize_angle, angles))
+
+
+#: angle values of every type and range a Gate may be given
+_GATE_ANGLE_VALUES = st.one_of(
+    st.integers(-20, 20),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-13.0, 13.0),
+    st.floats(-13.0, 13.0).map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 10.0, -10.0,
+                     2 * math.pi, -2 * math.pi, math.nextafter(-2 * math.pi, 0.0), 4 * math.pi]),
+)
+
+
 class TestGateInvariants:
     def test_angle_normalization_window(self):
         g = Gate(id=0, kind="rz", qubits=(0,), angles=(7.5 * math.pi,))
@@ -136,6 +157,35 @@ class TestGateInvariants:
         with pytest.raises(ValueError) as exc:
             Gate(id=0, kind=kind, qubits=qubits, angles=angles)
         assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @example(kind="u3", operands=[0, 1], qubit_type=int, container=tuple, angles=[-2 * math.pi, 2 * math.pi, -0.0])
+    @example(kind="u3", operands=[0, 1], qubit_type=int, container=tuple,
+             angles=[math.nextafter(2 * math.pi, 7.0), math.nextafter(-2 * math.pi, -7.0), 4 * math.pi])
+    @given(
+        kind=st.sampled_from(["rz", "rx", "u3", "ecr", "barrier"]),
+        operands=st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True),
+        qubit_type=st.sampled_from([int, bool, np.int64]),
+        container=st.sampled_from([tuple, list]),
+        angles=st.lists(_GATE_ANGLE_VALUES, min_size=3, max_size=3),
+    )
+    def test_fields_equal_the_plain_conversion(self, kind, operands, qubit_type, container, angles):
+        # plain ints and floats within (-2*pi, 2*pi] skip the conversions;
+        # every input must still give the fields, or the error, they give
+        arity, n_angles = (2, 0) if kind in ("ecr", "barrier") else (1, 3 if kind == "u3" else 1)
+        qubits = container(qubit_type(q) for q in ([0, 1] if qubit_type is bool else operands)[:arity])
+        angles = container(angles[:n_angles])
+        try:
+            want = _converted_fields(7, qubits, angles)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Gate(id=7, kind=kind, qubits=qubits, angles=angles)
+            assert str(got.value) == str(exc)
+            return
+        g = Gate(id=7, kind=kind, qubits=qubits, angles=angles)
+        assert type(g.qubits) is tuple and type(g.angles) is tuple
+        assert [(type(q), q) for q in g.qubits] == [(type(q), q) for q in want[0]]
+        assert [(type(a), repr(a)) for a in g.angles] == [(type(a), repr(a)) for a in want[1]]
 
     @pytest.mark.parametrize("qubits", [(0,), (2, 0)], ids=["1q", "2q"])
     def test_barrier_accepts_one_or_two_qubits(self, qubits):

@@ -892,7 +892,7 @@ def schedule_fields(draw):
     for _ in range(draw(st.integers(0, 2)) if events else 0):
         i = draw(st.integers(0, len(events) - 1))
         name, value = draw(st.sampled_from(_FIELDS[type(events[i])])), draw(_ODD_VALUES)
-        if name == "qubits" and draw(st.booleans()):
+        if name == "qubits" and type(events[i].qubits) is tuple and draw(st.booleans()):
             value = (value,) + events[i].qubits[1:]
         events[i] = replace(events[i], **{name: value})
     makespan = max(clock) + draw(st.integers(0, 8))
@@ -904,7 +904,7 @@ class TestScheduleProperty:
     """Whatever values its fields hold, a schedule is either rejected on
     construction or simulated and written as strict JSON."""
 
-    SIM = ScheduleSimulator(NoiseModel())  # channels cached per waveform id and qubit across examples
+    SIM = ScheduleSimulator(NoiseModel())  # channels cached per pulse spec and qubit across examples
 
     @settings(max_examples=150, deadline=None)
     @given(schedule_fields())

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import apply_superop, choi, random_circuit, rx_matrix
+from conftest import apply_superop, assert_arms_equal_runs, choi, random_circuit, rx_matrix, stretched_pair
 from pulsesched.errors import ConfigError, NoiseConfigError, SimulationError
 from pulsesched.gateset import DEFAULT_ECR_DURATION, GateSet, fit_rabi
 from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
@@ -93,7 +93,7 @@ def unfused_run(sim, sch):
             s = pair_layout(ecr_channel(sim.nm, ev.qubits, ev.duration), ev.qubits)
         else:
             q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
-            s = sim._channel((ev.waveform_id, q), sim._pulse_superop, spec, q, ev.angle)
+            s = sim._pulse_superop(spec, q, ev.angle)
             if not sim.ideal_pulses:
                 rz(ev.pre_frame, q)
         state.apply_local_superop(s, tuple(sorted(ev.qubits)))
@@ -468,16 +468,15 @@ class TestFusion:
         # runs; each ECR flushes its two operands and applies itself, and
         # the end flushes every qubit once
         calls = {"superop": 0, "unitary": 0}
-        superop, unitary = DensityState.apply_local_superop, DensityState.apply_local_unitary
 
         def count(name, original):
-            def wrapped(self, *args):
+            def wrapped(*args):
                 calls[name] += 1
-                return original(self, *args)
+                return original(*args)
             return wrapped
 
-        monkeypatch.setattr(DensityState, "apply_local_superop", count("superop", superop))
-        monkeypatch.setattr(DensityState, "apply_local_unitary", count("unitary", unitary))
+        monkeypatch.setattr(sim, "contract_arms", count("superop", sim.contract_arms))
+        monkeypatch.setattr(DensityState, "apply_local_unitary", count("unitary", DensityState.apply_local_unitary))
         gs = GateSet.ideal("static", 3)
         _, sch = run_framework(lower(random_clifford_circuit(3, 5, 7), gs), gs, FREE_FLOAT)
         n_ecr = sum(p.kind == "ecr" for p in sch.placements)
@@ -565,8 +564,8 @@ class TestParametricWaveforms:
             simulator.run(sch, shots=1, seed=0)
             misses |= {(p.waveform_id, p.qubits[0]) for p in sch.placements if p.kind != "ecr"}
             assert len(synthesized) == len(misses)
-        # pulse channels are the cache entries keyed by a waveform id
-        assert synthesized and len(misses) == sum(isinstance(k[0], str) for k in simulator._channels)
+        # pulse channels are the cache entries keyed by (spec number, qubit, None)
+        assert synthesized and len(misses) == sum(len(k) == 3 for k in simulator._channels)
         simulator.run(sch, shots=1, seed=0)
         assert len(synthesized) == len(misses)
 
@@ -575,6 +574,107 @@ class TestParametricWaveforms:
         for sch in self.schedules("static"):
             simulator.run(sch, shots=1, seed=0)
         assert synthesized == []
+
+
+def _one_pulse(amplitude, angle=HALF_PI):
+    """A 1q schedule of one 32-dt Gaussian named ``sx_q0_d32``, whatever it plays."""
+    spec = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=32, sigma=8.0)
+    placement = PulsePlacement(qubits=(0,), start=0, duration=32, kind="sx", angle=angle,
+                               waveform_id="sx_q0_d32", seq=0)
+    return Schedule(width=1, makespan=32, placements=[placement], waveforms={"sx_q0_d32": spec})
+
+
+class TestPulseChannelKey:
+    """A pulse channel is cached by what it is built from, not by its name:
+    one simulator that runs schedules naming different pulses alike plays
+    each schedule's own pulse."""
+
+    @pytest.mark.parametrize("ideal_pulses, schedules", [
+        (False, [_one_pulse(0.05), _one_pulse(0.10)]),
+        (True, [_one_pulse(0.05, HALF_PI), _one_pulse(0.05, math.pi)]),
+    ], ids=["spec", "ideal-angle"])
+    def test_shared_simulator_equals_fresh_ones(self, ideal_pulses, schedules):
+        fresh = [ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses).run(s, shots=1, seed=0).p0
+                 for s in schedules]
+        shared = ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses)
+        assert abs(fresh[0] - fresh[1]) > 0.1
+        assert [shared.run(s, shots=1, seed=0).p0 for s in schedules] == fresh
+
+
+_SX120 = sx_shape(120)
+
+
+def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(0.3, 1), spec=_SX120,
+                  duration=120, ecr_duration=DEFAULT_ECR_DURATION, extra_frames=()):
+    """sx q0, a frame on q0, sx q1 (the pulse arms may stretch), then ecr q0 q1."""
+    placements = [
+        PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", seq=0),
+        PulsePlacement(qubits=(1,), start=start, duration=duration, kind="sx", angle=HALF_PI,
+                       waveform_id=f"sx{duration}", seq=2),
+        PulsePlacement(qubits=(0, 1), start=400, duration=ecr_duration, kind="ecr", angle=0.0,
+                       waveform_id="ecr", seq=3),
+    ]
+    angle, seq = frame
+    frames = [FrameShift(qubit=0, time=120, angle=angle, seq=seq), *extra_frames]
+    waveforms = {"sx": spec, f"sx{duration}": sx_shape(duration)}
+    return Schedule(width=width, makespan=makespan, placements=placements, frames=frames, waveforms=waveforms)
+
+
+class TestRunArms:
+    """``run_arms`` walks arms of one skeleton once; each arm equals ``run`` of it alone."""
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("ideal_pulses", [False, True])
+    def test_random_circuit_pairs(self, mode, ideal_pulses):
+        # random circuits end qubits' programs with stretched pulses whose
+        # trailing Rz the OPTIMIZED arm retimes, past other qubits' events
+        rng = np.random.default_rng(71)
+        gs = GateSet.ideal(mode, 4)
+        if mode == "static":
+            gs = with_calibration_frames(gs, rng)
+        simulator = ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses)
+        retimed = stretched = 0
+        for i in range(12):
+            pair = stretched_pair(lower(random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(1, 30))), gs), gs)
+            assert_arms_equal_runs(simulator, pair, validate_states=i < 2)
+            retimed += pair[0].frames != pair[1].frames
+            stretched += pair[0].placements != pair[1].placements
+        assert retimed > 0 and stretched > 3
+
+    def test_retimed_trailing_rz_passes_other_pulses(self):
+        # q0's only pulse stretches to 192 dt and its Rz moves from 64 to
+        # 192, past q1's pulses at 64 and 128
+        gs = GateSet.ideal("static", 2, static_durations=(64, 128, 192))
+        pair = stretched_pair(lower(parse_circuit("sx q1\nsx q1\nsx q1\nsx q0\nrz q0 0.5\nsx q1"), gs), gs)
+        assert [(f.qubit, f.time) for f in pair[0].frames] == [(0, 64)]
+        assert [(f.qubit, f.time) for f in pair[1].frames] == [(0, 192)]
+        assert_arms_equal_runs(ScheduleSimulator(DEFAULT), pair, validate_states=True)
+
+    def test_stretched_pulse_and_three_arms(self):
+        arms = (_skeleton_arm(), _skeleton_arm(duration=64), _skeleton_arm(duration=48))
+        assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms, validate_states=True)
+
+    @pytest.mark.parametrize("other", [
+        pytest.param(dict(width=3), id="width"),
+        pytest.param(dict(makespan=408 + DEFAULT_ECR_DURATION), id="makespan"),
+        pytest.param(dict(extra_frames=[FrameShift(qubit=1, time=0, angle=0.2, seq=9)]), id="event-count"),
+        pytest.param(dict(start=208), id="moved-start"),
+        pytest.param(dict(ecr_duration=1000), id="ecr-duration"),
+        pytest.param(dict(frame=(0.4, 1)), id="frame-angle"),
+        pytest.param(dict(frame=(0.3, 5)), id="frame-seq"),
+        pytest.param(dict(spec=replace(_SX120, amplitude=0.9 * _SX120.amplitude)), id="spec-named-alike"),
+    ])
+    def test_skeleton_mismatch_raises(self, other):
+        arms = (_skeleton_arm(), _skeleton_arm(**other))
+        assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[:1])
+        assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[1:])
+        with pytest.raises(SimulationError):
+            ScheduleSimulator(DEFAULT).run_arms(arms, 8, (0, 1))
+
+    @pytest.mark.parametrize("seeds", [(), (0,), (0, 1, 2)])
+    def test_one_seed_per_arm(self, seeds):
+        with pytest.raises(ConfigError, match="one seed each"):
+            ScheduleSimulator(DEFAULT).run_arms((_skeleton_arm(), _skeleton_arm()), 8, seeds)
 
 
 def _leaked_state():
@@ -774,6 +874,21 @@ class TestLocalContraction:
             got = contract_in_layout(rho, superop, qubits, width)
             ref = apply_superop(full_space_superop(superop, qubits, width), rho)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), qubits
+
+    @pytest.mark.parametrize("width", range(1, MAX_SIM_QUBITS + 1))
+    def test_arm_slices_equal_lone_states(self, width):
+        # one channel broadcast over three arms, or one channel per arm,
+        # gives each arm the bits its own one-arm contraction gives
+        rng = np.random.default_rng(40 + width)
+        data = random_complex(rng, (3, 9**width))
+        for qubits in operand_tuples(width):
+            qubits = tuple(sorted(qubits))
+            stack = random_complex(rng, (3,) + (9 ** len(qubits),) * 2)
+            for superop, per_arm in ((stack[0], [stack[0]] * 3), (stack, list(stack))):
+                got = sim.contract_arms(data, superop, qubits, width)
+                for a in range(3):
+                    alone = sim.contract_arms(data[a:a + 1], per_arm[a], qubits, width)[0]
+                    assert np.array_equal(got[a], alone), (qubits, a)
 
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (0, 2), (2, 0)])
     def test_local_unitary_equals_conjugation(self, qubits):
