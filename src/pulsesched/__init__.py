@@ -50,7 +50,6 @@ from .sim import (
     gate_channel,
     idle_channel,
     propagate_waveform,
-    run_schedule,
     simulate_rabi,
 )
 from .bench import RBConfig, RBResult, duration_histogram, export_timescale, random_clifford_circuit, run_rb
@@ -99,7 +98,6 @@ __all__ = [
     "propagate_waveform",
     "gate_channel",
     "idle_channel",
-    "run_schedule",
     "simulate_rabi",
     "RBConfig",
     "RBResult",

@@ -188,7 +188,10 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     skeleton, and ``ScheduleSimulator.run_arms`` simulates them in one walk
     over a state with an arm axis: every shared frame, idle, ECR and pulse
     is one step for both arms, and only the stretched pulses and the idles
-    and frames they move are stepped per arm.
+    after them are stepped per arm.  A pulse's calibration frames ride in
+    its cached channel, the arms share every frame shift but the trailing
+    Rz a stretch retimes (which leave the walk), and each qubit's frame sum
+    is one for both arms.
 
     RNG streams are spawned per circuit from the master seed, so results are
     reproducible and independent of execution order.  Mean P(0) uses the

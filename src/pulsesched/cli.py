@@ -54,6 +54,7 @@ def _cmd_schedule(args) -> int:
     circuit = _load(args.circuit, "circuit", parse_circuit)
     gs = _load(args.gateset, "gate set", GateSet.from_json)
     lowered = lower(circuit, gs)
+    gs.validate_coverage(lowered.width)
     g, sch = run_framework(lowered, gs, None if args.no_optimize else TOTAL_FLOAT)
     _write(args.out, "schedule", sch.write_json)
     if args.dot:

@@ -38,6 +38,13 @@ contracts a channel into every arm at once: one channel broadcast over the
 axis where the arms agree, a (k, ...) stack of per-arm channels where they
 do not.  Each arm's slice takes the product a lone state would take, so
 every arm gets the bits a run of its schedule alone gives.
+
+Virtual Z rotations are diagonal superops.  A calibrated pulse's pre/post
+frames are fixed by its gate-set row, so they are multiplied into the
+pulse's channel once, when it is cached; the circuit's own frame shifts
+sum per qubit and fold into that qubit's next channel.  The frame sum is
+then one float that every arm shares, and the only per-arm state of the
+walk is a qubit's clock and its pending channel.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -98,12 +106,20 @@ def embed_qubit_pair(u4: np.ndarray) -> np.ndarray:
 # noise model
 
 
+def _is_number(value) -> bool:
+    """An int or float (numpy's float64 is one) that ``float`` takes: not a
+    bool, nor an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def _per_qubit(value, qubit):
     if qubit < 0:
         raise NoiseConfigError(f"no qubit {qubit}: qubit indices start at 0")
     if value is None:
         return None
-    if np.isscalar(value):
+    if not isinstance(value, (list, tuple)):
         return float(value)
     if qubit >= len(value):
         raise NoiseConfigError(f"per-qubit noise list of {len(value)} has no entry for qubit {qubit}")
@@ -117,7 +133,10 @@ class NoiseModel:
     T1/T2 are in ns; ``None`` (or inf) disables the corresponding decay.
     ``rabi_coefficient_hz`` is the fitted Rabi frequency per unit drive
     amplitude.  ``ecr_fidelity`` sets the depolarizing strength proxy
-    1 - fidelity applied around the ideal two-qubit unitary.
+    1 - fidelity applied around the ideal two-qubit unitary.  Each
+    per-qubit field is None, a number, or a list or tuple of those, one
+    per qubit; ``ecr_fidelity`` is a number.  A bool or a string is no
+    number, and any other value raises ``NoiseConfigError``.
     """
 
     t1_ns: object = 180_000.0
@@ -127,12 +146,17 @@ class NoiseModel:
     ecr_fidelity: float = 0.99
 
     def __post_init__(self):
+        if not _is_number(self.ecr_fidelity):
+            raise NoiseConfigError(f"ecr_fidelity must be a number, got {self.ecr_fidelity!r:.80}")
         if not 0.0 <= self.ecr_fidelity <= 1.0:
             raise NoiseConfigError("ecr_fidelity must lie in [0, 1]")
         n = 1
-        for v in (self.t1_ns, self.t2_ns, self.anharmonicity_hz, self.rabi_coefficient_hz):
-            if v is not None and not np.isscalar(v):
+        for name in ("t1_ns", "t2_ns", "anharmonicity_hz", "rabi_coefficient_hz"):
+            v = getattr(self, name)
+            if isinstance(v, (list, tuple)) and all(x is None or _is_number(x) for x in v):
                 n = max(n, len(v))
+            elif not (v is None or _is_number(v)):
+                raise NoiseConfigError(f"{name} must be a number, null or a list of those, got {v!r:.80}")
         for q in range(n):
             t1, t2 = self.t1(q), self.t2(q)
             for name, t in (("T1", t1), ("T2", t2)):
@@ -479,8 +503,9 @@ class RunResult:
 
 
 class ScheduleSimulator:
-    """Caches channels across many runs, keyed by (spec number, qubit, None)
-    for pulses, (gap, qubit) for idles and (qubits, duration) for ECRs.
+    """Caches channels across many runs, keyed by (spec number, qubit, None,
+    pre, post) for pulses, (gap, qubit) for idles and (qubits, duration)
+    for ECRs.
 
     A schedule carries each pulse as its ``ShapeSpec``; the pulse channel
     builder synthesizes the samples, so a pulse is sampled once per cache
@@ -488,7 +513,9 @@ class ScheduleSimulator:
     is built from, not from its waveform id: each run numbers its
     schedules' specs once, one number per distinct spec this simulator has
     seen, so two schedules that name different pulses alike each play
-    their own.
+    their own.  A pulse's channel is Z(post) G Z(pre): its placement's
+    calibration frames ride in the cached channel, and the walk never adds
+    them to a frame sum.
 
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
@@ -497,42 +524,42 @@ class ScheduleSimulator:
     With ideal_pulses=True every drive pulse acts as its exact nominal
     rotation over its duration (decoherence still applies, and nothing is
     synthesized), and each placement's ``pre_frame`` and ``post_frame`` are
-    skipped, since they only null the integrated pulse's phase error; the
-    circuit's own virtual Rz frames (``Schedule.frames``) still apply.  A
-    pulse's key then holds its placement's angle in place of None.  This
-    isolates decoherence and scheduling effects from pulse-integration
-    error, and makes noiseless randomized-benchmarking sequences compose to
-    the identity exactly.
+    skipped (its key holds 0 for both), since they only null the integrated
+    pulse's phase error; the circuit's own virtual Rz frames
+    (``Schedule.frames``) still apply.  A pulse's key then holds its
+    placement's angle in place of None.  This isolates decoherence and
+    scheduling effects from pulse-integration error, and makes noiseless
+    randomized-benchmarking sequences compose to the identity exactly.
 
     Operations on different qubits commute, so each qubit's idles and
     pulses fold into one pending 9x9 channel in that qubit's event order.
     The state is only formed when an ECR flushes its operands' channels and
     applies itself, and at the final flush; ``validate_states`` checks the
-    state after each of those contractions.  A qubit's frame shifts, and a
-    pulse's pre/post frames just before and after it, only add to its frame
-    angle.  A frame commutes with the idle channel, so the sum folds into
-    the pending channel as one diagonal before the qubit's next pulse or
-    ECR, when it is nonzero; a trailing sum cannot change Z-basis
-    populations and is dropped.  ECR channels are cached already permuted
-    into the state layout (``pair_layout``).
+    state after each of those contractions.  A frame shift settles its
+    qubit's clock (folds the idle up to its time, as a pulse or ECR does
+    at its start) and adds its angle to the qubit's frame sum, which folds
+    into the qubit's next channel as one diagonal.  The frames behind a
+    qubit's last pulse cannot change Z-basis populations and leave the
+    walk first, so every frame kept is consumed by a later pulse or ECR.
+    A frame that falls inside a pulse leaves that pulse's clock as it is,
+    and so acts after it.  ECR channels are cached already permuted into
+    the state layout (``pair_layout``).
 
     ``run_arms`` walks k schedules in one pass, and ``run`` is its one-arm
     case.  The arms must share one skeleton: equal width, makespan and
-    event count, and ``events()`` that zip step by step.  A step equal in
-    every arm is shared: it folds one channel or makes one contraction,
-    broadcast over the state's arm axis, and a pulse it names must be the
-    same ``ShapeSpec`` in every arm.  A step that differs, such as a
-    stretched pulse, must be a 1q pulse that agrees on ``seq``, qubits,
-    start and kind (an ECR never stretches, so it must be one step of every
-    arm); each arm folds its own channel, and the qubit's pending channel,
-    clock and frame sum become per-arm until they agree again (the pending
-    channel at the next flush).  A frame shift must agree on qubit, angle and
-    ``seq``; its time may differ, since no frame time is read.  When the
-    arms' frame lists differ, the frames behind each qubit's last pulse,
-    which no pulse reads and which a stretched arm retimes, leave the walk
-    before the steps are zipped.  Zipped steps keep every qubit's event
-    order, so each arm gets the bits a run of its schedule alone gives.  Any
-    other difference raises ``SimulationError``.
+    event count, and ``events()`` (less their trailing frames) that zip
+    step by step.  A step equal in every arm is shared: it folds one
+    channel or makes one contraction, broadcast over the state's arm axis,
+    and a pulse it names must be the same ``ShapeSpec`` in every arm.  Every
+    frame shift must be shared.  A step that differs, such as a stretched
+    pulse, must be a 1q pulse that agrees on ``seq``, qubits, start and kind
+    (an ECR never stretches, so it must be one step of every arm); each arm
+    folds its own channel, after the frame sum all arms share.  That
+    qubit's clock is then per-arm until its next event settles it, and its
+    pending channel per-arm until the next flush; a frame that falls inside
+    the stretched pulse of some arm raises.  Zipped steps keep every
+    qubit's event order, so each arm gets the bits a run of its schedule
+    alone gives.  Any other difference raises ``SimulationError``.
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
@@ -552,12 +579,15 @@ class ScheduleSimulator:
         numbers = self._spec_numbers
         return {wid: numbers.setdefault(spec, len(numbers)) for wid, spec in sch.waveforms.items()}
 
-    def _pulse_superop(self, spec: ShapeSpec, qubit: int, angle: float) -> np.ndarray:
-        if not self.ideal_pulses:
-            return gate_channel(synthesize(spec), self.nm, qubit)
-        u = np.eye(3, dtype=complex)
-        u[:2, :2] = ideal_rx(angle)
-        return idle_channel(spec.duration, self.nm, qubit) @ unitary_superop(u)
+    def _pulse_superop(self, spec: ShapeSpec, qubit: int, angle: float, pre: float, post: float) -> np.ndarray:
+        """The pulse's channel between its calibration frames: Z(post) G Z(pre)."""
+        if self.ideal_pulses:
+            u = np.eye(3, dtype=complex)
+            u[:2, :2] = ideal_rx(angle)
+            g = idle_channel(spec.duration, self.nm, qubit) @ unitary_superop(u)
+        else:
+            g = gate_channel(synthesize(spec), self.nm, qubit)
+        return np.exp(1j * post * _LEVEL_GAPS)[:, None] * g * np.exp(1j * pre * _LEVEL_GAPS)
 
     def _idle_superop(self, gap: int, qubit: int) -> np.ndarray:
         decay = idle_channel(gap, self.nm, qubit)
@@ -584,11 +614,9 @@ class ScheduleSimulator:
             raise SimulationError(f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {width}")
         if width == 0:
             return [RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots) for _ in schedules]
-        walks = [sch.events() for sch in schedules]
-        if any(sch.frames != schedules[0].frames for sch in schedules[1:]):
-            # a stretched arm retimes the frames behind a qubit's last pulse;
-            # no pulse reads those, so they leave the walk and the steps zip
-            walks = [_without_trailing_frames(walk, width) for walk in walks]
+        # the frames behind each qubit's last pulse cannot change Z-basis
+        # populations, and a stretched arm retimes them: they leave the walk
+        walks = [_without_trailing_frames(sch.events(), width) for sch in schedules]
         if any(len(walk) != len(walks[0]) for walk in walks):
             raise SimulationError("arms differ in event count")
         keys = [self._spec_keys(sch) for sch in schedules]
@@ -598,53 +626,29 @@ class ScheduleSimulator:
         ideal = self.ideal_pulses
         data = np.zeros((k, 9**width), dtype=complex)
         data[:, 0] = 1.0
-        # per qubit: one value for every arm, or a tuple of one per arm
-        t_last = [0] * width
+        # per qubit: the clock, one time or (after a stretched pulse) a tuple
+        # of one per arm; the frame sum every arm shares; the pending channel
+        t_last: list = [0] * width
         frame = [0.0] * width
         pending: list[np.ndarray | None] = [None] * width  # (9, 9) for every arm, or (k, 9, 9)
 
-        def per_arm(values):
-            return values[0] if values.count(values[0]) == k else tuple(values)
-
-        def add_frame(q, angles):
-            f = frame[q]
-            if type(f) is tuple or type(angles) is tuple:
-                fs = f if type(f) is tuple else (f,) * k
-                angles = angles if type(angles) is tuple else (angles,) * k
-                frame[q] = per_arm([x + a for x, a in zip(fs, angles)])
-            else:
-                frame[q] = f + angles
-
         def fold(q, s):
-            f = frame[q]
-            if type(f) is tuple:
-                fold_arms(q, [s] * k)
-                return
-            if f:
-                s = s * np.exp(1j * f * _LEVEL_GAPS)
-                frame[q] = 0.0
-            p = pending[q]
-            pending[q] = s if p is None else s @ p
+            """Fold channel s, or a list of one per arm (None: nothing), after q's frame sum.
 
-        def fold_arms(q, channels):
-            """Arm a folds channels[a] (None: nothing) after its own frame sum.
-
-            A None comes only with a per-arm clock or frame sum, which only
-            a stretched pulse makes, so every arm holds a pending channel then.
+            A list comes with a stretched pulse, or with the idles after
+            one; a None only with the idles, when every arm holds a pending
+            channel and no frame sum is left.
             """
             f, p = frame[q], pending[q]
-            fs = f if type(f) is tuple else (f,) * k
-            folded = [None] * k if p is None else list(p) if p.ndim == 3 else [p] * k
-            left = list(fs)
-            for a, s in enumerate(channels):
-                if s is None:
-                    continue
-                if fs[a]:
-                    s = s * np.exp(1j * fs[a] * _LEVEL_GAPS)
-                    left[a] = 0.0
-                folded[a] = s if folded[a] is None else s @ folded[a]
-            pending[q] = np.array(folded)
-            frame[q] = per_arm(left)
+            if f:
+                z = np.exp(1j * f * _LEVEL_GAPS)
+                s = [x * z for x in s] if type(s) is list else s * z
+                frame[q] = 0.0
+            if type(s) is not list:
+                pending[q] = s if p is None else s @ p
+                return
+            ps = [None] * k if p is None else p if p.ndim == 3 else [p] * k
+            pending[q] = np.array([y if x is None else x if y is None else x @ y for x, y in zip(s, ps)])
 
         def contract(s, qubits):
             nonlocal data
@@ -662,17 +666,23 @@ class ScheduleSimulator:
             return self._channel((gap, q), self._idle_superop, gap, q)
 
         def idle_to(q, t):
+            """Fold q's idle up to t.  A frame inside a pulse every arm
+            shares leaves the clock as it is; inside a stretched one it raises."""
             last = t_last[q]
             if type(last) is tuple:
-                fold_arms(q, [idle(q, t - l) if t > l else None for l in last])
+                if max(last) > t:
+                    raise SimulationError(f"qubit {q}: a frame at {t} falls inside a stretched pulse")
+                fold(q, [idle(q, t - x) if t > x else None for x in last])
+                t_last[q] = t
             elif t > last:
                 fold(q, idle(q, t - last))
-            t_last[q] = t
+                t_last[q] = t
 
         def pulse(a, ev):
             q, wid = ev.qubits[0], ev.waveform_id
-            key = (keys[a][wid], q, ev.angle if ideal else None)
-            return self._channel(key, self._pulse_superop, specs[a][wid], q, ev.angle)
+            pre, post = (0.0, 0.0) if ideal else (ev.pre_frame, ev.post_frame)
+            key = (keys[a][wid], q, ev.angle if ideal else None, pre, post)
+            return self._channel(key, self._pulse_superop, specs[a][wid], q, ev.angle, pre, post)
 
         for evs in zip(*walks):
             ev = evs[0]
@@ -680,16 +690,14 @@ class ScheduleSimulator:
             if not shared:
                 _check_skeleton(evs)
             if type(ev) is FrameShift:
-                add_frame(ev.qubit, ev.angle)
+                idle_to(ev.qubit, ev.time)
+                frame[ev.qubit] += ev.angle
                 continue
             for q in ev.qubits:
                 idle_to(q, ev.start)
             if ev.kind == "ecr":
                 for q in ev.qubits:
-                    f = frame[q]
-                    if type(f) is tuple:
-                        fold_arms(q, [_EYE9 if x else None for x in f])
-                    elif f:
+                    if frame[q]:
                         fold(q, _EYE9)
                     flush(q)
                 s = self._channel((ev.qubits, ev.duration), self._ecr_superop, ev.qubits, ev.duration)
@@ -697,24 +705,13 @@ class ScheduleSimulator:
             elif shared:
                 if ev.waveform_id in clash:
                     raise SimulationError(f"arms name different pulses {ev.waveform_id!r}")
-                q = ev.qubits[0]
-                if not ideal:
-                    add_frame(q, ev.pre_frame)
-                fold(q, pulse(0, ev))
-                if not ideal:
-                    add_frame(q, ev.post_frame)
+                fold(ev.qubits[0], pulse(0, ev))
             else:
-                q = ev.qubits[0]
-                if not ideal:
-                    add_frame(q, tuple(e.pre_frame for e in evs))
-                fold_arms(q, [pulse(a, e) for a, e in enumerate(evs)])
-                if not ideal:
-                    add_frame(q, tuple(e.post_frame for e in evs))
-            end = ev.start + ev.duration if shared else per_arm([e.start + e.duration for e in evs])
+                fold(ev.qubits[0], [pulse(a, e) for a, e in enumerate(evs)])
+            end = ev.start + ev.duration if shared else tuple(e.start + e.duration for e in evs)
             for q in ev.qubits:
                 t_last[q] = end
         for q in range(width):
-            frame[q] = 0.0  # trailing frames cannot change Z-basis populations
             idle_to(q, makespan)
             flush(q)
 
@@ -747,31 +744,13 @@ def _without_trailing_frames(events, width):
 
 
 def _check_skeleton(evs):
-    """Raise unless zipped steps that differ are one step of every arm:
-    1q pulses alike in type, ``seq``, qubits, start and kind, or frame
-    shifts alike in all but time."""
+    """Raise unless zipped steps that differ are one 1q pulse of every arm,
+    alike in ``seq``, qubits, start and kind."""
     ev = evs[0]
-    if type(ev) is FrameShift:
-        same = all(type(e) is FrameShift and (e.qubit, e.angle, e.seq) == (ev.qubit, ev.angle, ev.seq)
-                   for e in evs)
-    else:
-        same = ev.kind != "ecr" and all(
+    if not (type(ev) is PulsePlacement and ev.kind != "ecr" and all(
             type(e) is PulsePlacement and (e.seq, e.qubits, e.start, e.kind) == (ev.seq, ev.qubits, ev.start, ev.kind)
-            for e in evs)
-    if not same:
+            for e in evs)):
         raise SimulationError(f"arms do not share one skeleton: {evs}")
-
-
-def run_schedule(
-    sch: Schedule,
-    nm: NoiseModel,
-    shots: int = 1024,
-    seed=None,
-    validate_states: bool = False,
-    ideal_pulses: bool = False,
-) -> RunResult:
-    """Propagate a schedule in global time order and sample measurement outcomes."""
-    return ScheduleSimulator(nm, ideal_pulses=ideal_pulses).run(sch, shots, seed, validate_states)
 
 
 # ---------------------------------------------------------------------------

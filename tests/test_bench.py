@@ -29,7 +29,7 @@ from pulsesched.circuit import X_PULSE_KINDS
 from pulsesched.errors import ConfigError
 from pulsesched.gateset import GateSet
 from pulsesched.scheduler import FREE_FLOAT, lower, run_framework
-from pulsesched.sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator, run_schedule
+from pulsesched.sim import MAX_SIM_QUBITS, NoiseModel, ScheduleSimulator
 
 
 def ideal_static(n):
@@ -86,7 +86,7 @@ class TestRandomCliffordCircuit:
             _, sch_fixed = run_framework(lowered, gs, None)
             _, sch_opt = run_framework(lowered, gs, FREE_FLOAT)
             for sch in (sch_fixed, sch_opt):
-                res = run_schedule(sch, nm, shots=1, seed=0, ideal_pulses=True)
+                res = ScheduleSimulator(nm, ideal_pulses=True).run(sch, shots=1, seed=0)
                 assert res.p0 == pytest.approx(1.0, abs=1e-6)
 
     def test_noiseless_real_pulses_close_to_one(self):
@@ -97,7 +97,7 @@ class TestRandomCliffordCircuit:
         raw = random_clifford_circuit(2, 5, 1)
         lowered = lower(raw, gs)
         _, sch_opt = run_framework(lowered, gs, FREE_FLOAT)
-        res = run_schedule(sch_opt, nm, shots=1, seed=0)
+        res = ScheduleSimulator(nm).run(sch_opt, shots=1, seed=0)
         assert res.p0 > 0.98
 
     def test_paired_schedules_start_every_pulse_together(self):

@@ -428,13 +428,25 @@ class TestBadInputs:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "noise", ["[1, 2]", '{"t1_ns": "abc"}', '{"t1": 5e4}'],
-        ids=["not-an-object", "not-a-number", "unknown-key"],
+        "noise", ["[1, 2]", '{"t1_ns": "abc"}', '{"t1": 5e4}', '{"t1_ns": true, "t2_ns": null}',
+                  '{"ecr_fidelity": true}', '{"anharmonicity_hz": [true]}', '{"rabi_coefficient_hz": "1e8"}'],
+        ids=["not-an-object", "not-a-number", "unknown-key", "t1-bool", "fidelity-bool", "alpha-bool-list",
+             "rabi-string"],
     )
     def test_bad_noise_file(self, noise, gateset_json, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(noise)
         assert self.rb(gateset_json, tmp_path, "--noise", str(path)) == 2
+
+    def test_schedule_on_uncalibrated_qubit(self, tmp_path):
+        # a circuit that names a qubit the gate set never calibrated is
+        # refused before any per-qubit state is built, and nothing is written
+        gs, circuit = tmp_path / "gs.json", tmp_path / "c.qc"
+        GateSet.ideal("static", 2).write_json(gs)
+        circuit.write_text("sx q0\nmeasure q7\n")
+        code = main(["schedule", str(circuit), "--gateset", str(gs), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
 
     def test_gate_set_mode_must_match(self, gateset_json, tmp_path):
         assert self.rb(gateset_json, tmp_path, "--mode", "dynamic", "--max-dur", "128") == 2

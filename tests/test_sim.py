@@ -43,7 +43,6 @@ from pulsesched.sim import (
     idle_channel,
     pair_layout,
     propagate_waveform,
-    run_schedule,
     simulate_rabi,
     unitary_superop,
 )
@@ -93,7 +92,7 @@ def unfused_run(sim, sch):
             s = pair_layout(ecr_channel(sim.nm, ev.qubits, ev.duration), ev.qubits)
         else:
             q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
-            s = sim._pulse_superop(spec, q, ev.angle)
+            s = sim._pulse_superop(spec, q, ev.angle, 0.0, 0.0)
             if not sim.ideal_pulses:
                 rz(ev.pre_frame, q)
         state.apply_local_superop(s, tuple(sorted(ev.qubits)))
@@ -209,6 +208,32 @@ class TestGateChannel:
         with pytest.raises(NoiseConfigError):
             NoiseModel(**kwargs)
 
+    @given(
+        name=st.sampled_from(["t1_ns", "t2_ns", "anharmonicity_hz", "rabi_coefficient_hz", "ecr_fidelity"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+            max_leaves=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_json_values_are_floats_or_rejected(self, name, value):
+        # a JSON noise field is a number or null, or for a per-qubit field a
+        # list of those; a bool, a string, an object or a nested list raises
+        def number(v):
+            return type(v) in (int, float)
+
+        per_qubit = name != "ecr_fidelity"
+        well_typed = number(value) or per_qubit and (
+            value is None or type(value) is list and all(v is None or number(v) for v in value))
+        try:
+            nm = NoiseModel(**{name: value})
+        except NoiseConfigError:
+            return
+        assert well_typed
+        for q in range(len(value) if type(value) is list else 1):
+            assert all(type(x) is float for x in (nm.t1(q), nm.t2(q), nm.anharmonicity(q), nm.rabi_coefficient(q)))
+
     def test_none_and_inf_mean_no_decay(self):
         for t in (None, math.inf):
             nm = NoiseModel(t1_ns=t, t2_ns=t)
@@ -292,7 +317,7 @@ def _schedule_from_pulses(pulses, width, makespan, frames=()):
 class TestRunSchedule:
     def test_empty_schedule(self):
         sch = Schedule(width=1, makespan=0)
-        res = run_schedule(sch, NOISELESS, shots=16, seed=1)
+        res = ScheduleSimulator(NOISELESS).run(sch, shots=16, seed=1)
         assert res.p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_double_sx_flips_qubit(self):
@@ -314,34 +339,34 @@ class TestRunSchedule:
 
         spec = replace(base, amplitude=a)
         sch = _schedule_from_pulses([((0,), 0, spec), ((0,), 120, spec)], 1, 240)
-        res = run_schedule(sch, nm, shots=64, seed=2)
+        res = ScheduleSimulator(nm).run(sch, shots=64, seed=2)
         assert res.p0 == pytest.approx(0.0, abs=1e-6)
         assert res.probabilities["1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_width_capped(self):
         sch = Schedule(width=MAX_SIM_QUBITS + 1, makespan=0)
         with pytest.raises(SimulationError):
-            run_schedule(sch, NOISELESS)
+            ScheduleSimulator(NOISELESS).run(sch)
 
     @pytest.mark.parametrize("shots", [-1, 2.5, True, "8", None])
     def test_bad_shot_count_is_config_error(self, shots):
         sch = _schedule_from_pulses([((0,), 0, sx_shape(64, DEFAULT))], 1, 64)
         with pytest.raises(ConfigError, match="shots"):
-            run_schedule(sch, DEFAULT, shots=shots)
+            ScheduleSimulator(DEFAULT).run(sch, shots=shots)
         with pytest.raises(ConfigError, match="shots"):
-            run_schedule(Schedule(width=0, makespan=0), DEFAULT, shots=shots)
+            ScheduleSimulator(DEFAULT).run(Schedule(width=0, makespan=0), shots=shots)
 
     @pytest.mark.parametrize("shots", [0, 3, np.int64(3)])
     def test_integer_shot_counts_accepted(self, shots):
         sch = _schedule_from_pulses([((0,), 0, sx_shape(64, DEFAULT))], 1, 64)
-        res = run_schedule(sch, DEFAULT, shots=shots, seed=1)
+        res = ScheduleSimulator(DEFAULT).run(sch, shots=shots, seed=1)
         assert res.shots == shots and sum(res.counts.values()) == shots
 
     def test_counts_deterministic_and_sum_to_shots(self):
         spec = sx_shape(64, DEFAULT)
         sch = _schedule_from_pulses([((0,), 0, spec)], 1, 64)
-        r1 = run_schedule(sch, DEFAULT, shots=500, seed=11)
-        r2 = run_schedule(sch, DEFAULT, shots=500, seed=11)
+        r1 = ScheduleSimulator(DEFAULT).run(sch, shots=500, seed=11)
+        r2 = ScheduleSimulator(DEFAULT).run(sch, shots=500, seed=11)
         assert r1.counts == r2.counts
         assert sum(r1.counts.values()) == 500
 
@@ -349,8 +374,8 @@ class TestRunSchedule:
         spec = sx_shape(64, DEFAULT)
         a = _schedule_from_pulses([((0,), 0, spec), ((1,), 0, spec)], 2, 64)
         b = _schedule_from_pulses([((1,), 0, spec), ((0,), 0, spec)], 2, 64)
-        pa = run_schedule(a, DEFAULT, shots=1, seed=0).probabilities
-        pb = run_schedule(b, DEFAULT, shots=1, seed=0).probabilities
+        pa = ScheduleSimulator(DEFAULT).run(a, shots=1, seed=0).probabilities
+        pb = ScheduleSimulator(DEFAULT).run(b, shots=1, seed=0).probabilities
         for k in pa:
             assert pa[k] == pytest.approx(pb[k], abs=1e-12)
 
@@ -364,8 +389,8 @@ class TestRunSchedule:
             [((0,), 0, base)], 1, 64, frames=[FrameShift(qubit=0, time=0, angle=lam, seq=-1)]
         )
         baked = _schedule_from_pulses([((0,), 0, shifted)], 1, 64)
-        p_framed = run_schedule(framed, NOISELESS, shots=1, seed=0).probabilities
-        p_baked = run_schedule(baked, NOISELESS, shots=1, seed=0).probabilities
+        p_framed = ScheduleSimulator(NOISELESS).run(framed, shots=1, seed=0).probabilities
+        p_baked = ScheduleSimulator(NOISELESS).run(baked, shots=1, seed=0).probabilities
         # the frame leaves a pending Rz(lam), invisible in the z basis
         for k in p_framed:
             assert p_framed[k] == pytest.approx(p_baked[k], abs=1e-12)
@@ -378,7 +403,7 @@ class TestRunSchedule:
             "u3 q0 1.0,0.3,0.2\necr q0 q1\nu3 q1 2.1,0.0,0.4\necr q1 q0\nmeasure q0\nmeasure q1"
         )))
         _, sch = run_framework(c, gs)
-        run_schedule(sch, DEFAULT, shots=4, seed=3, validate_states=True)
+        ScheduleSimulator(DEFAULT).run(sch, shots=4, seed=3, validate_states=True)
 
     def test_leakage_monotone_in_duration(self):
         # plain Gaussian Sx: the |2> population after one pulse shrinks as the
@@ -399,7 +424,7 @@ class TestRunSchedule:
         gs = GateSet.ideal("static", 2)
         _, sch = run_framework(lower(parse_circuit("sx q0\nsx q1"), gs), gs)
         with pytest.raises(NoiseConfigError):
-            run_schedule(sch, NoiseModel(t1_ns=[180e3]))
+            ScheduleSimulator(NoiseModel(t1_ns=[180e3])).run(sch)
 
     def test_ideal_pulses_skip_calibration_frames(self):
         # pre/post frames null an integrated pulse's phase error; an ideal
@@ -407,9 +432,9 @@ class TestRunSchedule:
         gs = with_calibration_frames(GateSet.ideal("static", 2), np.random.default_rng(0))
         _, sch = run_framework(lower(random_clifford_circuit(2, 5, 0), gs), gs)
         assert all(p.pre_frame and p.post_frame for p in sch.placements if p.kind == "sx")
-        res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
+        res = ScheduleSimulator(NOISELESS, ideal_pulses=True).run(sch, shots=1, seed=0)
         assert res.p0 == pytest.approx(1.0, abs=1e-9)
-        assert run_schedule(sch, NOISELESS, shots=1, seed=0).p0 < 0.99
+        assert ScheduleSimulator(NOISELESS).run(sch, shots=1, seed=0).p0 < 0.99
 
 
 def with_calibration_frames(gs, rng):
@@ -481,7 +506,7 @@ class TestFusion:
         _, sch = run_framework(lower(random_clifford_circuit(3, 5, 7), gs), gs, FREE_FLOAT)
         n_ecr = sum(p.kind == "ecr" for p in sch.placements)
         assert n_ecr > 0 and sch.frames
-        run_schedule(sch, DEFAULT, shots=1, seed=0)
+        ScheduleSimulator(DEFAULT).run(sch, shots=1, seed=0)
         assert calls["unitary"] == 0
         assert 0 < calls["superop"] <= 3 * n_ecr + sch.width
 
@@ -490,7 +515,7 @@ class TestFusion:
         gs = GateSet.ideal("static", n_qubits)
         for seed in (0, 1):
             _, sch = run_framework(lower(random_clifford_circuit(n_qubits, 3, seed), gs), gs, FREE_FLOAT)
-            res = run_schedule(sch, NOISELESS, shots=1, seed=0, ideal_pulses=True)
+            res = ScheduleSimulator(NOISELESS, ideal_pulses=True).run(sch, shots=1, seed=0)
             assert res.p0 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -564,8 +589,8 @@ class TestParametricWaveforms:
             simulator.run(sch, shots=1, seed=0)
             misses |= {(p.waveform_id, p.qubits[0]) for p in sch.placements if p.kind != "ecr"}
             assert len(synthesized) == len(misses)
-        # pulse channels are the cache entries keyed by (spec number, qubit, None)
-        assert synthesized and len(misses) == sum(len(k) == 3 for k in simulator._channels)
+        # pulse channels are the cache entries keyed by (spec number, qubit, None, pre, post)
+        assert synthesized and len(misses) == sum(len(k) == 5 for k in simulator._channels)
         simulator.run(sch, shots=1, seed=0)
         assert len(synthesized) == len(misses)
 
@@ -584,15 +609,24 @@ def _one_pulse(amplitude, angle=HALF_PI):
     return Schedule(width=1, makespan=32, placements=[placement], waveforms={"sx_q0_d32": spec})
 
 
+def _framed_pair(pre, post):
+    """A 1q schedule that plays one Sx spec twice, each time between the given calibration frames."""
+    placements = [PulsePlacement(qubits=(0,), start=start, duration=120, kind="sx", angle=HALF_PI,
+                                 waveform_id="sx", seq=seq, pre_frame=pre, post_frame=post)
+                  for seq, start in enumerate((0, 120))]
+    return Schedule(width=1, makespan=240, placements=placements, waveforms={"sx": sx_shape(120)})
+
+
 class TestPulseChannelKey:
     """A pulse channel is cached by what it is built from, not by its name:
     one simulator that runs schedules naming different pulses alike plays
-    each schedule's own pulse."""
+    each schedule's own pulse, between its own calibration frames."""
 
     @pytest.mark.parametrize("ideal_pulses, schedules", [
         (False, [_one_pulse(0.05), _one_pulse(0.10)]),
         (True, [_one_pulse(0.05, HALF_PI), _one_pulse(0.05, math.pi)]),
-    ], ids=["spec", "ideal-angle"])
+        (False, [_framed_pair(0.0, 0.0), _framed_pair(HALF_PI, HALF_PI)]),
+    ], ids=["spec", "ideal-angle", "frames"])
     def test_shared_simulator_equals_fresh_ones(self, ideal_pulses, schedules):
         fresh = [ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses).run(s, shots=1, seed=0).p0
                  for s in schedules]
@@ -604,9 +638,10 @@ class TestPulseChannelKey:
 _SX120 = sx_shape(120)
 
 
-def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(0.3, 1), spec=_SX120,
+def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(120, 0.3, 1), spec=_SX120,
                   duration=120, ecr_duration=DEFAULT_ECR_DURATION, extra_frames=()):
-    """sx q0, a frame on q0, sx q1 (the pulse arms may stretch), then ecr q0 q1."""
+    """sx q0, a frame (time, angle, seq) on q0, sx q1 (the pulse arms may
+    stretch), then ecr q0 q1."""
     placements = [
         PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", seq=0),
         PulsePlacement(qubits=(1,), start=start, duration=duration, kind="sx", angle=HALF_PI,
@@ -614,10 +649,13 @@ def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame
         PulsePlacement(qubits=(0, 1), start=400, duration=ecr_duration, kind="ecr", angle=0.0,
                        waveform_id="ecr", seq=3),
     ]
-    angle, seq = frame
-    frames = [FrameShift(qubit=0, time=120, angle=angle, seq=seq), *extra_frames]
+    time, angle, seq = frame
+    frames = [FrameShift(qubit=0, time=time, angle=angle, seq=seq), *extra_frames]
     waveforms = {"sx": spec, f"sx{duration}": sx_shape(duration)}
     return Schedule(width=width, makespan=makespan, placements=placements, frames=frames, waveforms=waveforms)
+
+
+_FRAME_Q1_300 = FrameShift(qubit=1, time=300, angle=0.7, seq=9)
 
 
 class TestRunArms:
@@ -654,22 +692,41 @@ class TestRunArms:
         arms = (_skeleton_arm(), _skeleton_arm(duration=64), _skeleton_arm(duration=48))
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms, validate_states=True)
 
-    @pytest.mark.parametrize("other", [
-        pytest.param(dict(width=3), id="width"),
-        pytest.param(dict(makespan=408 + DEFAULT_ECR_DURATION), id="makespan"),
-        pytest.param(dict(extra_frames=[FrameShift(qubit=1, time=0, angle=0.2, seq=9)]), id="event-count"),
-        pytest.param(dict(start=208), id="moved-start"),
-        pytest.param(dict(ecr_duration=1000), id="ecr-duration"),
-        pytest.param(dict(frame=(0.4, 1)), id="frame-angle"),
-        pytest.param(dict(frame=(0.3, 5)), id="frame-seq"),
-        pytest.param(dict(spec=replace(_SX120, amplitude=0.9 * _SX120.amplitude)), id="spec-named-alike"),
+    @pytest.mark.parametrize("first, other", [
+        pytest.param({}, dict(width=3), id="width"),
+        pytest.param({}, dict(makespan=408 + DEFAULT_ECR_DURATION), id="makespan"),
+        pytest.param({}, dict(extra_frames=[FrameShift(qubit=1, time=0, angle=0.2, seq=9)]), id="event-count"),
+        pytest.param({}, dict(start=208), id="moved-start"),
+        pytest.param({}, dict(ecr_duration=1000), id="ecr-duration"),
+        pytest.param({}, dict(frame=(120, 0.4, 1)), id="frame-angle"),
+        pytest.param({}, dict(frame=(120, 0.3, 5)), id="frame-seq"),
+        # q0's frame lies before its ECR, so no arm drops it as trailing
+        pytest.param({}, dict(frame=(150, 0.3, 1)), id="frame-time"),
+        # q1's pulse ends at 320 in the first arm and at 264 in the other
+        pytest.param(dict(extra_frames=[_FRAME_Q1_300]), dict(duration=64, extra_frames=[_FRAME_Q1_300]),
+                     id="frame-in-stretched-pulse"),
+        pytest.param({}, dict(spec=replace(_SX120, amplitude=0.9 * _SX120.amplitude)), id="spec-named-alike"),
     ])
-    def test_skeleton_mismatch_raises(self, other):
-        arms = (_skeleton_arm(), _skeleton_arm(**other))
+    def test_skeleton_mismatch_raises(self, first, other):
+        arms = (_skeleton_arm(**first), _skeleton_arm(**other))
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[:1])
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[1:])
         with pytest.raises(SimulationError):
             ScheduleSimulator(DEFAULT).run_arms(arms, 8, (0, 1))
+
+    def test_lone_frame_inside_pulse_matches_unfused_oracle(self):
+        # a lone run applies a frame that falls inside a pulse after that
+        # pulse, as the per-event oracle does: sx, Rz(pi/2), sx leaves P(0)
+        # near 1/2, where Rz before the first sx would leave it near 0
+        unframed = _framed_pair(0.0, 0.0)
+        sch = replace(unframed, frames=[FrameShift(qubit=0, time=60, angle=HALF_PI, seq=2)])
+        sim = ScheduleSimulator(DEFAULT)
+        got, want = sim.run(sch, shots=1, seed=0), unfused_run(sim, sch)
+        assert got.p0 == pytest.approx(want.p_zero(), abs=1e-12)
+        for k, p in want.probabilities().items():
+            assert got.probabilities[k] == pytest.approx(p, abs=1e-12)
+        assert got.p0 == pytest.approx(0.5, abs=0.05)
+        assert sim.run(unframed, shots=1, seed=0).p0 < 0.05
 
     @pytest.mark.parametrize("seeds", [(), (0,), (0, 1, 2)])
     def test_one_seed_per_arm(self, seeds):
@@ -725,8 +782,8 @@ class TestScheduleIdle:
         played = _schedule_from_pulses(
             [((0,), 0, leaky), ((0,), 16, zero), ((0,), 317, leaky)], 1, 333
         )
-        p_idle = run_schedule(idle, DEFAULT, shots=1, seed=0).probabilities
-        p_played = run_schedule(played, DEFAULT, shots=1, seed=0).probabilities
+        p_idle = ScheduleSimulator(DEFAULT).run(idle, shots=1, seed=0).probabilities
+        p_played = ScheduleSimulator(DEFAULT).run(played, shots=1, seed=0).probabilities
         assert p_idle["0"] == pytest.approx(p_played["0"], abs=1e-12)
 
 
