@@ -9,6 +9,10 @@ cos^2 Rabi-fit convention, so a fit at amplitude a returns rabi_coefficient*a
 in Hz.  Decoherence is applied per whole gate/idle segment as the exact
 exponential of a Lindblad generator (amplitude damping 1->0 and 2->1 at the
 same T1, pure dephasing on the 0-1 subspace at 1/Tphi = 1/T2 - 1/(2 T1)).
+That exponential has a closed form (amplitude and phase damping, Nielsen &
+Chuang section 8.3), and ``idle_channel`` writes it down with no ``expm``.
+``dissipative_generator`` is the definition: the tests check the closed
+form against its ``expm``, and ``simulate_rabi`` exponentiates it.
 
 Between pulses a qubit evolves under the bare anharmonicity alpha |2><2|
 (the undriven H_k) as well as decoherence, so leaked population keeps the
@@ -160,7 +164,8 @@ class NoiseModel:
         for q in range(n):
             t1, t2 = self.t1(q), self.t2(q)
             for name, t in (("T1", t1), ("T2", t2)):
-                if not t > 0:
+                # a positive T so short that its rate 1/T overflows is refused too
+                if not t * 1e-9 > 1.0 / sys.float_info.max:
                     raise NoiseConfigError(f"qubit {q}: {name}={t} ns must be positive (None for no decay)")
             if math.isfinite(t2) and t2 > 2.0 * t1 + 1e-9:
                 raise NoiseConfigError(f"qubit {q}: T2={t2} exceeds 2*T1={2*t1}")
@@ -273,6 +278,16 @@ def _lindblad_superop(jumps):
     return gen
 
 
+def _dephasing_rate(t1_ns: float, t2_ns: float) -> float:
+    """Pure dephasing rate 1/T2 - 1/(2 T1) in 1/s, or 0 where that is not positive."""
+    gamma_phi = 0.0
+    if math.isfinite(t2_ns):
+        gamma_phi = 1.0 / (t2_ns * 1e-9)
+        if math.isfinite(t1_ns):
+            gamma_phi -= 1.0 / (2.0 * t1_ns * 1e-9)
+    return gamma_phi if gamma_phi > 0 else 0.0
+
+
 def _jump_operators(t1_ns: float, t2_ns: float):
     jumps = []
     if math.isfinite(t1_ns):
@@ -282,11 +297,7 @@ def _jump_operators(t1_ns: float, t2_ns: float):
         l21 = np.zeros((3, 3), dtype=complex)
         l21[1, 2] = 1.0
         jumps += [l10 / math.sqrt(t1_s), l21 / math.sqrt(t1_s)]
-    gamma_phi = 0.0
-    if math.isfinite(t2_ns):
-        gamma_phi = 1.0 / (t2_ns * 1e-9)
-        if math.isfinite(t1_ns):
-            gamma_phi -= 1.0 / (2.0 * t1_ns * 1e-9)
+    gamma_phi = _dephasing_rate(t1_ns, t2_ns)
     if gamma_phi > 0:
         jumps.append(math.sqrt(gamma_phi / 2.0) * np.diag([1.0, -1.0, 0.0]).astype(complex))
     return jumps
@@ -294,24 +305,49 @@ def _jump_operators(t1_ns: float, t2_ns: float):
 
 def dissipative_generator(nm: NoiseModel, qubit: int) -> np.ndarray:
     """Decoherence-only Lindblad generator: amplitude damping down the ladder
-    plus pure dephasing.  Both idle periods and the in-gate decay use it, so
-    idle channels form an exact one-parameter semigroup in the duration."""
+    plus pure dephasing.  ``idle_channel`` is its exact exponential in
+    closed form; ``simulate_rabi`` calls ``expm`` on it."""
     return _lindblad_superop(_jump_operators(nm.t1(qubit), nm.t2(qubit)))
 
 
-def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
-    """Pure decoherence over duration_dt samples, with no Hamiltonian phase.
+def _check_duration(duration_dt):
+    if not 0 <= duration_dt < math.inf:
+        raise SimulationError(f"duration {duration_dt!r} dt must be finite and non-negative")
 
-    It is also the in-gate decay.  A full idle carries the anharmonic phase
-    of ``anharmonic_unitary`` too; ``ScheduleSimulator`` composes the two.
+
+def idle_channel(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
+    """Pure decoherence over duration_dt samples, with no Hamiltonian phase:
+    exp(t * ``dissipative_generator``), written in closed form.
+
+    With e = exp(-gamma t), gamma = 1/T1, level 1 decays to 0 as e and
+    level 2 feeds level 1 at the same rate, so rho_22 keeps e, rho_11 gains
+    gamma t e from it (the generator is defective there) and rho_00 takes
+    the rest.  Each coherence decays as one exponential: half the summed
+    level decay rates plus the dephasing of diag(1, -1, 0) between the two
+    levels.  It is also the in-gate decay.  A full idle carries the
+    anharmonic phase of ``anharmonic_unitary`` too; ``ScheduleSimulator``
+    composes the two.
     """
-    if duration_dt < 0:
-        raise ValueError("idle duration must be non-negative")
-    return expm(duration_dt * _DT_S * dissipative_generator(nm, qubit))
+    _check_duration(duration_dt)
+    t1_ns, t2_ns = nm.t1(qubit), nm.t2(qubit)
+    t = duration_dt * _DT_S
+    gt = t / (t1_ns * 1e-9) if math.isfinite(t1_ns) else 0.0
+    phi_t = _dephasing_rate(t1_ns, t2_ns) * t
+    e = math.exp(-gt)
+    c01 = math.exp(-(gt / 2 + phi_t))
+    c02 = math.exp(-(gt / 2 + phi_t / 4))
+    c12 = math.exp(-(gt + phi_t / 4))
+    ch = np.diag([1.0, c01, c02, c01, e, c12, c02, c12, e]).astype(complex)
+    fed = gt * e if e else 0.0  # no inf * 0 when gamma t overflows
+    ch[0, 4] = -math.expm1(-gt)
+    ch[0, 8] = ch[0, 4] - fed
+    ch[4, 8] = fed
+    return ch
 
 
 def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Undriven evolution exp(-i 2 pi alpha t |2><2|) over duration_dt samples."""
+    _check_duration(duration_dt)
     phase = 2.0 * math.pi * nm.anharmonicity(qubit) * duration_dt * _DT_S
     return np.diag([1.0, 1.0, np.exp(-1j * phase)])
 
@@ -320,13 +356,6 @@ def gate_channel(w: Waveform, nm: NoiseModel, qubit: int = 0) -> np.ndarray:
     """Unitary conjugation by the propagated waveform, then segment decoherence."""
     u = propagate_waveform(w, nm, qubit)
     return idle_channel(w.duration, nm, qubit) @ unitary_superop(u)
-
-
-def _pair_superop(s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """Tensor two single-qutrit superops into one pair superop."""
-    ra = s_a.reshape(3, 3, 3, 3)
-    rb = s_b.reshape(3, 3, 3, 3)
-    return np.einsum("abij,cdkl->acbdikjl", ra, rb).reshape(81, 81)
 
 
 #: n - m for each (n, m) level pair, in row-major vec order.  A virtual Rz
@@ -354,24 +383,26 @@ def _pauli_twirl_sum() -> np.ndarray:
     return mix
 
 
-#: the noise-independent part of every ECR's depolarizing proxy, built once
+#: the noise-independent parts of every ECR channel, built once: the twirl
+#: sum T, the ideal ECR's superop U and the twirled ECR T U
 _PAULI_TWIRL_SUM = _pauli_twirl_sum()
-
-
-def _depolarizing_pair_superop(strength: float) -> np.ndarray:
-    """Two-qubit Pauli twirl of given strength, identity on leakage levels."""
-    return (1.0 - strength) * np.eye(81) + (strength / 16.0) * _PAULI_TWIRL_SUM
+_ECR_SUPEROP = unitary_superop(embed_qubit_pair(ECR_2Q))
+_TWIRLED_ECR = _PAULI_TWIRL_SUM @ _ECR_SUPEROP
 
 
 def ecr_channel(nm: NoiseModel, qubits: tuple[int, int], duration_dt: int) -> np.ndarray:
-    """Ideal embedded ECR unitary, depolarizing proxy, and segment decoherence."""
-    unit = unitary_superop(embed_qubit_pair(ECR_2Q))
-    dep = _depolarizing_pair_superop(1.0 - nm.ecr_fidelity)
-    dec = _pair_superop(
-        idle_channel(duration_dt, nm, qubits[0]),
-        idle_channel(duration_dt, nm, qubits[1]),
-    )
-    return dec @ dep @ unit
+    """Ideal embedded ECR unitary, depolarizing proxy, and segment decoherence.
+
+    The proxy is the two-qubit Pauli twirl of strength s = 1 - fidelity,
+    (1 - s) I + (s/16) T, identity on leakage levels; after U it is the mix
+    (1 - s) U + (s/16) T U of two constants.  The decay pair tensors the two
+    qubits' idle channels, rows and columns both (r_a r_b c_a c_b).
+    """
+    s = 1.0 - nm.ecr_fidelity
+    dep_unit = (1.0 - s) * _ECR_SUPEROP + (s / 16.0) * _TWIRLED_ECR
+    dec_a = idle_channel(duration_dt, nm, qubits[0]).reshape(3, 1, 3, 1, 3, 1, 3, 1)
+    dec_b = idle_channel(duration_dt, nm, qubits[1]).reshape(1, 3, 1, 3, 1, 3, 1, 3)
+    return (dec_a * dec_b).reshape(81, 81) @ dep_unit
 
 
 def pair_layout(superop: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
@@ -590,8 +621,10 @@ class ScheduleSimulator:
         return np.exp(1j * post * _LEVEL_GAPS)[:, None] * g * np.exp(1j * pre * _LEVEL_GAPS)
 
     def _idle_superop(self, gap: int, qubit: int) -> np.ndarray:
-        decay = idle_channel(gap, self.nm, qubit)
-        return decay @ unitary_superop(anharmonic_unitary(gap, self.nm, qubit))
+        """Decay after the anharmonic phase.  The phase's superop is the
+        diagonal u_m conj(u_n), so the product scales the decay's columns."""
+        u = anharmonic_unitary(gap, self.nm, qubit).diagonal()
+        return idle_channel(gap, self.nm, qubit) * np.outer(u, u.conj()).ravel()
 
     def _ecr_superop(self, qubits: tuple[int, int], duration: int) -> np.ndarray:
         return pair_layout(ecr_channel(self.nm, qubits, duration), qubits)

@@ -34,7 +34,8 @@ from pulsesched.sim import (
     _PAULI3,
     _jump_operators,
     _kron,
-    _pair_superop,
+    _lindblad_superop,
+    anharmonic_unitary,
     dissipative_generator,
     ecr_channel,
     embed_qubit_pair,
@@ -202,6 +203,9 @@ class TestGateChannel:
             {"anharmonicity_hz": None},
             {"anharmonicity_hz": math.inf},
             {"anharmonicity_hz": [-330e6, 0.0]},
+            # positive, but too short for 1/T to be a finite rate in 1/s
+            {"t2_ns": 5e-324},
+            {"t1_ns": [180e3, 1e-300]},
         ],
     )
     def test_unphysical_values_rejected(self, kwargs):
@@ -240,6 +244,35 @@ class TestGateChannel:
             assert nm.t1(0) == nm.t2(0) == math.inf
 
 
+def expm_idle_oracle(duration_dt, nm, qubit):
+    """expm(t * dissipative_generator), as the product of the exponentials of
+    its amplitude damping and dephasing parts, which commute.
+
+    Summed into one generator, a dephasing rate far above 1/T1 cancels
+    itself on the level-1 population only to its own rounding, which expm
+    carries into the channel: T1 = 229401 ns, T2 = 0.5 ns and 393 dt put
+    rho_11's decay 1.0e-14 from exp(-t/T1).  Apart, neither part mixes a
+    large rate into a small one.
+    """
+    t_s = duration_dt * DT_NS * 1e-9
+    jumps = _jump_operators(nm.t1(qubit), nm.t2(qubit))
+    damping = [L for L in jumps if L[0, 0] == 0]
+    dephasing = [L for L in jumps if L[0, 0] != 0]
+    return expm(t_s * _lindblad_superop(damping)) @ expm(t_s * _lindblad_superop(dephasing))
+
+
+@st.composite
+def decay_times(draw):
+    """A (T1, T2) pair in ns: T1 in [1e3, 1e6] or None, T2 in (0, 2 T1] or
+    None, and T2 = 2 T1 exactly (no pure dephasing) as a case of its own.
+    ``NoiseModel`` takes T2 down to about 5.6e-300 ns, where 1/T2 in 1/s
+    is still finite."""
+    t1 = draw(st.none() | st.floats(1e3, 1e6))
+    cap = 2.0 * (1e6 if t1 is None else t1)
+    t2 = draw(st.none() | st.just(cap) | st.floats(1e-299, cap))
+    return t1, t2
+
+
 class TestIdleChannel:
     def test_zero_time_identity(self):
         ch = idle_channel(0, DEFAULT, 0)
@@ -265,6 +298,26 @@ class TestIdleChannel:
         j = choi(idle_channel(997, DEFAULT, 0))
         evals = np.linalg.eigvalsh((j + j.conj().T) / 2)
         assert evals.min() > -1e-8
+
+    @pytest.mark.parametrize("duration", [-1, -1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [idle_channel, anharmonic_unitary])
+    def test_bad_duration_raises(self, build, duration):
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            build(duration, DEFAULT, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(decays=st.lists(decay_times(), min_size=1, max_size=3),
+           duration=st.integers(0, 10**8) | st.floats(0.0, 1e8))
+    def test_equals_expm_of_generator(self, decays, duration):
+        nm = NoiseModel(t1_ns=[t1 for t1, _ in decays], t2_ns=[t2 for _, t2 in decays])
+        for q in range(len(decays)):
+            assert np.max(np.abs(idle_channel(duration, nm, q) - expm_idle_oracle(duration, nm, q))) <= 1e-14
+
+    @pytest.mark.parametrize("nm", [DEFAULT, NOISELESS], ids=["default", "noiseless"])
+    @pytest.mark.parametrize("gap", [1, 37, 997, DEFAULT_ECR_DURATION, 54321])
+    def test_idle_superop_is_decay_after_phase(self, nm, gap):
+        want = idle_channel(gap, nm, 0) @ unitary_superop(anharmonic_unitary(gap, nm, 0))
+        assert np.max(np.abs(ScheduleSimulator(nm)._idle_superop(gap, 0) - want)) <= 1e-14
 
 
 class TestEcrChannel:
@@ -728,6 +781,25 @@ class TestRunArms:
         assert got.p0 == pytest.approx(0.5, abs=0.05)
         assert sim.run(unframed, shots=1, seed=0).p0 < 0.05
 
+    @pytest.mark.parametrize("mode, n_qubits", [("static", 2), ("static", 3), ("dynamic", 3)])
+    @pytest.mark.parametrize("ideal_pulses", [False, True])
+    def test_run_path_calls_no_expm(self, monkeypatch, mode, n_qubits, ideal_pulses):
+        # idle, pulse and ECR channels are all built in closed form
+        def no_expm(m):
+            raise AssertionError("expm called on the run path")
+
+        rng = np.random.default_rng(5)
+        gs = GateSet.ideal(mode, n_qubits)
+        if mode == "static":
+            gs = with_calibration_frames(gs, rng)
+        pairs = [stretched_pair(lower(random_clifford_circuit(n_qubits, 5, seed), gs), gs) for seed in range(3)]
+        assert any(fixed.placements != optimized.placements for fixed, optimized in pairs)
+        monkeypatch.setattr(sim, "expm", no_expm)
+        simulator = ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses)
+        for pair in pairs:
+            for result in simulator.run_arms(pair, 8, (0, 1)):
+                assert 0.0 <= result.p0 <= 1.0
+
     @pytest.mark.parametrize("seeds", [(), (0,), (0, 1, 2)])
     def test_one_seed_per_arm(self, seeds):
         with pytest.raises(ConfigError, match="one seed each"):
@@ -969,20 +1041,23 @@ def kron_idle_channel(duration_dt, nm, qubit):
     return expm(duration_dt * (DT_NS * 1e-9) * gen)
 
 
-def kron_ecr_channel(nm, qubits, duration_dt):
-    """Reference ecr_channel with its unitary and depolarizing parts built by np.kron."""
-    u = embed_qubit_pair(ECR_2Q)
+def kron_depolarizing(strength):
+    """Reference depolarizing proxy: the two-qubit Pauli twirl summed per call by np.kron."""
     mix = np.zeros((81, 81), dtype=complex)
     for pa in _PAULI3:
         for pb in _PAULI3:
             p = np.kron(pa, pb)
             mix += np.kron(p, p.conj())
-    strength = 1.0 - nm.ecr_fidelity
-    dep = (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
-    dec = _pair_superop(
-        kron_idle_channel(duration_dt, nm, qubits[0]),
-        kron_idle_channel(duration_dt, nm, qubits[1]),
-    )
+    return (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
+
+
+def kron_ecr_channel(nm, qubits, duration_dt):
+    """Reference ecr_channel: np.kron unitary and proxy, expm decay paired by einsum."""
+    u = embed_qubit_pair(ECR_2Q)
+    dep = kron_depolarizing(1.0 - nm.ecr_fidelity)
+    ra = kron_idle_channel(duration_dt, nm, qubits[0]).reshape(3, 3, 3, 3)
+    rb = kron_idle_channel(duration_dt, nm, qubits[1]).reshape(3, 3, 3, 3)
+    dec = np.einsum("abij,cdkl->acbdikjl", ra, rb).reshape(81, 81)
     return dec @ dep @ np.kron(u, u.conj())
 
 
@@ -992,15 +1067,16 @@ PER_QUBIT = NoiseModel(t1_ns=[180e3, 60e3], t2_ns=[120e3, 90e3], ecr_fidelity=0.
 class TestKronFree:
     @pytest.mark.parametrize("strength", [0.0, 1.0 - DEFAULT.ecr_fidelity, 1.0 - PER_QUBIT.ecr_fidelity, 0.5, 1.0])
     def test_depolarizing_proxy_equals_per_call_build(self, strength):
-        # the noise-independent twirl sum is built once at import; each
-        # channel must equal the one built from scratch per call, bit for bit
-        mix = np.zeros((81, 81), dtype=complex)
-        for pa in _PAULI3:
-            for pb in _PAULI3:
-                p = _kron(pa, pb)
-                mix += _kron(p, p.conj())
-        want = (1.0 - strength) * np.eye(81) + (strength / 16.0) * mix
-        assert np.array_equal(sim._depolarizing_pair_superop(strength), want)
+        # the ideal ECR and its twirl are built once at import and mixed per
+        # channel; without decay the channel is that mix, which must equal
+        # the proxy built from scratch per call after the ideal ECR
+        nm = NoiseModel(t1_ns=None, t2_ns=None, ecr_fidelity=1.0 - strength)
+        u = embed_qubit_pair(ECR_2Q)
+        want = kron_depolarizing(strength) @ np.kron(u, u.conj())
+        assert np.max(np.abs(ecr_channel(nm, (0, 1), DEFAULT_ECR_DURATION) - want)) <= 1e-14
+
+    def test_twirl_sum_equals_per_call_build(self):
+        assert np.array_equal(sim._PAULI_TWIRL_SUM, kron_depolarizing(1.0) * 16.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1018,16 +1094,17 @@ class TestKronFree:
 
     @pytest.mark.parametrize("nm", [DEFAULT, NOISELESS, PER_QUBIT], ids=["default", "noiseless", "per-qubit"])
     def test_channels_equal_kron_references(self, nm):
+        # the closed-form decay matches the expm references to rounding
         for q in (0, 1):
             for duration in (0, 24, 997):
-                assert np.array_equal(idle_channel(duration, nm, q), kron_idle_channel(duration, nm, q))
+                assert np.max(np.abs(idle_channel(duration, nm, q) - kron_idle_channel(duration, nm, q))) <= 1e-14
             w = random_waveform(np.random.default_rng(q))
             u = propagate_waveform(w, nm, q)
             ref = kron_idle_channel(w.duration, nm, q) @ np.kron(u, u.conj())
-            assert np.array_equal(gate_channel(w, nm, q), ref)
+            assert np.max(np.abs(gate_channel(w, nm, q) - ref)) <= 1e-14
         for qubits in ((0, 1), (1, 0)):
             ref = kron_ecr_channel(nm, qubits, DEFAULT_ECR_DURATION)
-            assert np.array_equal(ecr_channel(nm, qubits, DEFAULT_ECR_DURATION), ref)
+            assert np.max(np.abs(ecr_channel(nm, qubits, DEFAULT_ECR_DURATION) - ref)) <= 1e-14
 
 
 def rabi_oracle(amplitudes, nm, qubit=0, window_dt=None):
