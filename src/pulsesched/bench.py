@@ -184,14 +184,13 @@ def run_rb(cfg: RBConfig, gs: GateSet, nm: NoiseModel, ideal_pulses: bool = Fals
     of two.  Paired schedules therefore have equal makespans and identical
     pulse start times, and differ only in pulse durations: a stretch fills
     idle time before the next gate and never keeps a qubit busy where the
-    fixed arm would have finished its sequence.  So the two arms share one
-    skeleton, and ``ScheduleSimulator.run_arms`` simulates them in one walk
-    over a state with an arm axis: every shared frame, idle, ECR and pulse
-    is one step for both arms, and only the stretched pulses and the idles
-    after them are stepped per arm.  A pulse's calibration frames ride in
-    its cached channel, the arms share every frame shift but the trailing
-    Rz a stretch retimes (which leave the walk), and each qubit's frame sum
-    is one for both arms.
+    fixed arm would have finished its sequence.  ``ScheduleSimulator.run_arms``
+    runs the two arms' programs over one state with an arm axis.  The arms
+    share their placements and frames outside the stretched pulses, and the
+    Rz a stretch retimes trails its qubit's last pulse, which no program
+    keeps.  So a segment of idles, frames and pulses between two ECRs that
+    no stretch touched is folded once for both arms, and only the stretched
+    segments are folded per arm.
 
     RNG streams are spawned per circuit from the master seed, so results are
     reproducible and independent of execution order.  Mean P(0) uses the

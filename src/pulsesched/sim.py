@@ -35,20 +35,19 @@ state, with no transpose.  A pair channel is permuted into the layout
 once, when the simulator caches it; an adjacent pair is then one 81x81
 matmul, and a non-adjacent pair keeps one transpose.
 
-``ScheduleSimulator.run_arms`` walks k schedules that share one skeleton
-(the fixed and stretched arms of one circuit) in one pass.  The state then
-carries a leading arm axis, shape (k, 9**width), and ``contract_arms``
-contracts a channel into every arm at once: one channel broadcast over the
-axis where the arms agree, a (k, ...) stack of per-arm channels where they
-do not.  Each arm's slice takes the product a lone state would take, so
-every arm gets the bits a run of its schedule alone gives.
+``ScheduleSimulator.run_arms`` runs k schedules of one circuit (the fixed
+and stretched arms) in one pass.  Each schedule compiles to its program,
+the ordered contraction steps a run of it alone takes, and the state
+carries a leading arm axis, shape (k, 9**width).  ``contract_arms``
+contracts each step into every arm at once: one channel broadcast over the
+axis where the arms' steps are equal, a (k, ...) stack of per-arm channels
+where they are not.  Each arm's slice takes the product a lone state would
+take, so every arm gets the bits a run of its schedule alone gives.
 
 Virtual Z rotations are diagonal superops.  A calibrated pulse's pre/post
 frames are fixed by its gate-set row, so they are multiplied into the
 pulse's channel once, when it is cached; the circuit's own frame shifts
-sum per qubit and fold into that qubit's next channel.  The frame sum is
-then one float that every arm shares, and the only per-arm state of the
-walk is a qubit's clock and its pending channel.
+sum per qubit and fold into that qubit's next channel.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from scipy.linalg import expm
 
 from .errors import ConfigError, NoiseConfigError, SimulationError, check_count
 from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
-from .schedule import FrameShift, PulsePlacement, Schedule
+from .schedule import FrameShift, Schedule
 
 # ---------------------------------------------------------------------------
 # operators
@@ -174,6 +173,14 @@ class NoiseModel:
                 raise NoiseConfigError(f"qubit {q}: anharmonicity {alpha} Hz must be finite and nonzero")
             if kappa is None or not (math.isfinite(kappa) and kappa > 0):
                 raise NoiseConfigError(f"qubit {q}: Rabi coefficient {kappa} Hz must be finite and positive")
+            # H_k's eigenvalues are bounded by its absolute row sums; where one
+            # overflows at a sample of magnitude 1, eigh fails, so refuse it
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = hamiltonian_sample(np.array([1.0, 1j])[:, None, None], kappa, alpha)
+                bounded = np.isfinite(np.abs(h).sum(axis=-1)).all()
+            if not bounded:
+                raise NoiseConfigError(f"qubit {q}: anharmonicity {alpha} Hz and Rabi coefficient {kappa} Hz"
+                                       " overflow the drive Hamiltonian")
 
     def t1(self, qubit: int) -> float:
         v = _per_qubit(self.t1_ns, qubit)
@@ -349,6 +356,8 @@ def anharmonic_unitary(duration_dt: float, nm: NoiseModel, qubit: int = 0) -> np
     """Undriven evolution exp(-i 2 pi alpha t |2><2|) over duration_dt samples."""
     _check_duration(duration_dt)
     phase = 2.0 * math.pi * nm.anharmonicity(qubit) * duration_dt * _DT_S
+    if not math.isfinite(phase):
+        raise SimulationError(f"qubit {qubit}: the anharmonic phase over {duration_dt} dt overflows")
     return np.diag([1.0, 1.0, np.exp(-1j * phase)])
 
 
@@ -545,8 +554,8 @@ class ScheduleSimulator:
     schedules' specs once, one number per distinct spec this simulator has
     seen, so two schedules that name different pulses alike each play
     their own.  A pulse's channel is Z(post) G Z(pre): its placement's
-    calibration frames ride in the cached channel, and the walk never adds
-    them to a frame sum.
+    calibration frames ride in the cached channel, and a segment's fold
+    never adds them to a frame sum.
 
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
@@ -563,34 +572,29 @@ class ScheduleSimulator:
     randomized-benchmarking sequences compose to the identity exactly.
 
     Operations on different qubits commute, so each qubit's idles and
-    pulses fold into one pending 9x9 channel in that qubit's event order.
-    The state is only formed when an ECR flushes its operands' channels and
-    applies itself, and at the final flush; ``validate_states`` checks the
-    state after each of those contractions.  A frame shift settles its
-    qubit's clock (folds the idle up to its time, as a pulse or ECR does
-    at its start) and adds its angle to the qubit's frame sum, which folds
-    into the qubit's next channel as one diagonal.  The frames behind a
-    qubit's last pulse cannot change Z-basis populations and leave the
-    walk first, so every frame kept is consumed by a later pulse or ECR.
-    A frame that falls inside a pulse leaves that pulse's clock as it is,
-    and so acts after it.  ECR channels are cached already permuted into
-    the state layout (``pair_layout``).
+    pulses between two of its ECRs fold into one 9x9 channel in that qubit's
+    event order, and the state is only formed when that channel and the ECR
+    are contracted into it.  A schedule compiles to its program
+    (``_program``): each ECR is one step, and before it each operand has
+    one step for its segment since its last ECR; after the last ECR each
+    qubit has one for its segment up to the makespan.  Folding a segment
+    walks its frames and pulses: a frame shift folds the idle up to its
+    time, as a pulse does at its start, and adds its angle to the frame sum,
+    which folds into the next channel as one diagonal.  A frame that falls
+    inside a pulse leaves the clock at that pulse's end, and so acts after
+    it.  The frames behind a qubit's last pulse cannot change Z-basis
+    populations and leave its last segment.  ECR channels are cached
+    already permuted into the state layout (``pair_layout``), and
+    ``validate_states`` checks the state after each contraction.
 
-    ``run_arms`` walks k schedules in one pass, and ``run`` is its one-arm
-    case.  The arms must share one skeleton: equal width, makespan and
-    event count, and ``events()`` (less their trailing frames) that zip
-    step by step.  A step equal in every arm is shared: it folds one
-    channel or makes one contraction, broadcast over the state's arm axis,
-    and a pulse it names must be the same ``ShapeSpec`` in every arm.  Every
-    frame shift must be shared.  A step that differs, such as a stretched
-    pulse, must be a 1q pulse that agrees on ``seq``, qubits, start and kind
-    (an ECR never stretches, so it must be one step of every arm); each arm
-    folds its own channel, after the frame sum all arms share.  That
-    qubit's clock is then per-arm until its next event settles it, and its
-    pending channel per-arm until the next flush; a frame that falls inside
-    the stretched pulse of some arm raises.  Zipped steps keep every
-    qubit's event order, so each arm gets the bits a run of its schedule
-    alone gives.  Any other difference raises ``SimulationError``.
+    ``run_arms`` zips k programs step by step, and ``run`` is its one-arm
+    case.  The arms must have one width and one operand sequence, or it
+    raises ``SimulationError``; any other difference is simulated exactly.
+    A step equal in every arm (shared placements are the same objects, so
+    this is mostly an identity check) folds or looks up one channel, which
+    is broadcast over the arm axis; any other step stacks one channel per
+    arm.  Arms that map one waveform id to different specs fold every
+    segment per arm.
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
@@ -634,119 +638,71 @@ class ScheduleSimulator:
         return self.run_arms((sch,), shots, (seed,), validate_states)[0]
 
     def run_arms(self, schedules, shots: int, seeds, validate_states: bool = False) -> list[RunResult]:
-        """Propagate k schedules of one skeleton in one walk, and sample
-        ``shots`` outcomes of each from its own seed; one result per arm, in order."""
+        """Propagate k schedules of one width and operand sequence in one
+        pass, and sample ``shots`` outcomes of each from its own seed; one
+        result per arm, in order."""
         check_count("shots", shots, 0)
         k = len(schedules)
         if k == 0 or len(seeds) != k:
             raise ConfigError(f"{k} schedule(s) need one seed each, got {len(seeds)}")
-        width, makespan = schedules[0].width, schedules[0].makespan
-        if any(sch.width != width or sch.makespan != makespan for sch in schedules):
-            raise SimulationError("arms differ in width or makespan")
+        width = schedules[0].width
+        if any(sch.width != width for sch in schedules):
+            raise SimulationError("arms differ in width")
         if width > MAX_SIM_QUBITS:
             raise SimulationError(f"dense qutrit simulation capped at {MAX_SIM_QUBITS} qubits, got {width}")
         if width == 0:
             return [RunResult(p0=1.0, probabilities={"": 1.0}, counts={"": shots}, shots=shots) for _ in schedules]
-        # the frames behind each qubit's last pulse cannot change Z-basis
-        # populations, and a stretched arm retimes them: they leave the walk
-        walks = [_without_trailing_frames(sch.events(), width) for sch in schedules]
-        if any(len(walk) != len(walks[0]) for walk in walks):
-            raise SimulationError("arms differ in event count")
+        programs = [_program(sch) for sch in schedules]
+        operands = programs[0][0]
+        if any(ops != operands for ops, _ in programs):
+            raise SimulationError("arms differ in operand sequence")
         keys = [self._spec_keys(sch) for sch in schedules]
         specs = [sch.waveforms for sch in schedules]
-        # waveform ids that name another spec in some arm than in arm 0
-        clash = {wid for arm in keys[1:] for wid, n in arm.items() if keys[0].get(wid, n) != n}
-        ideal = self.ideal_pulses
+        # arms that map one waveform id to different specs share no segment
+        clash = any(keys[0].get(wid, n) != n for arm in keys[1:] for wid, n in arm.items())
+        channel, ideal = self._channel, self.ideal_pulses
+
+        def fold(q, segment, a):
+            """Arm a's segment on q (start, end, frames and pulses) as one
+            channel, folded in event order: each channel after the frame sum so far."""
+            t, end, events = segment
+            f, p = 0.0, None
+            for ev in events:
+                frame = type(ev) is FrameShift
+                at = ev.time if frame else ev.start
+                if at > t:  # a frame inside a pulse acts after it
+                    p, f = _fold(p, f, channel((at - t, q), self._idle_superop, at - t, q))
+                    t = at
+                if frame:
+                    f += ev.angle
+                    continue
+                wid = ev.waveform_id
+                pre, post = (0.0, 0.0) if ideal else (ev.pre_frame, ev.post_frame)
+                key = (keys[a][wid], q, ev.angle if ideal else None, pre, post)
+                p, f = _fold(p, f, channel(key, self._pulse_superop, specs[a][wid], q, ev.angle, pre, post))
+                t = ev.start + ev.duration
+            if end > t:
+                p, f = _fold(p, f, channel((end - t, q), self._idle_superop, end - t, q))
+            return _fold(p, f, _EYE9)[0] if f else p
+
         data = np.zeros((k, 9**width), dtype=complex)
         data[:, 0] = 1.0
-        # per qubit: the clock, one time or (after a stretched pulse) a tuple
-        # of one per arm; the frame sum every arm shares; the pending channel
-        t_last: list = [0] * width
-        frame = [0.0] * width
-        pending: list[np.ndarray | None] = [None] * width  # (9, 9) for every arm, or (k, 9, 9)
-
-        def fold(q, s):
-            """Fold channel s, or a list of one per arm (None: nothing), after q's frame sum.
-
-            A list comes with a stretched pulse, or with the idles after
-            one; a None only with the idles, when every arm holds a pending
-            channel and no frame sum is left.
-            """
-            f, p = frame[q], pending[q]
-            if f:
-                z = np.exp(1j * f * _LEVEL_GAPS)
-                s = [x * z for x in s] if type(s) is list else s * z
-                frame[q] = 0.0
-            if type(s) is not list:
-                pending[q] = s if p is None else s @ p
-                return
-            ps = [None] * k if p is None else p if p.ndim == 3 else [p] * k
-            pending[q] = np.array([y if x is None else x if y is None else x @ y for x, y in zip(s, ps)])
-
-        def contract(s, qubits):
-            nonlocal data
+        for qubits, steps in zip(operands, zip(*(payloads for _, payloads in programs))):
+            step = steps[0]
+            shared = steps.count(step) == k
+            if len(qubits) == 2:  # an ECR: its step is its channel's key
+                if shared:
+                    s = channel(step, self._ecr_superop, *step)
+                else:
+                    s = np.array([channel(e, self._ecr_superop, *e) for e in steps])
+            elif shared and not clash:
+                s = fold(qubits[0], step, 0)
+            else:
+                s = np.array([fold(qubits[0], seg, a) for a, seg in enumerate(steps)])
             data = contract_arms(data, s, qubits, width)
             if validate_states:
                 for rho in data:
                     DensityState(width, rho).validate()
-
-        def flush(q):
-            if pending[q] is not None:
-                contract(pending[q], (q,))
-                pending[q] = None
-
-        def idle(q, gap):
-            return self._channel((gap, q), self._idle_superop, gap, q)
-
-        def idle_to(q, t):
-            """Fold q's idle up to t.  A frame inside a pulse every arm
-            shares leaves the clock as it is; inside a stretched one it raises."""
-            last = t_last[q]
-            if type(last) is tuple:
-                if max(last) > t:
-                    raise SimulationError(f"qubit {q}: a frame at {t} falls inside a stretched pulse")
-                fold(q, [idle(q, t - x) if t > x else None for x in last])
-                t_last[q] = t
-            elif t > last:
-                fold(q, idle(q, t - last))
-                t_last[q] = t
-
-        def pulse(a, ev):
-            q, wid = ev.qubits[0], ev.waveform_id
-            pre, post = (0.0, 0.0) if ideal else (ev.pre_frame, ev.post_frame)
-            key = (keys[a][wid], q, ev.angle if ideal else None, pre, post)
-            return self._channel(key, self._pulse_superop, specs[a][wid], q, ev.angle, pre, post)
-
-        for evs in zip(*walks):
-            ev = evs[0]
-            shared = evs.count(ev) == k
-            if not shared:
-                _check_skeleton(evs)
-            if type(ev) is FrameShift:
-                idle_to(ev.qubit, ev.time)
-                frame[ev.qubit] += ev.angle
-                continue
-            for q in ev.qubits:
-                idle_to(q, ev.start)
-            if ev.kind == "ecr":
-                for q in ev.qubits:
-                    if frame[q]:
-                        fold(q, _EYE9)
-                    flush(q)
-                s = self._channel((ev.qubits, ev.duration), self._ecr_superop, ev.qubits, ev.duration)
-                contract(s, tuple(sorted(ev.qubits)))
-            elif shared:
-                if ev.waveform_id in clash:
-                    raise SimulationError(f"arms name different pulses {ev.waveform_id!r}")
-                fold(ev.qubits[0], pulse(0, ev))
-            else:
-                fold(ev.qubits[0], [pulse(a, e) for a, e in enumerate(evs)])
-            end = ev.start + ev.duration if shared else tuple(e.start + e.duration for e in evs)
-            for q in ev.qubits:
-                t_last[q] = end
-        for q in range(width):
-            idle_to(q, makespan)
-            flush(q)
 
         results = []
         for rho, seed in zip(data, seeds):
@@ -762,28 +718,52 @@ class ScheduleSimulator:
         return results
 
 
-def _without_trailing_frames(events, width):
-    """``events`` less the frame shifts behind their qubit's last pulse."""
-    pulsed = [False] * width
-    kept = []
-    for ev in reversed(events):
-        if type(ev) is not FrameShift:
+def _fold(pending, frame, s):
+    """Channel s after the frame sum ``frame`` and the ``pending`` channel
+    (None: nothing), and the frame sum left, 0.0."""
+    if frame:
+        s = s * np.exp(1j * frame * _LEVEL_GAPS)
+    return (s if pending is None else s @ pending), 0.0
+
+
+def _program(sch: Schedule):
+    """The schedule's contraction steps in order: (operands, payloads).
+
+    An ECR is one step on its operands in ascending order, and its payload
+    is its channel's key (qubits, duration).  Before it, each operand gets
+    one step for its segment since its last ECR, and after every ECR each
+    qubit gets one for its last segment up to the makespan.  A segment's
+    payload is (start, end, its frames and pulses in event order); the last
+    one leaves out the frames behind the qubit's last pulse, which cannot
+    change Z-basis populations.  A segment that folds nothing (no time, no
+    pulse and a zero frame sum) is no step.
+    """
+    operands, payloads = [], []
+    start = [0] * sch.width
+    events = [[] for _ in range(sch.width)]
+
+    def segment(q, end):
+        evs = events[q]
+        if end > start[q] or any(type(ev) is not FrameShift for ev in evs) or sum(ev.angle for ev in evs):
+            operands.append((q,))
+            payloads.append((start[q], end, evs))
+
+    for ev in sch.events():
+        if type(ev) is FrameShift:
+            events[ev.qubit].append(ev)
+        elif ev.kind != "ecr":
+            events[ev.qubits[0]].append(ev)
+        else:
             for q in ev.qubits:
-                pulsed[q] = True
-        elif not pulsed[ev.qubit]:
-            continue
-        kept.append(ev)
-    return kept[::-1]
-
-
-def _check_skeleton(evs):
-    """Raise unless zipped steps that differ are one 1q pulse of every arm,
-    alike in ``seq``, qubits, start and kind."""
-    ev = evs[0]
-    if not (type(ev) is PulsePlacement and ev.kind != "ecr" and all(
-            type(e) is PulsePlacement and (e.seq, e.qubits, e.start, e.kind) == (ev.seq, ev.qubits, ev.start, ev.kind)
-            for e in evs)):
-        raise SimulationError(f"arms do not share one skeleton: {evs}")
+                segment(q, ev.start)
+                start[q], events[q] = ev.start + ev.duration, []
+            operands.append(tuple(sorted(ev.qubits)))
+            payloads.append((ev.qubits, ev.duration))
+    for q, evs in enumerate(events):
+        while evs and type(evs[-1]) is FrameShift:
+            evs.pop()
+        segment(q, sch.makespan)
+    return operands, payloads
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ class TestSharedArmGraph:
 
 
 class TestRunArmsOnRB:
-    """``run_rb`` simulates both arms in one ``run_arms`` walk; each arm must
+    """``run_rb`` simulates both arms in one ``run_arms`` call; each arm must
     equal ``run`` of it alone, bit for bit."""
 
     @pytest.mark.parametrize("n_qubits, length", [(2, 41), (3, 7)])

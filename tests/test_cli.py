@@ -429,14 +429,26 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "noise", ["[1, 2]", '{"t1_ns": "abc"}', '{"t1": 5e4}', '{"t1_ns": true, "t2_ns": null}',
-                  '{"ecr_fidelity": true}', '{"anharmonicity_hz": [true]}', '{"rabi_coefficient_hz": "1e8"}'],
+                  '{"ecr_fidelity": true}', '{"anharmonicity_hz": [true]}', '{"rabi_coefficient_hz": "1e8"}',
+                  '{"anharmonicity_hz": 1e308}', '{"rabi_coefficient_hz": 1e308}'],
         ids=["not-an-object", "not-a-number", "unknown-key", "t1-bool", "fidelity-bool", "alpha-bool-list",
-             "rabi-string"],
+             "rabi-string", "alpha-overflows-h", "rabi-overflows-h"],
     )
     def test_bad_noise_file(self, noise, gateset_json, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(noise)
         assert self.rb(gateset_json, tmp_path, "--noise", str(path)) == 2
+        assert not (tmp_path / "rb" / "rbresult.csv").exists()
+
+    def test_idle_phase_overflow_is_a_simulation_error(self, gateset_json, tmp_path):
+        # H_k holds 2*pi*alpha, but alpha times a long idle overflows the phase
+        path = tmp_path / "noise.json"
+        path.write_text('{"anharmonicity_hz": 1e307}')
+        code = main(["rb", "--qubits", "2", "--lengths", "3", "--min-dur", "64", "--shots", "8",
+                     "--circuits-per-length", "1", "--gateset", gateset_json, "--noise", str(path),
+                     "--out-dir", str(tmp_path / "rb")])
+        assert code == 3
+        assert not (tmp_path / "rb" / "rbresult.csv").exists()
 
     def test_schedule_on_uncalibrated_qubit(self, tmp_path):
         # a circuit that names a qubit the gate set never calibrated is

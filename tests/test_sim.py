@@ -36,6 +36,7 @@ from pulsesched.sim import (
     _kron,
     _lindblad_superop,
     anharmonic_unitary,
+    contract_arms,
     dissipative_generator,
     ecr_channel,
     embed_qubit_pair,
@@ -206,6 +207,11 @@ class TestGateChannel:
             # positive, but too short for 1/T to be a finite rate in 1/s
             {"t2_ns": 5e-324},
             {"t1_ns": [180e3, 1e-300]},
+            # finite, but an H_k row at a sample of magnitude 1 overflows
+            {"anharmonicity_hz": 1e308},
+            {"anharmonicity_hz": [-330e6, -1e308]},
+            {"rabi_coefficient_hz": 1e308},
+            {"anharmonicity_hz": 2.8e307, "rabi_coefficient_hz": 1.12e307},
         ],
     )
     def test_unphysical_values_rejected(self, kwargs):
@@ -237,6 +243,17 @@ class TestGateChannel:
         assert well_typed
         for q in range(len(value) if type(value) is list else 1):
             assert all(type(x) is float for x in (nm.t1(q), nm.t2(q), nm.anharmonicity(q), nm.rabi_coefficient(q)))
+
+    @pytest.mark.parametrize("kwargs", [{"anharmonicity_hz": 1e307}, {"rabi_coefficient_hz": 1e307},
+                                        {"anharmonicity_hz": -1.5e307, "rabi_coefficient_hz": 5e306}])
+    def test_huge_finite_hamiltonian_propagates(self, kwargs):
+        nm = NoiseModel(**kwargs)
+        samples = np.array([1.0, 1j, -1.0, -1j, 0.5])
+        assert np.isfinite(propagate_waveform(Waveform(samples), nm)).all()
+
+    def test_overflowing_idle_phase_raises(self):
+        with pytest.raises(SimulationError, match="anharmonic phase"):
+            anharmonic_unitary(1000, NoiseModel(anharmonicity_hz=1e307))
 
     def test_none_and_inf_mean_no_decay(self):
         for t in (None, math.inf):
@@ -691,15 +708,15 @@ class TestPulseChannelKey:
 _SX120 = sx_shape(120)
 
 
-def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(120, 0.3, 1), spec=_SX120,
-                  duration=120, ecr_duration=DEFAULT_ECR_DURATION, extra_frames=()):
+def _arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(120, 0.3, 1), spec=_SX120,
+         duration=120, ecr_duration=DEFAULT_ECR_DURATION, extra_frames=(), ecr_qubits=(0, 1)):
     """sx q0, a frame (time, angle, seq) on q0, sx q1 (the pulse arms may
-    stretch), then ecr q0 q1."""
+    stretch), then an ecr on q0 and q1."""
     placements = [
         PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", seq=0),
         PulsePlacement(qubits=(1,), start=start, duration=duration, kind="sx", angle=HALF_PI,
                        waveform_id=f"sx{duration}", seq=2),
-        PulsePlacement(qubits=(0, 1), start=400, duration=ecr_duration, kind="ecr", angle=0.0,
+        PulsePlacement(qubits=ecr_qubits, start=400, duration=ecr_duration, kind="ecr", angle=0.0,
                        waveform_id="ecr", seq=3),
     ]
     time, angle, seq = frame
@@ -709,10 +726,14 @@ def _skeleton_arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame
 
 
 _FRAME_Q1_300 = FrameShift(qubit=1, time=300, angle=0.7, seq=9)
+#: per mode, a gate set and one with a longer minimum duration
+_ARM_GATE_SETS = {mode: (GateSet.ideal(mode, 3), GateSet.ideal(mode, 3, min_duration=64))
+                  for mode in ("static", "dynamic")}
 
 
 class TestRunArms:
-    """``run_arms`` walks arms of one skeleton once; each arm equals ``run`` of it alone."""
+    """``run_arms`` runs arms of one width and operand sequence together;
+    each arm equals ``run`` of it alone."""
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     @pytest.mark.parametrize("ideal_pulses", [False, True])
@@ -742,30 +763,80 @@ class TestRunArms:
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), pair, validate_states=True)
 
     def test_stretched_pulse_and_three_arms(self):
-        arms = (_skeleton_arm(), _skeleton_arm(duration=64), _skeleton_arm(duration=48))
+        arms = (_arm(), _arm(duration=64), _arm(duration=48))
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms, validate_states=True)
 
-    @pytest.mark.parametrize("first, other", [
-        pytest.param({}, dict(width=3), id="width"),
-        pytest.param({}, dict(makespan=408 + DEFAULT_ECR_DURATION), id="makespan"),
-        pytest.param({}, dict(extra_frames=[FrameShift(qubit=1, time=0, angle=0.2, seq=9)]), id="event-count"),
-        pytest.param({}, dict(start=208), id="moved-start"),
-        pytest.param({}, dict(ecr_duration=1000), id="ecr-duration"),
-        pytest.param({}, dict(frame=(120, 0.4, 1)), id="frame-angle"),
-        pytest.param({}, dict(frame=(120, 0.3, 5)), id="frame-seq"),
+    @pytest.mark.parametrize("first, other, refused", [
+        pytest.param({}, dict(width=3), True, id="width"),
+        # the first arm's ECR ends at its makespan, so it has no tail steps
+        # and the other arm has one on each qubit
+        pytest.param({}, dict(makespan=408 + DEFAULT_ECR_DURATION), True, id="makespan"),
+        pytest.param({}, dict(ecr_duration=1000), True, id="ecr-duration"),
+        # each arm folds q0 and q1 before their ECR in its operand order
+        pytest.param({}, dict(ecr_qubits=(1, 0)), True, id="operand-order"),
+        pytest.param({}, dict(extra_frames=[FrameShift(qubit=1, time=0, angle=0.2, seq=9)]), False, id="event-count"),
+        pytest.param({}, dict(start=208), False, id="moved-start"),
+        pytest.param({}, dict(frame=(120, 0.4, 1)), False, id="frame-angle"),
+        pytest.param({}, dict(frame=(120, 0.3, 5)), False, id="frame-seq"),
         # q0's frame lies before its ECR, so no arm drops it as trailing
-        pytest.param({}, dict(frame=(150, 0.3, 1)), id="frame-time"),
+        pytest.param({}, dict(frame=(150, 0.3, 1)), False, id="frame-time"),
         # q1's pulse ends at 320 in the first arm and at 264 in the other
-        pytest.param(dict(extra_frames=[_FRAME_Q1_300]), dict(duration=64, extra_frames=[_FRAME_Q1_300]),
+        pytest.param(dict(extra_frames=[_FRAME_Q1_300]), dict(duration=64, extra_frames=[_FRAME_Q1_300]), False,
                      id="frame-in-stretched-pulse"),
-        pytest.param({}, dict(spec=replace(_SX120, amplitude=0.9 * _SX120.amplitude)), id="spec-named-alike"),
+        pytest.param({}, dict(spec=replace(_SX120, amplitude=0.9 * _SX120.amplitude)), False, id="spec-named-alike"),
     ])
-    def test_skeleton_mismatch_raises(self, first, other):
-        arms = (_skeleton_arm(**first), _skeleton_arm(**other))
+    def test_skeleton_mismatch_raises(self, first, other, refused):
+        # arms that differ in width or operand sequence are refused; any
+        # other difference is simulated exactly
+        arms = (_arm(**first), _arm(**other))
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[:1])
         assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms[1:])
-        with pytest.raises(SimulationError):
-            ScheduleSimulator(DEFAULT).run_arms(arms, 8, (0, 1))
+        if refused:
+            with pytest.raises(SimulationError, match="arms differ"):
+                ScheduleSimulator(DEFAULT).run_arms(arms, 8, (0, 1))
+        else:
+            assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms, validate_states=True)
+
+    def test_ecr_durations_contract_stacked(self, monkeypatch):
+        # both arms idle after their ECR, so they share an operand sequence,
+        # and the ECR step contracts one channel per arm
+        makespan = 408 + DEFAULT_ECR_DURATION
+        arms = (_arm(makespan=makespan), _arm(makespan=makespan, ecr_duration=1000))
+        shapes = []
+
+        def recording(data, superop, qubits, width):
+            shapes.append(superop.shape)
+            return contract_arms(data, superop, qubits, width)
+
+        monkeypatch.setattr(sim, "contract_arms", recording)
+        assert_arms_equal_runs(ScheduleSimulator(DEFAULT), arms, validate_states=True)
+        assert (2, 81, 81) in shapes
+
+    def test_schedules_of_one_circuit(self):
+        # one lowered circuit scheduled four ways runs as four arms: each arm
+        # equals its lone run, or the arms differ in operand sequence and
+        # the call is refused
+        simulated = []
+
+        @given(seed=st.integers(0, 2**32 - 1), n_qubits=st.integers(1, 3), n_gates=st.integers(1, 25),
+               mode=st.sampled_from(["static", "dynamic"]), ideal_pulses=st.booleans())
+        @settings(max_examples=60, deadline=None)
+        def check(seed, n_qubits, n_gates, mode, ideal_pulses):
+            gs, slower = _ARM_GATE_SETS[mode]
+            c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
+            arms = [run_framework(c, gs, policy)[1] for policy in (None, FREE_FLOAT, TOTAL_FLOAT)]
+            arms.append(run_framework(c, slower, None)[1])
+            simulator = ScheduleSimulator(DEFAULT, ideal_pulses=ideal_pulses)
+            try:
+                assert_arms_equal_runs(simulator, arms)
+            except SimulationError:
+                assert len({tuple(sim._program(sch)[0]) for sch in arms}) > 1
+                simulated.append(False)
+            else:
+                simulated.append(True)
+
+        check()
+        assert sum(simulated) > 0.75 * len(simulated)
 
     def test_lone_frame_inside_pulse_matches_unfused_oracle(self):
         # a lone run applies a frame that falls inside a pulse after that
@@ -803,7 +874,7 @@ class TestRunArms:
     @pytest.mark.parametrize("seeds", [(), (0,), (0, 1, 2)])
     def test_one_seed_per_arm(self, seeds):
         with pytest.raises(ConfigError, match="one seed each"):
-            ScheduleSimulator(DEFAULT).run_arms((_skeleton_arm(), _skeleton_arm()), 8, seeds)
+            ScheduleSimulator(DEFAULT).run_arms((_arm(), _arm()), 8, seeds)
 
 
 def _leaked_state():
