@@ -9,7 +9,6 @@ and a randomized-benchmarking harness.
 from .circuit import (
     Circuit,
     Gate,
-    circuit_to_text,
     decompose_dynamic,
     decompose_static,
     merge_virtual_z,
@@ -25,7 +24,7 @@ from .gateset import (
     interpolate_amplitude,
     sigma_of_duration,
 )
-from .pulses import ShapeSpec, Waveform, normalize, pulse_area, synthesize
+from .pulses import ShapeSpec, Waveform, normalize, synthesize
 from .schedule import Schedule
 from .scheduler import (
     DepGraph,
@@ -60,7 +59,6 @@ __all__ = [
     "Circuit",
     "Gate",
     "parse_circuit",
-    "circuit_to_text",
     "decompose_static",
     "decompose_dynamic",
     "merge_virtual_z",
@@ -91,7 +89,6 @@ __all__ = [
     "Waveform",
     "normalize",
     "synthesize",
-    "pulse_area",
     "NoiseModel",
     "DensityState",
     "RunResult",

@@ -63,7 +63,9 @@ class RBConfig:
         check_count("n_qubits", self.n_qubits, 1)
         _check_width(self.n_qubits)
         lens = tuple(self.clifford_lengths)
-        if not lens or any(l <= 0 for l in lens) or list(lens) != sorted(lens):
+        for length in lens:
+            check_count("clifford length", length, 1)
+        if not lens or list(lens) != sorted(lens):
             raise ConfigError("clifford lengths must be positive and ascending")
         object.__setattr__(self, "clifford_lengths", lens)
         check_count("circuits_per_length", self.circuits_per_length, 1)
@@ -238,15 +240,6 @@ def duration_histogram(result: RBResult, policy: str = OPTIMIZED) -> dict[int, t
     if total == 0:
         return {}
     return {d: (c, c / total) for d, c in sorted(counter.items())}
-
-
-def min_duration_fraction(result: RBResult, policy: str = OPTIMIZED) -> float:
-    """Fraction of single-qubit pulses left at the shortest chosen duration."""
-    hist = duration_histogram(result, policy)
-    if not hist:
-        return 0.0
-    shortest = min(hist)
-    return hist[shortest][1]
 
 
 def mean_decoherence_times(nm: NoiseModel, n_qubits: int) -> tuple[float, float]:

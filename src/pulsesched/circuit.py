@@ -139,9 +139,6 @@ class Circuit:
             if max(g.qubits) >= self.width:
                 raise ValueError(f"gate {g.id}: qubit index beyond circuit width")
 
-    def __len__(self):
-        return len(self.gates)
-
 
 def _make_circuit(specs, width):
     """Build a Circuit from (kind, qubits, angles) triples, assigning dense ids."""
@@ -191,17 +188,6 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(line_no, str(exc)) from None
     width = 1 + max((q for g in gates for q in g.qubits), default=-1)
     return Circuit(width=width, gates=tuple(gates))
-
-
-def circuit_to_text(c: Circuit) -> str:
-    """Serialize back to the line format; round-trips through parse_circuit."""
-    lines = []
-    for g in c.gates:
-        parts = [g.kind] + [f"q{q}" for q in g.qubits]
-        if g.angles:
-            parts.append(",".join(repr(a) for a in g.angles))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def u3_angles(u) -> tuple[float, float, float]:

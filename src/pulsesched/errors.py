@@ -5,6 +5,7 @@ PulseschedError maps to exit code 3.
 """
 
 import numbers
+import sys
 
 
 class PulseschedError(Exception):
@@ -18,6 +19,15 @@ class ConfigError(PulseschedError):
 def is_integer(value) -> bool:
     """An integer of any integral type, but not a bool."""
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def is_real(value, bound: float = sys.float_info.max) -> bool:
+    """A float (numpy's float64 is one) or a plain int that ``float`` takes,
+    within ±bound and not a bool: the comparison rejects NaN, and infinities
+    too unless ``bound`` is infinite."""
+    if type(value) is float or isinstance(value, float):
+        return -bound <= value <= bound
+    return type(value) is int and abs(value) <= min(bound, sys.float_info.max)
 
 
 def check_count(name: str, value, minimum: int):

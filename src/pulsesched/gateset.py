@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +30,8 @@ from .errors import (
     GateSetError,
     InfeasibleDurationError,
     RabiFitError,
+    is_integer,
+    is_real,
 )
 from .pulses import (
     DT_NS,
@@ -161,8 +163,8 @@ class RabiTable:
     def __post_init__(self):
         if len(self.amplitudes) != len(self.omegas_hz) or len(self.amplitudes) < 2:
             raise GateSetError("Rabi table needs at least two (amplitude, omega) pairs")
-        if not all(map(math.isfinite, (*self.amplitudes, *self.omegas_hz))):
-            raise GateSetError("Rabi table amplitudes and frequencies must be finite")
+        if not all(map(is_real, (*self.amplitudes, *self.omegas_hz))):
+            raise GateSetError("Rabi table amplitudes and frequencies must be finite numbers")
 
     @classmethod
     def linear(cls, rabi_coefficient_hz: float) -> "RabiTable":
@@ -356,32 +358,34 @@ def _angle_key(angle: float) -> float:
 
 
 def _dt_count(value, what: str, minimum: int) -> int:
-    """value as a whole number of dt samples, at least minimum."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= minimum):
+    """value as a whole number of dt samples, at least minimum: an integer or
+    an integral float, not a bool."""
+    if not (is_integer(value) or is_real(value) and float(value).is_integer()) or value < minimum:
         raise GateSetError(f"{what} must be a whole number of dt, at least {minimum}, got {value!r}")
     return int(value)
 
 
-def _finite(row: dict, key: str, default=None, bound: float = math.inf):
-    """row[key], or default when the key is absent, checked to be a finite
-    number within ±bound, not a bool."""
+def _finite(row: dict, key: str, default=None, bound: float = sys.float_info.max):
+    """row[key], or default when the key is absent, checked by ``is_real``:
+    a finite number within ±bound, not a bool."""
     value = row[key] if default is None else row.get(key, default)
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-            and abs(value) <= bound):
-        within = f" within ±{bound:.6g}" if bound < math.inf else ""
+    if not is_real(value, bound):
+        within = f" within ±{bound:.6g}" if bound < sys.float_info.max else ""
         raise GateSetError(f"implementation {key} must be a finite number{within}, got {value!r}")
     return value
 
 
-def _impl_from_row(row: dict) -> GateImpl:
+def _impl_from_row(row: dict, menu: tuple[int, ...]) -> GateImpl:
     """One static gate-set JSON row as a Gaussian Sx ``GateImpl``.
 
     The row is checked here, so every pulse it serves synthesizes without
     clipping and writes finite JSON, its frames lie within the schedule's
-    ``MAX_FRAME_ANGLE``, and it must be the sx at angle pi/2
-    that a static set plays.  The normalized envelope peaks at 1, so
-    |amplitude| <= 1 is exactly the no-clipping condition; sigma must be
-    positive and leave the envelope's edge below its peak.
+    ``MAX_FRAME_ANGLE``, and it must be the sx at angle pi/2 and at a
+    duration on the static ``menu`` that a static set plays.  The normalized
+    envelope peaks at 1, so |amplitude| <= 1 is exactly the no-clipping
+    condition; sigma must be positive and give the sampled envelope a
+    finite, positive area: too wide a sigma leaves the edge at the peak,
+    and too narrow a one underflows 2*sigma^2 to 0.
     """
     if row["kind"] != circ.SX:
         raise GateSetError(f"a static gate set plays only sx pulses, not implementation kind {row['kind']!r}")
@@ -397,14 +401,24 @@ def _impl_from_row(row: dict) -> GateImpl:
     if sigma <= 0:
         raise GateSetError(f"implementation sigma {sigma!r} must be positive")
     fidelity = row.get("fidelity")
-    if fidelity is not None and not (isinstance(fidelity, numbers.Real) and 0.0 <= fidelity <= 1.0):
+    if fidelity is not None and not (is_real(fidelity, 1.0) and fidelity >= 0.0):
         raise GateSetError(f"implementation fidelity {fidelity!r} must be null or lie in [0, 1]")
     duration = _dt_count(row["duration_dt"], "implementation duration_dt", 1)
+    if duration not in menu:
+        raise GateSetError(f"sx row at {duration} dt is off the static menu {menu}")
     shape = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=duration, sigma=sigma)
     try:
-        evaluate_envelope(shape, 0.0)
-    except (ValueError, OverflowError) as exc:
-        raise GateSetError(f"implementation sigma {sigma!r} is too wide for {duration} dt: {exc}") from None
+        # the sample nearest the center is the largest, and every evaluation
+        # takes f(-1), where any overflow or division by 0 shows: so the
+        # sampled envelope has a finite, positive area exactly when this one
+        # sample is positive and raises nothing
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            peak = float(evaluate_envelope(replace(shape, amplitude=1.0), duration // 2).real)
+    except (ValueError, ArithmeticError):
+        peak = 0.0
+    if not peak > 0.0:
+        raise GateSetError(f"implementation sigma {sigma!r} leaves the {duration} dt envelope"
+                           " no finite, positive area")
     return GateImpl(
         qubit=qubit,
         kind=circ.SX,
@@ -603,12 +617,10 @@ class GateSet:
                 continue  # regenerated on demand
             if gs.mode == DYNAMIC:
                 raise GateSetError("a dynamic gate set derives its pulses and holds no rows")
-            impl = _impl_from_row(row)
+            impl = _impl_from_row(row, gs.static_durations)
             key = (impl.qubit, impl.kind, _angle_key(impl.angle), impl.duration)
             if key in gs.impls:
                 raise GateSetError(f"two sx rows for qubit {impl.qubit} at {impl.duration} dt")
-            if impl.duration not in gs.static_durations:
-                raise GateSetError(f"sx row at {impl.duration} dt is off the static menu {gs.static_durations}")
             gs.impls[key] = impl
         return gs
 

@@ -9,7 +9,6 @@ implicit (rotating-frame simulator).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,22 +142,6 @@ def synthesize(spec: ShapeSpec) -> Waveform:
     t = np.arange(spec.duration, dtype=float)
     samples = evaluate_envelope(spec, t) * np.exp(1j * spec.phase)
     return Waveform(samples=samples)
-
-
-def pulse_area(w: Waveform, rabi_coefficient_hz: float) -> float:
-    """Rotation-angle equivalent of a waveform, in radians.
-
-    Sums the complex samples and converts through the amplitude-to-Rabi
-    coefficient (fit-frequency slope in Hz per unit amplitude; the Bloch
-    rotation rate is 4*pi times it, matching the cos^2 Rabi convention).
-    The sign follows the drive phase: a pulse at phase pi has negative area.
-    """
-    total = complex(np.sum(w.samples))
-    magnitude = abs(total)
-    sign = 1.0 if total.real >= 0 else -1.0
-    if abs(total.real) < 1e-12 * max(magnitude, 1.0):
-        sign = 1.0
-    return sign * magnitude * 4.0 * math.pi * rabi_coefficient_hz * (DT_NS * 1e-9)
 
 
 def envelope_sum(spec: ShapeSpec) -> float:

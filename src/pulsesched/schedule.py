@@ -21,22 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .errors import ScheduleOverlapError
+from .errors import ScheduleOverlapError, is_real
 from .pulses import DT_NS, ShapeSpec
 
 #: the largest frame angle a schedule holds: the period ``normalize_angle``
 #: wraps by.  Every frame lowering or calibration makes lies within it, and
 #: the simulator's running frame phase stays finite.
 MAX_FRAME_ANGLE = 4.0 * math.pi
-
-
-def _is_real(value, bound: float = sys.float_info.max) -> bool:
-    """An int or float (numpy's float64 is one), not a bool, within ±bound:
-    the comparison rejects NaN, infinities and ints too large for a float."""
-    return (type(value) is float or type(value) is int or isinstance(value, float)) and -bound <= value <= bound
 
 
 @dataclass(frozen=True)
@@ -97,11 +90,11 @@ class Schedule:
                 if type(ev) is FrameShift:
                     q, t = ev.qubit, ev.time
                     if not (type(q) is int and type(t) is int and 0 <= q < width and 0 <= t <= makespan
-                            and _is_real(ev.angle, MAX_FRAME_ANGLE)):
+                            and is_real(ev.angle, MAX_FRAME_ANGLE)):
                         raise ScheduleOverlapError(f"frame {ev.angle!r} on qubit {q!r} at {t!r} is out of range")
                     continue
                 qubits, start, duration, pre, post = ev.qubits, ev.start, ev.duration, ev.pre_frame, ev.post_frame
-                if not (type(start) is int and type(duration) is int and duration >= 0 and _is_real(ev.angle)):
+                if not (type(start) is int and type(duration) is int and duration >= 0 and is_real(ev.angle)):
                     raise ScheduleOverlapError(
                         f"{ev.waveform_id} at {start!r} lasts {duration!r} dt at angle {ev.angle!r}")
                 if not all(type(q) is int and 0 <= q < width for q in qubits) or start + duration > makespan:
@@ -113,7 +106,7 @@ class Schedule:
                     playable = spec is not None and spec.duration == duration
                 if not playable:
                     raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot be played in {duration} dt")
-                frames_ok = _is_real(pre, MAX_FRAME_ANGLE) and _is_real(post, MAX_FRAME_ANGLE)
+                frames_ok = is_real(pre, MAX_FRAME_ANGLE) and is_real(post, MAX_FRAME_ANGLE)
                 if not frames_ok or (len(qubits) > 1 and (pre or post)):
                     raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
                 for q in qubits:

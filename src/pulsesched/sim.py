@@ -63,7 +63,7 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, NoiseConfigError, SimulationError, check_count
+from .errors import ConfigError, NoiseConfigError, SimulationError, check_count, is_real
 from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
 from .schedule import FrameShift, Schedule
 
@@ -109,14 +109,6 @@ def embed_qubit_pair(u4: np.ndarray) -> np.ndarray:
 # noise model
 
 
-def _is_number(value) -> bool:
-    """An int or float (numpy's float64 is one) that ``float`` takes: not a
-    bool, nor an int beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
 def _per_qubit(value, qubit):
     if qubit < 0:
         raise NoiseConfigError(f"no qubit {qubit}: qubit indices start at 0")
@@ -138,8 +130,8 @@ class NoiseModel:
     amplitude.  ``ecr_fidelity`` sets the depolarizing strength proxy
     1 - fidelity applied around the ideal two-qubit unitary.  Each
     per-qubit field is None, a number, or a list or tuple of those, one
-    per qubit; ``ecr_fidelity`` is a number.  A bool or a string is no
-    number, and any other value raises ``NoiseConfigError``.
+    per qubit; ``ecr_fidelity`` is a number.  A bool, a string or a NaN is
+    no number, and any other value raises ``NoiseConfigError``.
     """
 
     t1_ns: object = 180_000.0
@@ -149,16 +141,14 @@ class NoiseModel:
     ecr_fidelity: float = 0.99
 
     def __post_init__(self):
-        if not _is_number(self.ecr_fidelity):
-            raise NoiseConfigError(f"ecr_fidelity must be a number, got {self.ecr_fidelity!r:.80}")
-        if not 0.0 <= self.ecr_fidelity <= 1.0:
-            raise NoiseConfigError("ecr_fidelity must lie in [0, 1]")
+        if not (is_real(self.ecr_fidelity, 1.0) and self.ecr_fidelity >= 0.0):
+            raise NoiseConfigError(f"ecr_fidelity must be a number in [0, 1], got {self.ecr_fidelity!r:.80}")
         n = 1
         for name in ("t1_ns", "t2_ns", "anharmonicity_hz", "rabi_coefficient_hz"):
             v = getattr(self, name)
-            if isinstance(v, (list, tuple)) and all(x is None or _is_number(x) for x in v):
+            if isinstance(v, (list, tuple)) and all(x is None or is_real(x, math.inf) for x in v):
                 n = max(n, len(v))
-            elif not (v is None or _is_number(v)):
+            elif not (v is None or is_real(v, math.inf)):
                 raise NoiseConfigError(f"{name} must be a number, null or a list of those, got {v!r:.80}")
         for q in range(n):
             t1, t2 = self.t1(q), self.t2(q)
@@ -796,8 +786,8 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
     if window_dt is not None and window_dt <= 0:
         raise ConfigError(f"Rabi window must be a positive dt count, got {window_dt}")
     for a in amplitudes:
-        if not (math.isfinite(a) and abs(a) <= 1.0):
-            raise ConfigError(f"Rabi amplitude {a!r} must be finite with magnitude at most 1")
+        if not is_real(a, 1.0):
+            raise ConfigError(f"Rabi amplitude {a!r} must be a number with magnitude at most 1")
     points = 201
     out = []
     gen = dissipative_generator(nm, qubit)

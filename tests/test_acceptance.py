@@ -27,7 +27,7 @@ from pulsesched.bench import (
     OPTIMIZED,
     PAPER_LENGTHS,
     RBConfig,
-    min_duration_fraction,
+    duration_histogram,
     random_clifford_circuit,
     run_rb,
 )
@@ -285,8 +285,8 @@ def test_criterion_8_rb_property_acceptance(rb_suite):
             assert result.paired_latencies_equal()
         # (b) optimized 3-qubit circuits keep fewer gates at minimum duration
         for min_dur in (32, 64):
-            frac2 = min_duration_fraction(runs[(min_dur, 2)], OPTIMIZED)
-            frac3 = min_duration_fraction(runs[(min_dur, 3)], OPTIMIZED)
+            hist2, hist3 = (duration_histogram(runs[(min_dur, n)], OPTIMIZED) for n in (2, 3))
+            frac2, frac3 = hist2[min(hist2)][1], hist3[min(hist3)][1]
             assert frac3 < frac2, f"min={min_dur}: {frac3} !< {frac2}"
         # (c) noiseless ideal-pulse baseline returns P(0) = 1 for all circuits
         for n_qubits, result in noiseless.items():

@@ -18,7 +18,6 @@ from pulsesched.bench import (
     decay_reference,
     duration_histogram,
     export_timescale,
-    min_duration_fraction,
     random_clifford_circuit,
     run_rb,
     write_durations_csv,
@@ -135,6 +134,12 @@ class TestRBConfig:
         with pytest.raises(ConfigError):
             RBConfig(n_qubits=2, clifford_lengths=(1,), shots=-1)
 
+    @pytest.mark.parametrize("lengths", [(0,), (True,), (2.5,), ("2",), (1, None)],
+                             ids=["zero", "bool", "fractional", "string", "none"])
+    def test_non_integer_length_is_config_error(self, lengths):
+        with pytest.raises(ConfigError, match="clifford length"):
+            RBConfig(n_qubits=2, clifford_lengths=lengths)
+
     @pytest.mark.parametrize("field", ["n_qubits", "circuits_per_length", "seed", "shots"])
     @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2", None])
     def test_non_integer_count_is_config_error(self, field, value):
@@ -190,7 +195,8 @@ class TestRunRB:
 
     def test_optimized_durations_dominate_fixed(self, small_rb):
         result, _ = small_rb
-        assert min_duration_fraction(result, OPTIMIZED) <= 1.0
+        hist = duration_histogram(result, OPTIMIZED)
+        assert hist[min(hist)][1] <= 1.0
         fixed_hist = duration_histogram(result, FIXED)
         assert set(fixed_hist) == {32}
 
@@ -281,7 +287,7 @@ class TestDurationHistogram:
         result = run_rb(cfg, ideal_static(1), NoiseModel())
         hist = duration_histogram(result, OPTIMIZED)
         assert set(hist) == {32}
-        assert min_duration_fraction(result, OPTIMIZED) == 1.0
+        assert hist[min(hist)][1] == 1.0
 
     def test_dynamic_support_on_multiples_of_eight(self):
         cfg = RBConfig(

@@ -23,7 +23,6 @@ from pulsesched.circuit import (
     PULSE_KINDS,
     Circuit,
     Gate,
-    circuit_to_text,
     decompose_dynamic,
     decompose_static,
     merge_virtual_z,
@@ -94,16 +93,6 @@ class TestParser:
             parse_circuit("sx q0 q1")
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("u3 q0 0.1,0.2")
-
-    def test_round_trip_random_circuits(self):
-        # serialize(parse(text)) must reparse to an identical circuit
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            c = random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(0, 25)))
-            parsed = parse_circuit(circuit_to_text(c))
-            assert tuple(parsed.gates) == tuple(c.gates)
-            again = parse_circuit(circuit_to_text(parsed))
-            assert again == parsed
 
 
 def _converted_fields(gate_id, qubits, angles):

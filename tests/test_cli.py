@@ -548,9 +548,12 @@ class TestBadInputs:
             ("measure_duration", -3),
             ("static_durations", [32.5, 64]),
             ("min_duration", 40.5),
+            ("ecr_duration", True),
+            ("measure_duration", False),
+            ("min_duration", True),
         ],
         ids=["ecr-negative", "ecr-zero", "ecr-fractional", "measure-negative", "static-fractional",
-             "min-fractional"],
+             "min-fractional", "ecr-bool", "measure-bool", "min-bool"],
     )
     def test_gateset_bad_durations(self, key, value, fig2_file, tmp_path, capsys):
         doc = GateSet.ideal("static", 2).to_json()
@@ -573,6 +576,8 @@ class TestBadInputs:
             ("post_frame", math.inf),
             ("amplitude", 1.5),
             ("fidelity", math.nan),
+            ("fidelity", True),
+            ("sigma", 1e-200),
         ],
     )
     def test_gateset_bad_implementation_values(self, key, value, fig2_file, tmp_path, capsys):

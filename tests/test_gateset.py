@@ -446,6 +446,7 @@ class TestImplementationValues:
             ("fidelity", math.nan),
             ("fidelity", 1.5),
             ("fidelity", -0.1),
+            ("fidelity", True),
         ],
     )
     def test_bad_value_is_gateset_error(self, key, value):
@@ -461,11 +462,24 @@ class TestImplementationValues:
         assert getattr(impl, key) == value
         assert np.max(np.abs(impl.waveform().samples)) == pytest.approx(abs(impl.amplitude))
 
-    @pytest.mark.parametrize("column", ["amplitudes", "omegas_hz"])
-    def test_non_finite_rabi_table_is_gateset_error(self, column):
+    @pytest.mark.parametrize(
+        "column, value",
+        [("amplitudes", math.nan), ("omegas_hz", math.nan), ("amplitudes", True), ("omegas_hz", "1e8")],
+        ids=["amplitudes", "omegas_hz", "amplitudes-bool", "omegas_hz-string"],
+    )
+    def test_non_finite_rabi_table_is_gateset_error(self, column, value):
         doc = GateSet.ideal("dynamic", 1).to_json()
-        doc["rabi"]["0"][column][1] = math.nan
+        doc["rabi"]["0"][column][1] = value
         with pytest.raises(GateSetError, match="finite"):
+            GateSet.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("duration", [32, 33])
+    def test_sigma_too_narrow_for_any_area(self, duration):
+        # 2*sigma^2 underflows to 0: the center sample of an even duration
+        # is 0/0, and every sample of an odd one is 0
+        doc = GateSet.ideal("static", 1, static_durations=(duration, 64)).to_json()
+        doc["implementations"][0]["sigma"] = 1e-200
+        with pytest.raises(GateSetError, match=f"sigma 1e-200 leaves the {duration} dt envelope"):
             GateSet.from_json(json.dumps(doc))
 
 
@@ -487,6 +501,7 @@ class TestServedRows:
             ("qubit", -1, "qubit"),
             ("qubit", 0.0, "qubit"),
             ("duration_dt", 100, "off the static menu"),
+            ("duration_dt", True, "duration_dt"),
         ],
     )
     def test_row_it_cannot_serve(self, key, value, blamed):
@@ -513,6 +528,52 @@ class TestServedRows:
         doc["implementations"].append(ecr)
         loaded = GateSet.from_json(json.dumps(doc))
         assert loaded.to_json() == GateSet.ideal(mode, 1).to_json()
+
+
+#: what a JSON document may hold where a gate set expects a number
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=4)
+)
+
+
+def _number_slots(doc):
+    """(container, key) of every top-level bound, menu entry, Rabi entry and row field of doc."""
+    slots = [(doc, key) for key in ("min_duration", "max_duration", "ecr_duration", "measure_duration")]
+    slots += [(doc["static_durations"], i) for i in range(len(doc["static_durations"]))]
+    slots += [(column, i) for table in doc["rabi"].values() for column in table.values() for i in range(len(column))]
+    slots += [(row, key) for row in doc["implementations"] for key in row]
+    return slots
+
+
+def _loaded_numbers(gs):
+    """Every number a loaded gate set holds."""
+    numbers = [gs.min_duration, gs.max_duration, gs.ecr_duration, gs.measure_duration, *gs.static_durations]
+    numbers += [x for t in gs.rabi.values() for x in (*t.amplitudes, *t.omegas_hz)]
+    for impl in gs.impls.values():
+        numbers += [impl.qubit, impl.angle, impl.duration, impl.amplitude, impl.sigma, impl.pre_frame,
+                    impl.post_frame, *([] if impl.fidelity is None else [impl.fidelity])]
+    return numbers
+
+
+class TestJsonNumbers:
+    """GateSet.from_json refuses, as GateSetError and without a warning, any
+    value in place of a number that it cannot hold as a finite plain int or
+    float."""
+
+    DOCS = {mode: json.dumps(GateSet.ideal(mode, 2).to_json()) for mode in ("static", "dynamic")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(sorted(DOCS)), data=st.data())
+    def test_loads_plain_finite_numbers_or_refuses(self, mode, data):
+        doc = json.loads(self.DOCS[mode])
+        container, key = data.draw(st.sampled_from(_number_slots(doc)), label="slot")
+        container[key] = data.draw(_JSON_VALUES, label="value")
+        try:
+            gs = GateSet.from_json(json.dumps(doc))
+        except GateSetError:
+            return
+        odd = [x for x in _loaded_numbers(gs) if type(x) not in (int, float) or not math.isfinite(x)]
+        assert not odd
 
 
 @pytest.fixture(scope="module")

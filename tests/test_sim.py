@@ -1240,7 +1240,7 @@ class TestSimulateRabi:
         assert np.array_equal(neg.times_s, pos.times_s)
         assert np.max(np.abs(neg.p0 - pos.p0)) < 1e-12
 
-    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1.5, -2.0])
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1.5, -2.0, "0.5", True])
     def test_amplitude_outside_unit_bound_rejected(self, amplitude):
         with pytest.raises(ConfigError, match="amplitude"):
             simulate_rabi([0.01, amplitude], DEFAULT)
