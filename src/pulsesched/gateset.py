@@ -375,6 +375,13 @@ def _finite(row: dict, key: str, default=None, bound: float = sys.float_info.max
     return value
 
 
+def _shaped(value, kind: type, what: str, keys: tuple[str, ...] = ()):
+    """value, unless it is not a ``kind`` (list or dict) holding every key: then ``GateSetError``."""
+    if not isinstance(value, kind) or not all(key in value for key in keys):
+        raise GateSetError(f"{what} {value!r:.80} is no JSON {kind.__name__} holding {', '.join(keys) or 'entries'}")
+    return value
+
+
 def _impl_from_row(row: dict, menu: tuple[int, ...]) -> GateImpl:
     """One static gate-set JSON row as a Gaussian Sx ``GateImpl``.
 
@@ -596,23 +603,30 @@ class GateSet:
 
     @classmethod
     def from_json(cls, data) -> "GateSet":
+        """The gate set of a ``to_json`` document; any other shape or value raises ``GateSetError``."""
         if isinstance(data, str):
             data = json.loads(data)
+        _shaped(data, dict, "a gate set document", ("mode", "min_duration", "max_duration"))
         if data.get("dt_ns", DT_NS) != DT_NS:
             raise GateSetError(f"gate set sampled at {data['dt_ns']!r} ns, not at {DT_NS} ns")
+        rabi = {}
+        for q, t in _shaped(data.get("rabi", {}), dict, "rabi").items():
+            if not (str(q).isascii() and str(q).isdigit()):
+                raise GateSetError(f"Rabi table key {q!r} is not a qubit index")
+            _shaped(t, dict, f"the Rabi table of qubit {q}", ("amplitudes", "omegas_hz"))
+            rabi[int(q)] = RabiTable(*(tuple(_shaped(t[c], list, c)) for c in ("amplitudes", "omegas_hz")))
+        menu = _shaped(data.get("static_durations", [*DEFAULT_STATIC_DURATIONS]), list, "static_durations")
         gs = cls(
             mode=data["mode"],
             min_duration=data["min_duration"],
             max_duration=data["max_duration"],
-            static_durations=tuple(data.get("static_durations", DEFAULT_STATIC_DURATIONS)),
+            static_durations=tuple(menu),
             ecr_duration=data.get("ecr_duration", DEFAULT_ECR_DURATION),
             measure_duration=data.get("measure_duration", 0),
-            rabi={
-                int(q): RabiTable(tuple(t["amplitudes"]), tuple(t["omegas_hz"]))
-                for q, t in data.get("rabi", {}).items()
-            },
+            rabi=rabi,
         )
-        for row in data.get("implementations", []):
+        for row in _shaped(data.get("implementations", []), list, "implementations"):
+            _shaped(row, dict, "an implementation row", ("kind", "qubit", "angle", "duration_dt", "sigma", "amplitude"))
             if row["kind"] == circ.ECR:
                 continue  # regenerated on demand
             if gs.mode == DYNAMIC:

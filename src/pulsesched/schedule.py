@@ -10,11 +10,11 @@ pulse carries the frames its implementation plays around it as its
 ``pre_frame`` and ``post_frame``.  The JSON document lists both kinds in each
 qubit's ``frames`` and derives every ``phase_frame`` from them.
 
-Waveforms are parametric: ``Schedule.waveforms`` maps each waveform id to
-the ``ShapeSpec`` of its envelope, never to samples.  The JSON document
-writes each one as the spec's fields, so ``synthesize(ShapeSpec(**entry))``
-gives its samples, and the simulator synthesizes a pulse only when it first
-builds that pulse's channel.
+Waveforms are parametric: each pulse carries its envelope's ``ShapeSpec``
+as its ``shape``, and ``Schedule.waveforms`` derives from the pulses each
+waveform id's one shape.  The JSON document writes each as the spec's
+fields, so ``synthesize(ShapeSpec(**entry))`` gives its samples, and the
+simulator synthesizes a pulse only when it first builds its channel.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class PulsePlacement:
     kind: str
     angle: float
     waveform_id: str
+    shape: ShapeSpec  # the envelope it plays; one shape per waveform id in a schedule
     seq: int  # program position, for stable ordering of simultaneous events
     pre_frame: float = 0.0  # calibration Rz on a 1q pulse's qubit just before its start
     post_frame: float = 0.0  # ... and just after its end
@@ -63,7 +64,6 @@ class Schedule:
     makespan: int
     placements: list[PulsePlacement] = field(default_factory=list)
     frames: list[FrameShift] = field(default_factory=list)
-    waveforms: dict[str, ShapeSpec] = field(default_factory=dict)
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -75,16 +75,21 @@ class Schedule:
         pulse angle a finite number and every frame angle (pre/post frames
         included) a finite number within ``MAX_FRAME_ANGLE``, none of them a
         bool; each event lies on one of the schedule's qubits within [0,
-        makespan], and no two pulses overlap on a qubit.  An ``ecr`` acts on
-        two distinct qubits; any other kind acts on one, fills its slot with
-        a waveform from ``waveforms`` of that duration, and alone may carry
-        pre/post frames.  Fields that cannot be ordered or compared raise
-        ``ScheduleOverlapError`` too."""
-        width, makespan, waveforms = self.width, self.makespan, self.waveforms
+        makespan], and no two pulses overlap on a qubit.  A pulse's string
+        waveform id names one ``ShapeSpec`` in the whole schedule.  An
+        ``ecr`` acts on two distinct qubits; any other kind acts on one,
+        fills its slot with its shape, and alone may carry pre/post frames.
+        ``measured_qubits`` is a tuple of ascending schedule qubits.  Fields
+        that cannot be ordered or compared raise ``ScheduleOverlapError``."""
+        width, makespan, measured = self.width, self.makespan, self.measured_qubits
         # integer fields are plain ints: not bools, nor numpy integers, which to_json cannot write
         if not (type(width) is int and type(makespan) is int and width >= 0 and makespan >= 0):
             raise ScheduleOverlapError(f"width {width!r} and makespan {makespan!r} must be non-negative ints")
+        if not (type(measured) is tuple and all(type(q) is int and 0 <= q < width for q in measured)
+                and all(a < b for a, b in zip(measured, measured[1:]))):
+            raise ScheduleOverlapError(f"measured qubits {measured!r} must ascend on {width} qubits")
         busy = [(0, None)] * width  # each qubit's last pulse end and waveform id
+        shapes = {}  # waveform id -> the shape of its first pulse
         try:
             for ev in self.events():
                 if type(ev) is FrameShift:
@@ -94,27 +99,33 @@ class Schedule:
                         raise ScheduleOverlapError(f"frame {ev.angle!r} on qubit {q!r} at {t!r} is out of range")
                     continue
                 qubits, start, duration, pre, post = ev.qubits, ev.start, ev.duration, ev.pre_frame, ev.post_frame
+                wid, shape = ev.waveform_id, ev.shape
                 if not (type(start) is int and type(duration) is int and duration >= 0 and is_real(ev.angle)):
-                    raise ScheduleOverlapError(
-                        f"{ev.waveform_id} at {start!r} lasts {duration!r} dt at angle {ev.angle!r}")
+                    raise ScheduleOverlapError(f"{wid} at {start!r} lasts {duration!r} dt at angle {ev.angle!r}")
                 if not all(type(q) is int and 0 <= q < width for q in qubits) or start + duration > makespan:
-                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits!r} at {ev.end} is out of range")
-                if ev.kind == "ecr":
-                    playable = len(qubits) == 2 and qubits[0] != qubits[1]
-                else:  # the simulator plays the waveform's samples and moves the clock by the duration
-                    spec = waveforms.get(ev.waveform_id) if len(qubits) == 1 else None
-                    playable = spec is not None and spec.duration == duration
+                    raise ScheduleOverlapError(f"{wid} on qubits {qubits!r} at {ev.end} is out of range")
+                named = shapes.setdefault(wid, shape) if type(wid) is str else None
+                if type(shape) is not ShapeSpec or named is not shape and named != shape:
+                    raise ScheduleOverlapError(f"waveform id {wid!r} cannot name shape {shape!r}: it names {named!r}")
+                # the simulator plays a 1q pulse's shape and moves the clock by its duration
+                playable = (len(qubits) == 2 and qubits[0] != qubits[1] if ev.kind == "ecr"
+                            else len(qubits) == 1 and shape.duration == duration)
                 if not playable:
-                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot be played in {duration} dt")
+                    raise ScheduleOverlapError(f"{wid} on qubits {qubits} cannot be played in {duration} dt")
                 frames_ok = is_real(pre, MAX_FRAME_ANGLE) and is_real(post, MAX_FRAME_ANGLE)
                 if not frames_ok or (len(qubits) > 1 and (pre or post)):
-                    raise ScheduleOverlapError(f"{ev.waveform_id} on qubits {qubits} cannot play frames {(pre, post)}")
+                    raise ScheduleOverlapError(f"{wid} on qubits {qubits} cannot play frames {(pre, post)}")
                 for q in qubits:
                     if start < busy[q][0]:
-                        raise ScheduleOverlapError(f"qubit {q}: {ev.waveform_id} at {start} overlaps {busy[q][1]}")
-                    busy[q] = (start + duration, ev.waveform_id)
+                        raise ScheduleOverlapError(f"qubit {q}: {wid} at {start} overlaps {busy[q][1]}")
+                    busy[q] = (start + duration, wid)
         except (TypeError, OverflowError) as exc:
             raise ScheduleOverlapError(f"events cannot be checked in time order: {exc}") from exc
+
+    @property
+    def waveforms(self) -> dict[str, ShapeSpec]:
+        """Each waveform id -> the one shape its pulses play, in order of first use."""
+        return {p.waveform_id: p.shape for p in self.placements}
 
     def events(self):
         """All placements and frame shifts merged in global time order.

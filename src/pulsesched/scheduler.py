@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, replace
 from . import circuit as circ
 from .errors import ConfigError, MalformedGraphError
 from .gateset import STATIC, GateSet
-from .pulses import ShapeSpec
 from .schedule import FrameShift, PulsePlacement, Schedule
 
 #: float policies of optimize_durations
@@ -278,15 +277,14 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
     """Place every node's pulse at its early-start time.
 
     The n-th node is the circuit's n-th non-Rz gate (the graph's invariant).
-    Each pulse's waveform id maps to its implementation's ``ShapeSpec``;
-    nothing is sampled here.  Each placement carries its implementation's
-    calibration pre/post frames, and virtual Rz gates become frame shifts
-    pinned to the start of the next physical gate on their qubit (or the
-    end of the previous one when they trail the program).
+    Each placement carries its implementation's ``ShapeSpec`` as its shape
+    (nothing is sampled here) and its calibration pre/post frames, and
+    virtual Rz gates become frame shifts pinned to the start of the next
+    physical gate on their qubit (or the end of the previous one when they
+    trail the program).
     """
     placements: list[PulsePlacement] = []
     frames: list[FrameShift] = []
-    waveforms = {}
     pending_rz: dict[int, list[circ.Gate]] = {q: [] for q in range(g.circuit.width)}
     last_end = {q: 0 for q in range(g.circuit.width)}
     measured = []
@@ -306,9 +304,7 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
             for q in gate.qubits:
                 last_end[q] = max(last_end[q], node.ef)
             continue
-        placement, spec = _place(node, s)
-        waveforms[placement.waveform_id] = spec
-        placements.append(placement)
+        placements.append(_place(node, s))
         for q in gate.qubits:
             last_end[q] = node.ef
 
@@ -320,27 +316,26 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
         makespan=g.makespan,
         placements=placements,
         frames=frames,
-        waveforms=waveforms,
         measured_qubits=tuple(sorted(set(measured))) or tuple(range(g.circuit.width)),
     )
 
 
-def _place(node: DepNode, s: GateSet) -> tuple[PulsePlacement, ShapeSpec]:
-    """A pulse node's placement at its early start, and its waveform's spec."""
+def _place(node: DepNode, s: GateSet) -> PulsePlacement:
+    """A pulse node's placement at its early start, playing its implementation's shape."""
     gate = node.gate
     impl = s.impl_for_gate(gate, node.duration)
-    placement = PulsePlacement(
+    return PulsePlacement(
         qubits=gate.qubits,
         start=node.es,
         duration=node.duration,
         kind=gate.kind,
         angle=impl.angle,
         waveform_id=impl.waveform_id(),
+        shape=impl.shape,
         seq=gate.id,
         pre_frame=impl.pre_frame,
         post_frame=impl.post_frame,
     )
-    return placement, impl.shape
 
 
 def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
@@ -349,19 +344,18 @@ def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
 
     Free float moves no early start, so the two schedules share every frame
     shift, every ECR and every placement whose node kept its duration; only
-    stretched nodes are placed again, and ``waveforms`` is rebuilt in
-    placement order, as ``create_schedule`` builds it.  A stretched pulse
-    that ends its qubits' programs may grow up to the makespan, and the
-    trailing virtual Rz pinned to its end move with it.  That no early start
-    moved is checked: a node whose ES differs from its fixed placement's
-    start (or, for a measure or barrier, from its predecessors' fixed
-    finishes), or whose gate is not that placement's, raises
-    ``MalformedGraphError``.  The result is a ``Schedule``, validated in full.
+    stretched nodes are placed again, each with its new duration's shape.
+    A stretched pulse that ends its qubits' programs may grow up to the
+    makespan, and the trailing virtual Rz pinned to its end move with it.
+    That no early start moved is checked: a node whose ES differs from its
+    fixed placement's start (or, for a measure or barrier, from its
+    predecessors' fixed finishes), or whose gate is not that placement's,
+    raises ``MalformedGraphError``.  The result is a ``Schedule``, validated
+    in full.
     """
     if g.makespan != fixed.makespan or g.circuit.width != fixed.width:
         raise MalformedGraphError("the stretched graph's makespan or width differs from the fixed schedule's")
     placements: list[PulsePlacement] = []
-    waveforms = {}
     fixed_ef = [0] * len(g.nodes)
     trailing: dict[int, PulsePlacement] = {}  # qubit -> its last pulse, when that stretched
     old = iter(fixed.placements)
@@ -376,13 +370,10 @@ def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
         if p is None or p.start != node.es or p.seq != node.gate.id:
             raise MalformedGraphError(f"node {i} at {node.es} is not the fixed schedule's placement {p}")
         fixed_ef[i] = p.end
-        if p.duration == node.duration:
-            spec = fixed.waveforms[p.waveform_id]
-        else:
-            p, spec = _place(node, s)
+        if p.duration != node.duration:
+            p = _place(node, s)
             if not g.succs[i]:
                 trailing.update((q, p) for q in p.qubits)
-        waveforms[p.waveform_id] = spec
         placements.append(p)
     if next(old, None) is not None:
         raise MalformedGraphError("the fixed schedule has more placements than the graph has pulses")
@@ -396,7 +387,6 @@ def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
         makespan=fixed.makespan,
         placements=placements,
         frames=frames,
-        waveforms=waveforms,
         measured_qubits=fixed.measured_qubits,
     )
 

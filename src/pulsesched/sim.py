@@ -533,19 +533,16 @@ class RunResult:
 
 
 class ScheduleSimulator:
-    """Caches channels across many runs, keyed by (spec number, qubit, None,
-    pre, post) for pulses, (gap, qubit) for idles and (qubits, duration)
-    for ECRs.
+    """Caches channels across many runs, keyed by (shape, qubit, None, pre,
+    post) for pulses, (gap, qubit) for idles and (qubits, duration) for
+    ECRs.
 
-    A schedule carries each pulse as its ``ShapeSpec``; the pulse channel
-    builder synthesizes the samples, so a pulse is sampled once per cache
-    miss and never on a hit.  A pulse's key is built from what its channel
-    is built from, not from its waveform id: each run numbers its
-    schedules' specs once, one number per distinct spec this simulator has
-    seen, so two schedules that name different pulses alike each play
-    their own.  A pulse's channel is Z(post) G Z(pre): its placement's
-    calibration frames ride in the cached channel, and a segment's fold
-    never adds them to a frame sum.
+    A pulse's channel is built from its placement's ``ShapeSpec``, sampled
+    once per cache miss and never on a hit, and its key holds that shape,
+    not the waveform id, so schedules that name different pulses alike each
+    play their own.  The channel is Z(post) G Z(pre): the placement's
+    calibration frames ride in it, and a segment's fold never adds them to
+    a frame sum.
 
     A gap of t dt between a qubit's pulses acts as ``idle_channel`` (decay)
     after ``anharmonic_unitary`` (the level-2 phase of bare evolution), the
@@ -582,27 +579,20 @@ class ScheduleSimulator:
     raises ``SimulationError``; any other difference is simulated exactly.
     A step equal in every arm (shared placements are the same objects, so
     this is mostly an identity check) folds or looks up one channel, which
-    is broadcast over the arm axis; any other step stacks one channel per
-    arm.  Arms that map one waveform id to different specs fold every
-    segment per arm.
+    is broadcast over the arm axis; any other step, such as a segment whose
+    pulses differ in shape, stacks one channel per arm.
     """
 
     def __init__(self, nm: NoiseModel, *, ideal_pulses: bool = False):
         self.nm = nm
         self.ideal_pulses = ideal_pulses
         self._channels: dict = {}
-        self._spec_numbers: dict[ShapeSpec, int] = {}
 
     def _channel(self, key, build, *args) -> np.ndarray:
         ch = self._channels.get(key)
         if ch is None:
             ch = self._channels[key] = build(*args)
         return ch
-
-    def _spec_keys(self, sch: Schedule) -> dict[str, int]:
-        """Each waveform id of ``sch`` -> the number of its ShapeSpec."""
-        numbers = self._spec_numbers
-        return {wid: numbers.setdefault(spec, len(numbers)) for wid, spec in sch.waveforms.items()}
 
     def _pulse_superop(self, spec: ShapeSpec, qubit: int, angle: float, pre: float, post: float) -> np.ndarray:
         """The pulse's channel between its calibration frames: Z(post) G Z(pre)."""
@@ -646,16 +636,11 @@ class ScheduleSimulator:
         operands = programs[0][0]
         if any(ops != operands for ops, _ in programs):
             raise SimulationError("arms differ in operand sequence")
-        keys = [self._spec_keys(sch) for sch in schedules]
-        specs = [sch.waveforms for sch in schedules]
-        # arms that map one waveform id to different specs share no segment
-        clash = any(keys[0].get(wid, n) != n for arm in keys[1:] for wid, n in arm.items())
         channel, ideal = self._channel, self.ideal_pulses
 
-        def fold(q, segment, a):
-            """Arm a's segment on q (start, end, frames and pulses) as one
+        def fold(q, t, end, events):
+            """A segment on q (start, end, frames and pulses) as one
             channel, folded in event order: each channel after the frame sum so far."""
-            t, end, events = segment
             f, p = 0.0, None
             for ev in events:
                 frame = type(ev) is FrameShift
@@ -666,10 +651,9 @@ class ScheduleSimulator:
                 if frame:
                     f += ev.angle
                     continue
-                wid = ev.waveform_id
                 pre, post = (0.0, 0.0) if ideal else (ev.pre_frame, ev.post_frame)
-                key = (keys[a][wid], q, ev.angle if ideal else None, pre, post)
-                p, f = _fold(p, f, channel(key, self._pulse_superop, specs[a][wid], q, ev.angle, pre, post))
+                key = (ev.shape, q, ev.angle if ideal else None, pre, post)
+                p, f = _fold(p, f, channel(key, self._pulse_superop, ev.shape, q, ev.angle, pre, post))
                 t = ev.start + ev.duration
             if end > t:
                 p, f = _fold(p, f, channel((end - t, q), self._idle_superop, end - t, q))
@@ -685,10 +669,10 @@ class ScheduleSimulator:
                     s = channel(step, self._ecr_superop, *step)
                 else:
                     s = np.array([channel(e, self._ecr_superop, *e) for e in steps])
-            elif shared and not clash:
-                s = fold(qubits[0], step, 0)
+            elif shared:
+                s = fold(qubits[0], *step)
             else:
-                s = np.array([fold(qubits[0], seg, a) for a, seg in enumerate(steps)])
+                s = np.array([fold(qubits[0], *seg) for seg in steps])
             data = contract_arms(data, s, qubits, width)
             if validate_states:
                 for rho in data:
@@ -783,8 +767,8 @@ def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | N
     The generator is not diagonalized: equal 1->0 and 2->1 decay rates make
     it defective.
     """
-    if window_dt is not None and window_dt <= 0:
-        raise ConfigError(f"Rabi window must be a positive dt count, got {window_dt}")
+    if window_dt is not None:
+        check_count("Rabi window_dt", window_dt, 1)
     for a in amplitudes:
         if not is_real(a, 1.0):
             raise ConfigError(f"Rabi amplitude {a!r} must be a number with magnitude at most 1")

@@ -483,6 +483,41 @@ class TestImplementationValues:
             GateSet.from_json(json.dumps(doc))
 
 
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+#: edits that give a static one-qubit document a shape no gate set has
+_DOC_EDITS = {
+    "not-an-object": lambda doc: [1],
+    "no-mode": lambda doc: _without(doc, "mode"),
+    "no-min_duration": lambda doc: _without(doc, "min_duration"),
+    "no-max_duration": lambda doc: _without(doc, "max_duration"),
+    "static_durations-number": lambda doc: dict(doc, static_durations=64),
+    "rabi-array": lambda doc: dict(doc, rabi=[doc["rabi"]["0"]]),
+    "rabi-entry-number": lambda doc: dict(doc, rabi={"0": 5}),
+    "rabi-entry-no-omegas": lambda doc: dict(doc, rabi={"0": _without(doc["rabi"]["0"], "omegas_hz")}),
+    "rabi-amplitudes-number": lambda doc: dict(doc, rabi={"0": dict(doc["rabi"]["0"], amplitudes=0.5)}),
+    "rabi-key-x": lambda doc: dict(doc, rabi={"x": doc["rabi"]["0"]}),
+    "rabi-key-negative": lambda doc: dict(doc, rabi={"-1": doc["rabi"]["0"]}),
+    "implementations-object": lambda doc: dict(doc, implementations={"a": 1}),
+    "row-number": lambda doc: dict(doc, implementations=[5]),
+    "row-no-sigma": lambda doc: dict(doc, implementations=[_without(doc["implementations"][0], "sigma")]),
+}
+
+
+class TestDocumentShape:
+    """GateSet.from_json refuses, as GateSetError, a document that is not
+    shaped like the one ``to_json`` writes, rather than raising the
+    AttributeError, KeyError, TypeError or ValueError it meets."""
+
+    @pytest.mark.parametrize("edit", _DOC_EDITS.values(), ids=_DOC_EDITS.keys())
+    def test_document_of_another_shape(self, edit):
+        text = json.dumps(edit(GateSet.ideal("static", 1).to_json()))
+        with pytest.raises(GateSetError):
+            GateSet.from_json(text)
+
+
 class TestServedRows:
     """GateSet.from_json loads only rows the set can serve: a static set one
     sx row at angle pi/2 per (qubit, duration), a dynamic set none, since it

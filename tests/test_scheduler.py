@@ -677,17 +677,18 @@ class TestStretchedSchedule:
                 stretched_schedule(fixed, g, gs)
 
 
-def _pulse(qubits=(0,), start=0, duration=64, kind=None, **frames):
+_SX64 = ShapeSpec("gaussian", 0.1, 64, sigma=16.0)
+
+
+def _pulse(qubits=(0,), start=0, duration=64, kind=None, shape=_SX64, **frames):
+    """A pulse whose waveform id is its kind, playing ``shape`` (the simulator ignores an ECR's)."""
     kind = kind or ("ecr" if len(qubits) == 2 else "sx")
     return PulsePlacement(qubits=qubits, start=start, duration=duration, kind=kind, angle=HALF_PI,
-                          waveform_id=kind, seq=start, **frames)
+                          waveform_id=kind, shape=shape, seq=start, **frames)
 
 
-def _schedule(width, makespan, placements=(), frames=(), waveforms=("sx",)):
-    """A schedule whose named waveforms all exist, unless left out of ``waveforms``."""
-    shapes = {wid: ShapeSpec("gaussian", 0.1, 64, sigma=16.0) for wid in waveforms}
-    return Schedule(width=width, makespan=makespan, placements=list(placements), frames=list(frames),
-                    waveforms=shapes)
+def _schedule(width, makespan, placements=(), frames=(), **fields):
+    return Schedule(width=width, makespan=makespan, placements=list(placements), frames=list(frames), **fields)
 
 
 class TestScheduleValidate:
@@ -736,10 +737,20 @@ class TestScheduleValidate:
         with pytest.raises(ScheduleOverlapError):
             _schedule(2, 64, [_pulse((0, 1), pre_frame=0.1)])
 
-    def test_missing_waveform(self):
-        # the simulator looks a 1q pulse's envelope up by its waveform id
-        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
-            _schedule(1, 64, [_pulse()], waveforms=())
+    def test_one_waveform_id_names_one_shape(self):
+        # the document lists each waveform id's shape once
+        other = _pulse(start=64, shape=replace(_SX64, amplitude=0.2))
+        with pytest.raises(ScheduleOverlapError, match="cannot name shape"):
+            _schedule(1, 128, [_pulse(), other])
+        assert _schedule(1, 128, [_pulse(), _pulse(start=64, shape=replace(_SX64))]).waveforms == {"sx": _SX64}
+
+    @pytest.mark.parametrize("changes", [{"shape": None}, {"shape": dict(vars(_SX64))}, {"shape": "sx"},
+                                         {"waveform_id": None}, {"waveform_id": 1}, {"waveform_id": ("sx",)}],
+                             ids=["shape-none", "shape-fields", "shape-name", "id-none", "id-int", "id-tuple"])
+    def test_pulse_plays_a_shape_spec_under_a_string_id(self, changes):
+        # the document lists each shape under its id as a JSON key, where 1 and "1" collide
+        with pytest.raises(ScheduleOverlapError, match="cannot name shape"):
+            _schedule(1, 64, [replace(_pulse(), **changes)])
 
     @pytest.mark.parametrize("qubits, duration", [((0,), 64), ((0, 1, 2), 64), ((1, 1), 0)])
     def test_ecr_needs_two_distinct_operands(self, qubits, duration):
@@ -761,7 +772,8 @@ class TestScheduleValidate:
 
     @pytest.mark.parametrize("start, seq", [("0", 0), (0, None)])
     def test_unorderable_placements(self, start, seq):
-        first = PulsePlacement(qubits=(0,), start=start, duration=32, kind="sx", angle=HALF_PI, waveform_id="sx", seq=seq)
+        first = PulsePlacement(qubits=(0,), start=start, duration=32, kind="sx", angle=HALF_PI, waveform_id="sx",
+                               shape=_SX64, seq=seq)
         with pytest.raises(ScheduleOverlapError, match="time order"):
             _schedule(1, 64, [first, _pulse(start=0, duration=32)])
 
@@ -790,7 +802,7 @@ class TestScheduleValidate:
         # clock by the placement's duration
         spec = ShapeSpec("gaussian", 0.1, shape, sigma=8.0)
         with pytest.raises(ScheduleOverlapError, match="cannot be played"):
-            Schedule(width=1, makespan=64, placements=[_pulse(duration=slot)], waveforms={"sx": spec})
+            _schedule(1, 64, [_pulse(duration=slot, shape=spec)])
 
     @pytest.mark.parametrize("width, makespan", [(1.5, 0), ("2", 0), (-1, 0), (1, math.nan), (1, -1), (True, 0),
                                                  (1, 64.0), (np.int64(1), 0), (1, np.int64(64))])
@@ -799,6 +811,15 @@ class TestScheduleValidate:
         # NaN makespan failed strict JSON
         with pytest.raises(ScheduleOverlapError, match="width"):
             Schedule(width, makespan)
+
+    @pytest.mark.parametrize("measured", [(5, True, "x"), (2,), (-1,), (True,), (0.0,), (np.int64(0),), [0],
+                                          (1, 0), (0, 0), None],
+                             ids=["mixed", "outside", "negative", "bool", "float", "numpy", "list",
+                                  "descending", "repeated", "none"])
+    def test_measured_qubits_are_ascending_schedule_qubits(self, measured):
+        # (5, True, "x") built, and to_json wrote [5, true, "x"]
+        with pytest.raises(ScheduleOverlapError, match="measured qubits"):
+            _schedule(2, 0, measured_qubits=measured)
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, True, "0.1", None, pytest.param(10**400, id="huge")])
     def test_placement_angle_is_a_finite_number(self, angle):
@@ -859,8 +880,9 @@ _ODD_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.5, 1e300, -1e300, 10**400, -(10**400), "0", "0.1", None]),
 )
-_SHAPES = {"sx32": ShapeSpec("gaussian", 0.1, 32, sigma=8.0), "sx64": ShapeSpec("gaussian", 0.1, 64, sigma=16.0)}
 _ECR_DT = 96
+_SHAPES = {"sx32": ShapeSpec("gaussian", 0.1, 32, sigma=8.0), "sx64": _SX64,
+           "ecr": ShapeSpec("gaussian_square", 0.12, _ECR_DT, sigma=16.0)}
 _FIELDS = {
     FrameShift: ["qubit", "time", "angle", "seq"],
     PulsePlacement: ["qubits", "start", "duration", "angle", "seq", "pre_frame", "post_frame"],
@@ -870,7 +892,8 @@ _FIELDS = {
 @st.composite
 def schedule_fields(draw):
     """A playable schedule on 1-3 qubits, its events packed back to back,
-    with up to two of its fields then replaced by drawn values."""
+    with up to two of its fields then replaced by drawn values, and its
+    measured qubits: all of them, or drawn values."""
     width = draw(st.integers(1, 3))
     clock = [0] * width
     events = []
@@ -886,7 +909,7 @@ def schedule_fields(draw):
             kind, qubits, duration = "sx", (draw(st.integers(0, width - 1)),), _SHAPES[op].duration
             pre_post = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
         start = max(clock[q] for q in qubits)
-        events.append(PulsePlacement(qubits, start, duration, kind, HALF_PI, op, seq, *pre_post))
+        events.append(PulsePlacement(qubits, start, duration, kind, HALF_PI, op, _SHAPES[op], seq, *pre_post))
         for q in qubits:
             clock[q] = start + duration
     for _ in range(draw(st.integers(0, 2)) if events else 0):
@@ -897,7 +920,8 @@ def schedule_fields(draw):
         events[i] = replace(events[i], **{name: value})
     makespan = max(clock) + draw(st.integers(0, 8))
     placements = [ev for ev in events if isinstance(ev, PulsePlacement)]
-    return width, makespan, placements, [ev for ev in events if isinstance(ev, FrameShift)]
+    measured = draw(st.just(tuple(range(width))) | st.lists(_ODD_VALUES, max_size=3).map(tuple))
+    return width, makespan, placements, [ev for ev in events if isinstance(ev, FrameShift)], measured
 
 
 class TestScheduleProperty:
@@ -909,9 +933,9 @@ class TestScheduleProperty:
     @settings(max_examples=150, deadline=None)
     @given(schedule_fields())
     def test_rejected_or_playable(self, fields):
-        width, makespan, placements, frames = fields
+        width, makespan, placements, frames, measured = fields
         try:
-            sch = Schedule(width, makespan, placements, frames, dict(_SHAPES))
+            sch = Schedule(width, makespan, placements, frames, measured)
         except ScheduleOverlapError:
             return
         res = self.SIM.run(sch, shots=4, seed=0, validate_states=True)

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from conftest import apply_superop, assert_arms_equal_runs, choi, random_circuit, rx_matrix, stretched_pair
 from pulsesched.errors import ConfigError, NoiseConfigError, SimulationError
 from pulsesched.gateset import DEFAULT_ECR_DURATION, GateSet, fit_rabi
-from pulsesched.pulses import GAUSSIAN, ShapeSpec, Waveform, synthesize
+from pulsesched.pulses import GAUSSIAN, GAUSSIAN_SQUARE, ShapeSpec, Waveform, synthesize
 from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import parse_circuit
@@ -93,8 +93,8 @@ def unfused_run(sim, sch):
         if ev.kind == "ecr":
             s = pair_layout(ecr_channel(sim.nm, ev.qubits, ev.duration), ev.qubits)
         else:
-            q, spec = ev.qubits[0], sch.waveforms[ev.waveform_id]
-            s = sim._pulse_superop(spec, q, ev.angle, 0.0, 0.0)
+            q = ev.qubits[0]
+            s = sim._pulse_superop(ev.shape, q, ev.angle, 0.0, 0.0)
             if not sim.ideal_pulses:
                 rz(ev.pre_frame, q)
         state.apply_local_superop(s, tuple(sorted(ev.qubits)))
@@ -359,29 +359,12 @@ class TestEcrChannel:
 
 def _schedule_from_pulses(pulses, width, makespan, frames=()):
     """Schedule of (qubits, start, ShapeSpec) sx pulses, one waveform id each."""
-    waveforms = {}
-    placements = []
-    for seq, (qubits, start, spec) in enumerate(pulses):
-        wid = f"w{seq}"
-        waveforms[wid] = spec
-        placements.append(
-            PulsePlacement(
-                qubits=qubits,
-                start=start,
-                duration=spec.duration,
-                kind="sx",
-                angle=HALF_PI,
-                waveform_id=wid,
-                seq=seq,
-            )
-        )
-    return Schedule(
-        width=width,
-        makespan=makespan,
-        placements=placements,
-        frames=list(frames),
-        waveforms=waveforms,
-    )
+    placements = [
+        PulsePlacement(qubits=qubits, start=start, duration=spec.duration, kind="sx", angle=HALF_PI,
+                       waveform_id=f"w{seq}", shape=spec, seq=seq)
+        for seq, (qubits, start, spec) in enumerate(pulses)
+    ]
+    return Schedule(width=width, makespan=makespan, placements=placements, frames=list(frames))
 
 
 class TestRunSchedule:
@@ -608,13 +591,13 @@ class TestSxdgAsFramedSx:
         placements = [
             PulsePlacement(
                 qubits=(0,), start=start, duration=120, kind=impl.kind, angle=impl.angle,
-                waveform_id=impl.kind, seq=seq, pre_frame=impl.pre_frame, post_frame=impl.post_frame,
+                waveform_id=impl.kind, shape=impl.shape, seq=seq, pre_frame=impl.pre_frame,
+                post_frame=impl.post_frame,
             )
             for seq, start, impl in ((0, 0, sx), (2, 120, sxdg))
         ]
         return Schedule(width=1, makespan=240, placements=placements,
-                        frames=[FrameShift(qubit=0, time=120, angle=0.7, seq=1)],
-                        waveforms={"sx": sx.shape, "sxdg": sxdg.shape})
+                        frames=[FrameShift(qubit=0, time=120, angle=0.7, seq=1)])
 
     @pytest.mark.parametrize("nm", [NOISELESS, DEFAULT], ids=["noiseless", "default"])
     @pytest.mark.parametrize("ideal_pulses", [False, True])
@@ -659,7 +642,7 @@ class TestParametricWaveforms:
             simulator.run(sch, shots=1, seed=0)
             misses |= {(p.waveform_id, p.qubits[0]) for p in sch.placements if p.kind != "ecr"}
             assert len(synthesized) == len(misses)
-        # pulse channels are the cache entries keyed by (spec number, qubit, None, pre, post)
+        # pulse channels are the cache entries keyed by (shape, qubit, None, pre, post)
         assert synthesized and len(misses) == sum(len(k) == 5 for k in simulator._channels)
         simulator.run(sch, shots=1, seed=0)
         assert len(synthesized) == len(misses)
@@ -675,16 +658,16 @@ def _one_pulse(amplitude, angle=HALF_PI):
     """A 1q schedule of one 32-dt Gaussian named ``sx_q0_d32``, whatever it plays."""
     spec = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=32, sigma=8.0)
     placement = PulsePlacement(qubits=(0,), start=0, duration=32, kind="sx", angle=angle,
-                               waveform_id="sx_q0_d32", seq=0)
-    return Schedule(width=1, makespan=32, placements=[placement], waveforms={"sx_q0_d32": spec})
+                               waveform_id="sx_q0_d32", shape=spec, seq=0)
+    return Schedule(width=1, makespan=32, placements=[placement])
 
 
 def _framed_pair(pre, post):
     """A 1q schedule that plays one Sx spec twice, each time between the given calibration frames."""
     placements = [PulsePlacement(qubits=(0,), start=start, duration=120, kind="sx", angle=HALF_PI,
-                                 waveform_id="sx", seq=seq, pre_frame=pre, post_frame=post)
+                                 waveform_id="sx", shape=sx_shape(120), seq=seq, pre_frame=pre, post_frame=post)
                   for seq, start in enumerate((0, 120))]
-    return Schedule(width=1, makespan=240, placements=placements, waveforms={"sx": sx_shape(120)})
+    return Schedule(width=1, makespan=240, placements=placements)
 
 
 class TestPulseChannelKey:
@@ -712,17 +695,18 @@ def _arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(120, 0.
          duration=120, ecr_duration=DEFAULT_ECR_DURATION, extra_frames=(), ecr_qubits=(0, 1)):
     """sx q0, a frame (time, angle, seq) on q0, sx q1 (the pulse arms may
     stretch), then an ecr on q0 and q1."""
+    ecr_shape = ShapeSpec(GAUSSIAN_SQUARE, 0.12, ecr_duration, sigma=64.0)
     placements = [
-        PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", seq=0),
+        PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", shape=spec,
+                       seq=0),
         PulsePlacement(qubits=(1,), start=start, duration=duration, kind="sx", angle=HALF_PI,
-                       waveform_id=f"sx{duration}", seq=2),
+                       waveform_id=f"sx{duration}", shape=sx_shape(duration), seq=2),
         PulsePlacement(qubits=ecr_qubits, start=400, duration=ecr_duration, kind="ecr", angle=0.0,
-                       waveform_id="ecr", seq=3),
+                       waveform_id="ecr", shape=ecr_shape, seq=3),
     ]
     time, angle, seq = frame
     frames = [FrameShift(qubit=0, time=time, angle=angle, seq=seq), *extra_frames]
-    waveforms = {"sx": spec, f"sx{duration}": sx_shape(duration)}
-    return Schedule(width=width, makespan=makespan, placements=placements, frames=frames, waveforms=waveforms)
+    return Schedule(width=width, makespan=makespan, placements=placements, frames=frames)
 
 
 _FRAME_Q1_300 = FrameShift(qubit=1, time=300, angle=0.7, seq=9)
@@ -1244,6 +1228,12 @@ class TestSimulateRabi:
     def test_amplitude_outside_unit_bound_rejected(self, amplitude):
         with pytest.raises(ConfigError, match="amplitude"):
             simulate_rabi([0.01, amplitude], DEFAULT)
+
+    @pytest.mark.parametrize("window_dt", [True, 2.5, "3"])
+    def test_window_is_a_positive_count(self, window_dt):
+        # True ran a 1 dt window and 2.5 was cut to 2
+        with pytest.raises(ConfigError, match="window"):
+            simulate_rabi([0.01], DEFAULT, window_dt=window_dt)
 
     def test_unit_amplitude_accepted(self):
         (data,) = simulate_rabi([-1.0], DEFAULT)
