@@ -38,9 +38,7 @@ from .pulses import (
     GAUSSIAN,
     GAUSSIAN_SQUARE,
     ShapeSpec,
-    Waveform,
     envelope_sum,
-    evaluate_envelope,
     synthesize,
 )
 from .schedule import MAX_FRAME_ANGLE
@@ -195,7 +193,7 @@ def interpolate_amplitude(table: RabiTable, target_omega_hz: float) -> float:
 
 @dataclass(frozen=True)
 class GateImpl:
-    """One calibrated realization of an operation at a fixed duration.
+    """One calibrated realization of an operation at its shape's duration.
 
     pre_frame/post_frame are virtual-Z corrections (free frame shifts) played
     around the pulse; calibration uses them to null the drive-induced phase
@@ -205,11 +203,14 @@ class GateImpl:
     qubit: int
     kind: str
     angle: float
-    duration: int
     shape: ShapeSpec
     fidelity: float | None = None
     pre_frame: float = 0.0
     post_frame: float = 0.0
+
+    @property
+    def duration(self) -> int:
+        return self.shape.duration
 
     @property
     def amplitude(self) -> float:
@@ -218,9 +219,6 @@ class GateImpl:
     @property
     def sigma(self) -> float:
         return self.shape.sigma
-
-    def waveform(self) -> Waveform:
-        return synthesize(self.shape)
 
     def waveform_id(self) -> str:
         if self.kind == circ.ECR:
@@ -272,7 +270,7 @@ def dynamic_amplitude(theta: float, duration: int, table: RabiTable) -> float:
 def _nominal_impl(qubit: int, kind: str, angle: float, duration: int, table: RabiTable) -> GateImpl:
     """An x rotation's Gaussian pulse at the envelope-area amplitude, before fine-tuning."""
     shape = dynamic_pulse_shape(angle, duration, dynamic_amplitude(angle, duration, table))
-    return GateImpl(qubit=qubit, kind=kind, angle=angle, duration=duration, shape=shape)
+    return GateImpl(qubit=qubit, kind=kind, angle=angle, shape=shape)
 
 
 def _zxz_angles(block: np.ndarray) -> tuple[float, float, float]:
@@ -312,11 +310,11 @@ def fine_tune(
     """Solve for the amplitude whose pulse rotates by exactly the target angle.
 
     One bracketed root solve over amplitudes within ``span`` of the
-    interpolated value sets the noiseless three-level propagator's qubit-block
-    rotation to |angle|.  That pulse is scored once by its average gate
-    fidelity against the ideal rotation, with virtual-Z frame corrections
-    taken for free (they cost nothing on hardware), so the only residual
-    error is leakage.
+    interpolated value, and within the unit bound, sets the noiseless
+    three-level propagator's qubit-block rotation to |angle|.  That pulse
+    is scored once by its average gate fidelity against the ideal rotation,
+    with virtual-Z frame corrections taken for free (they cost nothing on
+    hardware), so the only residual error is leakage.
     """
 
     def propagate(amp: float):
@@ -327,8 +325,9 @@ def fine_tune(
         return _zxz_angles(propagate(amp)[:2, :2])[1] - abs(impl.angle)
 
     a0 = impl.shape.amplitude
+    lo, hi = (min(max(f * a0, -1.0), 1.0) for f in (1.0 - span, 1.0 + span))
     try:
-        amp = float(brentq(rotation_error, (1.0 - span) * a0, (1.0 + span) * a0, xtol=1e-14))
+        amp = float(brentq(rotation_error, lo, hi, xtol=1e-14))
     except ValueError as exc:
         raise CalibrationError(
             f"fine-tune of {impl.kind} q{impl.qubit} d={impl.duration}: no amplitude within "
@@ -385,52 +384,36 @@ def _shaped(value, kind: type, what: str, keys: tuple[str, ...] = ()):
 def _impl_from_row(row: dict, menu: tuple[int, ...]) -> GateImpl:
     """One static gate-set JSON row as a Gaussian Sx ``GateImpl``.
 
-    The row is checked here, so every pulse it serves synthesizes without
-    clipping and writes finite JSON, its frames lie within the schedule's
-    ``MAX_FRAME_ANGLE``, and it must be the sx at angle pi/2 and at a
-    duration on the static ``menu`` that a static set plays.  The normalized
-    envelope peaks at 1, so |amplitude| <= 1 is exactly the no-clipping
-    condition; sigma must be positive and give the sampled envelope a
-    finite, positive area: too wide a sigma leaves the edge at the peak,
-    and too narrow a one underflows 2*sigma^2 to 0.
+    The row must be the sx at angle pi/2 and at a duration on the static
+    ``menu`` that a static set plays, its frames must lie within the
+    schedule's ``MAX_FRAME_ANGLE`` and its fidelity in [0, 1].  Its
+    amplitude and sigma are judged by ``ShapeSpec``, as every pulse's are,
+    so each pulse it serves synthesizes without clipping and writes finite
+    JSON; a refusal there is a ``GateSetError`` too.
     """
     if row["kind"] != circ.SX:
         raise GateSetError(f"a static gate set plays only sx pulses, not implementation kind {row['kind']!r}")
     qubit = row["qubit"]
     if type(qubit) is not int or qubit < 0:
         raise GateSetError(f"implementation qubit must be a qubit index, got {qubit!r}")
-    amplitude, sigma, angle = (_finite(row, key) for key in ("amplitude", "sigma", "angle"))
+    angle = _finite(row, "angle")
     if _angle_key(angle) != _angle_key(HALF_PI):
         raise GateSetError(f"implementation angle {angle!r} of an sx row must be pi/2")
     pre_frame, post_frame = (_finite(row, key, 0.0, MAX_FRAME_ANGLE) for key in ("pre_frame", "post_frame"))
-    if abs(amplitude) > 1.0:
-        raise GateSetError(f"implementation amplitude {amplitude!r} exceeds the unit bound")
-    if sigma <= 0:
-        raise GateSetError(f"implementation sigma {sigma!r} must be positive")
     fidelity = row.get("fidelity")
     if fidelity is not None and not (is_real(fidelity, 1.0) and fidelity >= 0.0):
         raise GateSetError(f"implementation fidelity {fidelity!r} must be null or lie in [0, 1]")
     duration = _dt_count(row["duration_dt"], "implementation duration_dt", 1)
     if duration not in menu:
         raise GateSetError(f"sx row at {duration} dt is off the static menu {menu}")
-    shape = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=duration, sigma=sigma)
     try:
-        # the sample nearest the center is the largest, and every evaluation
-        # takes f(-1), where any overflow or division by 0 shows: so the
-        # sampled envelope has a finite, positive area exactly when this one
-        # sample is positive and raises nothing
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            peak = float(evaluate_envelope(replace(shape, amplitude=1.0), duration // 2).real)
-    except (ValueError, ArithmeticError):
-        peak = 0.0
-    if not peak > 0.0:
-        raise GateSetError(f"implementation sigma {sigma!r} leaves the {duration} dt envelope"
-                           " no finite, positive area")
+        shape = ShapeSpec(shape=GAUSSIAN, amplitude=row["amplitude"], duration=duration, sigma=row["sigma"])
+    except ValueError as exc:
+        raise GateSetError(f"implementation {exc}") from exc
     return GateImpl(
         qubit=qubit,
         kind=circ.SX,
         angle=angle,
-        duration=duration,
         shape=shape,
         fidelity=fidelity,
         pre_frame=pre_frame,
@@ -694,7 +677,7 @@ def _ecr_impl(duration: int) -> GateImpl:
         sigma=64.0,
         width=max(duration - 256, 0),
     )
-    return GateImpl(qubit=-1, kind=circ.ECR, angle=0.0, duration=duration, shape=shape)
+    return GateImpl(qubit=-1, kind=circ.ECR, angle=0.0, shape=shape)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ MAX_FRAME_ANGLE = 4.0 * math.pi
 
 @dataclass(frozen=True)
 class PulsePlacement:
+    """One pulse on its qubits from ``start`` for its shape's duration."""
+
     qubits: tuple[int, ...]
     start: int
-    duration: int
     kind: str
     angle: float
     waveform_id: str
@@ -44,6 +45,10 @@ class PulsePlacement:
     seq: int  # program position, for stable ordering of simultaneous events
     pre_frame: float = 0.0  # calibration Rz on a 1q pulse's qubit just before its start
     post_frame: float = 0.0  # ... and just after its end
+
+    @property
+    def duration(self) -> int:
+        return self.shape.duration
 
     @property
     def end(self) -> int:
@@ -71,16 +76,17 @@ class Schedule:
 
     def validate(self):
         """One walk over ``events()``: the width, the makespan and every
-        qubit, time, start and duration is a plain non-negative int, every
-        pulse angle a finite number and every frame angle (pre/post frames
-        included) a finite number within ``MAX_FRAME_ANGLE``, none of them a
-        bool; each event lies on one of the schedule's qubits within [0,
-        makespan], and no two pulses overlap on a qubit.  A pulse's string
-        waveform id names one ``ShapeSpec`` in the whole schedule.  An
-        ``ecr`` acts on two distinct qubits; any other kind acts on one,
-        fills its slot with its shape, and alone may carry pre/post frames.
-        ``measured_qubits`` is a tuple of ascending schedule qubits.  Fields
-        that cannot be ordered or compared raise ``ScheduleOverlapError``."""
+        qubit, time and start is a plain non-negative int, every pulse angle
+        a finite number and every frame angle (pre/post frames included) a
+        finite number within ``MAX_FRAME_ANGLE``, none of them a bool; each
+        event lies on one of the schedule's qubits within [0, makespan], and
+        no two pulses overlap on a qubit.  Every pulse plays a ``ShapeSpec``,
+        which judged its own values and owns the pulse's duration, and a
+        pulse's string waveform id names one shape in the whole schedule.
+        An ``ecr`` acts on two distinct qubits; any other kind acts on one
+        and alone may carry pre/post frames.  ``measured_qubits`` is a tuple
+        of ascending schedule qubits.  Fields that cannot be ordered or
+        compared raise ``ScheduleOverlapError``."""
         width, makespan, measured = self.width, self.makespan, self.measured_qubits
         # integer fields are plain ints: not bools, nor numpy integers, which to_json cannot write
         if not (type(width) is int and type(makespan) is int and width >= 0 and makespan >= 0):
@@ -98,33 +104,32 @@ class Schedule:
                             and is_real(ev.angle, MAX_FRAME_ANGLE)):
                         raise ScheduleOverlapError(f"frame {ev.angle!r} on qubit {q!r} at {t!r} is out of range")
                     continue
-                qubits, start, duration, pre, post = ev.qubits, ev.start, ev.duration, ev.pre_frame, ev.post_frame
                 wid, shape = ev.waveform_id, ev.shape
-                if not (type(start) is int and type(duration) is int and duration >= 0 and is_real(ev.angle)):
-                    raise ScheduleOverlapError(f"{wid} at {start!r} lasts {duration!r} dt at angle {ev.angle!r}")
-                if not all(type(q) is int and 0 <= q < width for q in qubits) or start + duration > makespan:
-                    raise ScheduleOverlapError(f"{wid} on qubits {qubits!r} at {ev.end} is out of range")
                 named = shapes.setdefault(wid, shape) if type(wid) is str else None
                 if type(shape) is not ShapeSpec or named is not shape and named != shape:
                     raise ScheduleOverlapError(f"waveform id {wid!r} cannot name shape {shape!r}: it names {named!r}")
-                # the simulator plays a 1q pulse's shape and moves the clock by its duration
-                playable = (len(qubits) == 2 and qubits[0] != qubits[1] if ev.kind == "ecr"
-                            else len(qubits) == 1 and shape.duration == duration)
-                if not playable:
-                    raise ScheduleOverlapError(f"{wid} on qubits {qubits} cannot be played in {duration} dt")
+                qubits, start, pre, post = ev.qubits, ev.start, ev.pre_frame, ev.post_frame
+                if not (type(start) is int and is_real(ev.angle)):
+                    raise ScheduleOverlapError(f"{wid} at {start!r} lasts {shape.duration} dt at angle {ev.angle!r}")
+                end = start + shape.duration
+                if not all(type(q) is int and 0 <= q < width for q in qubits) or end > makespan:
+                    raise ScheduleOverlapError(f"{wid} on qubits {qubits!r} at {end} is out of range")
+                if not (len(qubits) == 2 and qubits[0] != qubits[1] if ev.kind == "ecr" else len(qubits) == 1):
+                    raise ScheduleOverlapError(f"{wid} on qubits {qubits} cannot be played")
                 frames_ok = is_real(pre, MAX_FRAME_ANGLE) and is_real(post, MAX_FRAME_ANGLE)
                 if not frames_ok or (len(qubits) > 1 and (pre or post)):
                     raise ScheduleOverlapError(f"{wid} on qubits {qubits} cannot play frames {(pre, post)}")
                 for q in qubits:
                     if start < busy[q][0]:
                         raise ScheduleOverlapError(f"qubit {q}: {wid} at {start} overlaps {busy[q][1]}")
-                    busy[q] = (start + duration, wid)
+                    busy[q] = (end, wid)
         except (TypeError, OverflowError) as exc:
             raise ScheduleOverlapError(f"events cannot be checked in time order: {exc}") from exc
 
     @property
     def waveforms(self) -> dict[str, ShapeSpec]:
-        """Each waveform id -> the one shape its pulses play, in order of first use."""
+        """Each waveform id -> the one shape its pulses play, in the program
+        order of each id's first pulse (not always time order)."""
         return {p.waveform_id: p.shape for p in self.placements}
 
     def events(self):

@@ -327,7 +327,6 @@ def _place(node: DepNode, s: GateSet) -> PulsePlacement:
     return PulsePlacement(
         qubits=gate.qubits,
         start=node.es,
-        duration=node.duration,
         kind=gate.kind,
         angle=impl.angle,
         waveform_id=impl.waveform_id(),

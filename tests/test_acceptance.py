@@ -206,11 +206,11 @@ def test_criterion_5_waveform_identities():
             spec = ShapeSpec(shape=DRAG, amplitude=a, duration=d, sigma=sigma, beta=beta)
             w = synthesize(spec)
             t = np.arange(d, dtype=float)
-            analytic = beta * (-(t - d / 2) / sigma**2) * w.i
-            assert np.max(np.abs(w.q - analytic)) <= 1e-12
+            analytic = beta * (-(t - d / 2) / sigma**2) * w.samples.real
+            assert np.max(np.abs(w.samples.imag - analytic)) <= 1e-12
             h = 1e-3
             fd = (evaluate_envelope(spec, t + h).real - evaluate_envelope(spec, t - h).real) / (2 * h)
-            assert np.max(np.abs(w.q - beta * fd)) <= 1e-6 * a
+            assert np.max(np.abs(w.samples.imag - beta * fd)) <= 1e-6 * a
         gauss = synthesize(ShapeSpec(shape=GAUSSIAN, amplitude=0.37, duration=64, sigma=20.0))
         assert gauss.samples[32].real == pytest.approx(0.37, abs=1e-15)
         gsq = ShapeSpec(shape=GAUSSIAN_SQUARE, amplitude=0.21, duration=120, sigma=30.0, width=60)
@@ -307,7 +307,7 @@ def test_criterion_9_physicality_suite(calibrated):
 
         for d in DEFAULT_STATIC_DURATIONS:
             impl = gs.impl_for(0, "sx", math.pi / 2, d)
-            assert_choi_psd(gate_channel(impl.waveform(), nm, 0))
+            assert_choi_psd(gate_channel(synthesize(impl.shape), nm, 0))
         for t in (0, 17, 512, 31007):
             assert_choi_psd(idle_channel(t, nm, 0))
         assert_choi_psd(ecr_channel(nm, (0, 1), DEFAULT_ECR_DURATION))

@@ -245,6 +245,16 @@ class TestCalibrateCommand:
         assert code == 2
 
     @pytest.mark.filterwarnings("ignore::pulsesched.errors.ExtrapolationWarning")
+    def test_weak_drive_calibrates_every_row_within_unit_amplitude(self, tmp_path):
+        # the nominal 32 dt Sx lies within 10% of the unit bound, so fine-tuning
+        # searches up to amplitude 1 and no further
+        noise, out = tmp_path / "weak.json", tmp_path / "g.json"
+        noise.write_text(json.dumps({"rabi_coefficient_hz": 1.2e7}))
+        assert main(["calibrate", "--mode", "static", "--qubits", "1", "--noise", str(noise), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["implementations"]
+        assert len(rows) == len(DEFAULT_STATIC_DURATIONS) and all(0 < row["amplitude"] <= 1 for row in rows)
+
+    @pytest.mark.filterwarnings("ignore::pulsesched.errors.ExtrapolationWarning")
     def test_infeasible_calibration_is_simulation_error(self, tmp_path):
         # a drive this weak cannot reach pi/2 in 64 dt: amplitude > 1
         noise = tmp_path / "noise.json"

@@ -336,7 +336,7 @@ class TestFineTune:
         gs = GateSet.ideal("static", 1)
         for d in (32, 120, 512):
             tuned = fine_tune(gs.impl_for(0, "sx", HALF_PI, d), nm)
-            u = propagate_waveform(tuned.waveform(), nm)
+            u = propagate_waveform(synthesize(tuned.shape), nm)
             assert abs(_zxz_angles(u[:2, :2])[1] - HALF_PI) <= 1e-12
 
     def test_floor_violation_raises(self):
@@ -348,6 +348,16 @@ class TestFineTune:
         broken = replace(impl, shape=replace(impl.shape, amplitude=impl.amplitude * 1.5))
         with pytest.raises(CalibrationError, match="span 0.01"):
             fine_tune(broken, nm, span=0.01, fidelity_floor=0.999)
+
+    def test_bracket_stops_at_unit_amplitude(self):
+        # a weak drive puts the nominal 32 dt amplitude at 0.925, so the
+        # bracket's upper end (1 + span) * a0 lies past the unit bound; the
+        # root below it is still found
+        gs = GateSet.ideal("static", 1, rabi_coefficient_hz=1.2e7)
+        impl = gs.impl_for(0, "sx", HALF_PI, 32)
+        assert 1.1 * impl.amplitude > 1.0
+        tuned = fine_tune(impl, NoiseModel(rabi_coefficient_hz=1.2e7))
+        assert tuned.amplitude == pytest.approx(0.925626, abs=1e-6) and tuned.fidelity > 0.9999
 
     def test_bracketed_root_below_floor_raises(self):
         # the root is found, but leakage keeps every real pulse below unit fidelity
@@ -460,7 +470,7 @@ class TestImplementationValues:
         gs = GateSet.from_json(ideal_doc_with(key, value))
         impl = min(gs.impls.values(), key=lambda i: i.duration)
         assert getattr(impl, key) == value
-        assert np.max(np.abs(impl.waveform().samples)) == pytest.approx(abs(impl.amplitude))
+        assert np.max(np.abs(synthesize(impl.shape).samples)) == pytest.approx(abs(impl.amplitude))
 
     @pytest.mark.parametrize(
         "column, value",
@@ -652,7 +662,7 @@ class TestDynamicAmplitude:
         nm = NoiseModel()
         gs = GateSet.calibrated("dynamic", nm, 1, min_duration=32, max_duration=128)
         impl = gs.impl_for(0, "rx", HALF_PI, 64)
-        u = propagate_waveform(impl.waveform(), nm)
+        u = propagate_waveform(synthesize(impl.shape), nm)
         rotation = 2 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
         assert rotation == pytest.approx(HALF_PI, rel=0.01)
 

@@ -680,11 +680,13 @@ class TestStretchedSchedule:
 _SX64 = ShapeSpec("gaussian", 0.1, 64, sigma=16.0)
 
 
-def _pulse(qubits=(0,), start=0, duration=64, kind=None, shape=_SX64, **frames):
-    """A pulse whose waveform id is its kind, playing ``shape`` (the simulator ignores an ECR's)."""
+def _pulse(qubits=(0,), start=0, duration=None, kind=None, shape=_SX64, **frames):
+    """A pulse whose waveform id is its kind, playing ``shape`` (the simulator ignores an ECR's),
+    or that shape at another ``duration``."""
     kind = kind or ("ecr" if len(qubits) == 2 else "sx")
-    return PulsePlacement(qubits=qubits, start=start, duration=duration, kind=kind, angle=HALF_PI,
-                          waveform_id=kind, shape=shape, seq=start, **frames)
+    shape = shape if duration is None else replace(shape, duration=duration)
+    return PulsePlacement(qubits=qubits, start=start, kind=kind, angle=HALF_PI, waveform_id=kind, shape=shape,
+                          seq=start, **frames)
 
 
 def _schedule(width, makespan, placements=(), frames=(), **fields):
@@ -752,7 +754,7 @@ class TestScheduleValidate:
         with pytest.raises(ScheduleOverlapError, match="cannot name shape"):
             _schedule(1, 64, [replace(_pulse(), **changes)])
 
-    @pytest.mark.parametrize("qubits, duration", [((0,), 64), ((0, 1, 2), 64), ((1, 1), 0)])
+    @pytest.mark.parametrize("qubits, duration", [((0,), 64), ((0, 1, 2), 64), ((1, 1), 32)])
     def test_ecr_needs_two_distinct_operands(self, qubits, duration):
         with pytest.raises(ScheduleOverlapError, match="cannot be played"):
             _schedule(3, 64, [_pulse(qubits, duration=duration, kind="ecr")])
@@ -762,18 +764,33 @@ class TestScheduleValidate:
             _schedule(2, 64, [_pulse((0, 1), kind="sx")])
 
     def test_negative_duration(self):
-        with pytest.raises(ScheduleOverlapError, match="lasts"):
-            _schedule(1, 64, [_pulse(start=16, duration=-8)])
+        # a pulse lasts its shape's duration, which the shape judges
+        with pytest.raises(ValueError, match="duration"):
+            _pulse(start=16, duration=-8)
 
-    @pytest.mark.parametrize("start, duration", [(0, 63.5), (0, 64.0), (0, True), (0, "64"), (0.5, 32)])
-    def test_non_integer_start_or_duration(self, start, duration):
-        with pytest.raises(ScheduleOverlapError, match="lasts"):
+    @pytest.mark.parametrize("start, duration, error", [
+        pytest.param(0, 63.5, ValueError, id="0-63.5"),
+        pytest.param(0, 64.0, ValueError, id="0-64.0"),
+        pytest.param(0, True, ValueError, id="0-True"),
+        pytest.param(0, "64", ValueError, id="0-64"),
+        pytest.param(0.5, 32, ScheduleOverlapError, id="0.5-32"),
+    ])
+    def test_non_integer_start_or_duration(self, start, duration, error):
+        # the shape refuses a duration, the schedule a start
+        with pytest.raises(error, match="lasts" if error is ScheduleOverlapError else "duration"):
             _schedule(1, 64, [_pulse(start=start, duration=duration)])
+
+    @pytest.mark.parametrize("field, value", [("amplitude", math.nan), ("amplitude", 5.0), ("sigma", math.inf),
+                                              ("duration", True)])
+    def test_placement_shape_judges_its_values(self, field, value):
+        # each of these built in a schedule, whose to_json wrote NaN,
+        # Infinity or "duration": true into its waveforms
+        with pytest.raises(ValueError, match=field):
+            _schedule(1, 64, [_pulse(shape=replace(_SX64, **{field: value}))])
 
     @pytest.mark.parametrize("start, seq", [("0", 0), (0, None)])
     def test_unorderable_placements(self, start, seq):
-        first = PulsePlacement(qubits=(0,), start=start, duration=32, kind="sx", angle=HALF_PI, waveform_id="sx",
-                               shape=_SX64, seq=seq)
+        first = replace(_pulse(duration=32), start=start, seq=seq)
         with pytest.raises(ScheduleOverlapError, match="time order"):
             _schedule(1, 64, [first, _pulse(start=0, duration=32)])
 
@@ -795,14 +812,6 @@ class TestScheduleValidate:
         # (True,) passed and played on qubit 1; (0.5,) raised a raw TypeError
         with pytest.raises(ScheduleOverlapError):
             _schedule(2, 64, [_pulse(qubits)])
-
-    @pytest.mark.parametrize("slot, shape", [(64, 32), (32, 64)])
-    def test_pulse_fills_its_slot(self, slot, shape):
-        # the simulator plays the waveform's samples but moves the qubit's
-        # clock by the placement's duration
-        spec = ShapeSpec("gaussian", 0.1, shape, sigma=8.0)
-        with pytest.raises(ScheduleOverlapError, match="cannot be played"):
-            _schedule(1, 64, [_pulse(duration=slot, shape=spec)])
 
     @pytest.mark.parametrize("width, makespan", [(1.5, 0), ("2", 0), (-1, 0), (1, math.nan), (1, -1), (True, 0),
                                                  (1, 64.0), (np.int64(1), 0), (1, np.int64(64))])
@@ -842,11 +851,14 @@ class TestScheduleValidate:
             _schedule(1, 64, frames=[replace(FrameShift(qubit=0, time=0, angle=0.5, seq=1),
                                              **{field: np.int64(0)})])
 
-    @pytest.mark.parametrize("changes", [{"start": np.int64(0)}, {"duration": np.int64(64)},
-                                         {"qubits": (np.int64(0),)}], ids=["start", "duration", "qubits"])
-    def test_numpy_integer_placement_fields(self, changes):
-        with pytest.raises(ScheduleOverlapError):
-            _schedule(1, 64, [replace(_pulse(), **changes)])
+    @pytest.mark.parametrize("changes, error", [({"start": np.int64(0)}, ScheduleOverlapError),
+                                                ({"duration": np.int64(64)}, ValueError),
+                                                ({"qubits": (np.int64(0),)}, ScheduleOverlapError)],
+                             ids=["start", "duration", "qubits"])
+    def test_numpy_integer_placement_fields(self, changes, error):
+        # to_json cannot write a numpy integer; a shape refuses one as its duration
+        with pytest.raises(error):
+            _schedule(1, 64, [_pulse(**changes)])
 
     def test_huge_calibration_frame(self):
         # a frame this large passed validate, and the simulator's frame phase
@@ -883,17 +895,20 @@ _ODD_VALUES = st.one_of(
 _ECR_DT = 96
 _SHAPES = {"sx32": ShapeSpec("gaussian", 0.1, 32, sigma=8.0), "sx64": _SX64,
            "ecr": ShapeSpec("gaussian_square", 0.12, _ECR_DT, sigma=16.0)}
+#: the shape's own fields, drawn into a placement's shape
+_SHAPE_FIELDS = ["amplitude", "duration", "sigma", "width", "beta", "phase"]
 _FIELDS = {
     FrameShift: ["qubit", "time", "angle", "seq"],
-    PulsePlacement: ["qubits", "start", "duration", "angle", "seq", "pre_frame", "post_frame"],
+    PulsePlacement: ["qubits", "start", "angle", "seq", "pre_frame", "post_frame", *_SHAPE_FIELDS],
 }
 
 
 @st.composite
 def schedule_fields(draw):
     """A playable schedule on 1-3 qubits, its events packed back to back,
-    with up to two of its fields then replaced by drawn values, and its
-    measured qubits: all of them, or drawn values."""
+    with up to two of its fields (a pulse's shape's included) then replaced
+    by drawn values, and its measured qubits: all of them, or drawn values.
+    A shape that refuses its drawn value raises ``ValueError``."""
     width = draw(st.integers(1, 3))
     clock = [0] * width
     events = []
@@ -904,19 +919,21 @@ def schedule_fields(draw):
             events.append(FrameShift(q, clock[q], draw(st.floats(-4, 4)), seq))
             continue
         if op == "ecr":
-            kind, qubits, duration, pre_post = "ecr", tuple(draw(st.permutations(range(width)))[:2]), _ECR_DT, ()
+            kind, qubits, pre_post = "ecr", tuple(draw(st.permutations(range(width)))[:2]), ()
         else:
-            kind, qubits, duration = "sx", (draw(st.integers(0, width - 1)),), _SHAPES[op].duration
+            kind, qubits = "sx", (draw(st.integers(0, width - 1)),)
             pre_post = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
         start = max(clock[q] for q in qubits)
-        events.append(PulsePlacement(qubits, start, duration, kind, HALF_PI, op, _SHAPES[op], seq, *pre_post))
+        events.append(PulsePlacement(qubits, start, kind, HALF_PI, op, _SHAPES[op], seq, *pre_post))
         for q in qubits:
-            clock[q] = start + duration
+            clock[q] = start + _SHAPES[op].duration
     for _ in range(draw(st.integers(0, 2)) if events else 0):
         i = draw(st.integers(0, len(events) - 1))
         name, value = draw(st.sampled_from(_FIELDS[type(events[i])])), draw(_ODD_VALUES)
         if name == "qubits" and type(events[i].qubits) is tuple and draw(st.booleans()):
             value = (value,) + events[i].qubits[1:]
+        if name in _SHAPE_FIELDS:
+            name, value = "shape", replace(events[i].shape, **{name: value})
         events[i] = replace(events[i], **{name: value})
     makespan = max(clock) + draw(st.integers(0, 8))
     placements = [ev for ev in events if isinstance(ev, PulsePlacement)]
@@ -926,14 +943,18 @@ def schedule_fields(draw):
 
 class TestScheduleProperty:
     """Whatever values its fields hold, a schedule is either rejected on
-    construction or simulated and written as strict JSON."""
+    construction, its shapes' by ``ShapeSpec``, or simulated and written as
+    strict JSON."""
 
     SIM = ScheduleSimulator(NoiseModel())  # channels cached per pulse spec and qubit across examples
 
     @settings(max_examples=150, deadline=None)
-    @given(schedule_fields())
-    def test_rejected_or_playable(self, fields):
-        width, makespan, placements, frames, measured = fields
+    @given(st.data())
+    def test_rejected_or_playable(self, data):
+        try:
+            width, makespan, placements, frames, measured = data.draw(schedule_fields())
+        except ValueError:
+            return
         try:
             sch = Schedule(width, makespan, placements, frames, measured)
         except ScheduleOverlapError:
@@ -1086,6 +1107,15 @@ class TestExports:
         doc = json.loads(out.read_text())
         assert doc["waveforms"] and doc == sch.to_json()
 
+    def test_waveforms_follow_program_order(self):
+        # sx q2 starts at 0 beside the ECR and sx q0 only after it, yet each
+        # id is listed where its first pulse stands in the program
+        gs = GateSet.ideal("static", 3)
+        _, sch = run_framework(lower(parse_circuit("ecr q0 q1\nsx q0\nsx q2"), gs), gs)
+        assert [(p.waveform_id, p.start) for p in sch.events() if isinstance(p, PulsePlacement)] == [
+            ("ecr_d1320", 0), ("sx_q2_d512", 0), ("sx_q0_d32", 1320)]
+        assert list(sch.waveforms) == list(sch.to_json()["waveforms"]) == ["ecr_d1320", "sx_q0_d32", "sx_q2_d512"]
+
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_waveform_entries_resynthesize_bit_for_bit(self, mode):
         # every written entry rebuilds its ShapeSpec, and that spec samples
@@ -1103,4 +1133,4 @@ class TestExports:
         for wid, entry in doc["waveforms"].items():
             assert ShapeSpec(**entry) == impls[wid].shape
             got = synthesize(ShapeSpec(**entry)).samples
-            assert got.tobytes() == impls[wid].waveform().samples.tobytes()
+            assert got.tobytes() == synthesize(impls[wid].shape).samples.tobytes()

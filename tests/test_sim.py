@@ -114,7 +114,7 @@ class TestPropagateWaveform:
         gs = GateSet.ideal("static", 1)
         kappa, alpha = DEFAULT.rabi_coefficient(0), DEFAULT.anharmonicity(0)
         for d in gs.static_durations:
-            w = gs.impl_for(0, "sx", HALF_PI, d).waveform()
+            w = synthesize(gs.impl_for(0, "sx", HALF_PI, d).shape)
             u = np.eye(3, dtype=complex)
             for s in w.samples:
                 u = expm(-1j * hamiltonian_sample(s, kappa, alpha) * 0.5e-9) @ u
@@ -360,8 +360,7 @@ class TestEcrChannel:
 def _schedule_from_pulses(pulses, width, makespan, frames=()):
     """Schedule of (qubits, start, ShapeSpec) sx pulses, one waveform id each."""
     placements = [
-        PulsePlacement(qubits=qubits, start=start, duration=spec.duration, kind="sx", angle=HALF_PI,
-                       waveform_id=f"w{seq}", shape=spec, seq=seq)
+        PulsePlacement(qubits=qubits, start=start, kind="sx", angle=HALF_PI, waveform_id=f"w{seq}", shape=spec, seq=seq)
         for seq, (qubits, start, spec) in enumerate(pulses)
     ]
     return Schedule(width=width, makespan=makespan, placements=placements, frames=list(frames))
@@ -590,7 +589,7 @@ class TestSxdgAsFramedSx:
         sxdg = replace(sx, kind="sxdg", angle=-HALF_PI, shape=replace(sx.shape, phase=math.pi))
         placements = [
             PulsePlacement(
-                qubits=(0,), start=start, duration=120, kind=impl.kind, angle=impl.angle,
+                qubits=(0,), start=start, kind=impl.kind, angle=impl.angle,
                 waveform_id=impl.kind, shape=impl.shape, seq=seq, pre_frame=impl.pre_frame,
                 post_frame=impl.post_frame,
             )
@@ -657,14 +656,13 @@ class TestParametricWaveforms:
 def _one_pulse(amplitude, angle=HALF_PI):
     """A 1q schedule of one 32-dt Gaussian named ``sx_q0_d32``, whatever it plays."""
     spec = ShapeSpec(shape=GAUSSIAN, amplitude=amplitude, duration=32, sigma=8.0)
-    placement = PulsePlacement(qubits=(0,), start=0, duration=32, kind="sx", angle=angle,
-                               waveform_id="sx_q0_d32", shape=spec, seq=0)
+    placement = PulsePlacement(qubits=(0,), start=0, kind="sx", angle=angle, waveform_id="sx_q0_d32", shape=spec, seq=0)
     return Schedule(width=1, makespan=32, placements=[placement])
 
 
 def _framed_pair(pre, post):
     """A 1q schedule that plays one Sx spec twice, each time between the given calibration frames."""
-    placements = [PulsePlacement(qubits=(0,), start=start, duration=120, kind="sx", angle=HALF_PI,
+    placements = [PulsePlacement(qubits=(0,), start=start, kind="sx", angle=HALF_PI,
                                  waveform_id="sx", shape=sx_shape(120), seq=seq, pre_frame=pre, post_frame=post)
                   for seq, start in enumerate((0, 120))]
     return Schedule(width=1, makespan=240, placements=placements)
@@ -697,11 +695,10 @@ def _arm(width=2, makespan=400 + DEFAULT_ECR_DURATION, start=200, frame=(120, 0.
     stretch), then an ecr on q0 and q1."""
     ecr_shape = ShapeSpec(GAUSSIAN_SQUARE, 0.12, ecr_duration, sigma=64.0)
     placements = [
-        PulsePlacement(qubits=(0,), start=0, duration=120, kind="sx", angle=HALF_PI, waveform_id="sx", shape=spec,
-                       seq=0),
-        PulsePlacement(qubits=(1,), start=start, duration=duration, kind="sx", angle=HALF_PI,
+        PulsePlacement(qubits=(0,), start=0, kind="sx", angle=HALF_PI, waveform_id="sx", shape=spec, seq=0),
+        PulsePlacement(qubits=(1,), start=start, kind="sx", angle=HALF_PI,
                        waveform_id=f"sx{duration}", shape=sx_shape(duration), seq=2),
-        PulsePlacement(qubits=ecr_qubits, start=400, duration=ecr_duration, kind="ecr", angle=0.0,
+        PulsePlacement(qubits=ecr_qubits, start=400, kind="ecr", angle=0.0,
                        waveform_id="ecr", shape=ecr_shape, seq=3),
     ]
     time, angle, seq = frame
