@@ -13,10 +13,12 @@ derives the OPTIMIZED one from it, placing again only the nodes that grew.
 
 The dependency graph's node order is program order, and every edge points
 from an earlier node to a later one, so node order is its topological order:
-CPM sweeps nodes forward by index and back in reverse, with no sort.  After a
-stretch, ``update_cpm`` relaxes only the nodes whose times move, popping them
-from an index heap in the same order, so total float costs about one visit per
-moved node per step instead of a sweep over the graph.
+CPM sweeps nodes forward by index and back in reverse, with no sort.  Total
+float stretches the queued gates that share the top priority as one tier:
+one forward relaxation decides them in index order and one backward
+relaxation, seeded by the gates that grew, refreshes LF/LS.  Both pop from
+an index heap only the nodes whose times may move, so a tier costs about one
+visit per moved node instead of one per moved node per stretch.
 
 All times are integer dt counts; comparisons are exact.  The optimizer
 stretches off-critical-path gates into idle slack without moving the overall
@@ -35,9 +37,9 @@ two CPM float policies applies:
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 
 from . import circuit as circ
 from .errors import ConfigError, MalformedGraphError
@@ -49,7 +51,7 @@ TOTAL_FLOAT = "total"
 FREE_FLOAT = "free"
 
 
-@dataclass
+@dataclass(slots=True)
 class DepNode:
     """One scheduled physical operation with its CPM times (dt units)."""
 
@@ -148,19 +150,31 @@ def cpm(g: DepGraph) -> int:
 
 
 def _forward_sweep(g: DepGraph):
-    for i, n in enumerate(g.nodes):
-        if any(p >= i for p in g.preds[i]):
-            raise MalformedGraphError(f"dependency graph has a back edge into node {i}")
-        n.es = max((g.nodes[p].ef for p in g.preds[i]), default=0)
-        n.ef = n.es + n.duration
+    nodes = g.nodes
+    for i, (n, ps) in enumerate(zip(nodes, g.preds)):
+        es = 0
+        for p in ps:
+            if p >= i:
+                raise MalformedGraphError(f"dependency graph has a back edge into node {i}")
+            ef = nodes[p].ef
+            if ef > es:
+                es = ef
+        n.es = es
+        n.ef = es + n.duration
 
 
 def _backward_sweep(g: DepGraph) -> int:
+    nodes, succs = g.nodes, g.succs
     makespan = g.makespan
-    for i in range(len(g.nodes) - 1, -1, -1):
-        n = g.nodes[i]
-        n.lf = min((g.nodes[s].ls for s in g.succs[i]), default=makespan)
-        n.ls = n.lf - n.duration
+    for i in range(len(nodes) - 1, -1, -1):
+        n = nodes[i]
+        lf = makespan
+        for v in succs[i]:
+            ls = nodes[v].ls
+            if ls < lf:
+                lf = ls
+        n.lf = lf
+        n.ls = lf - n.duration
     return makespan
 
 
@@ -170,33 +184,65 @@ def critical_path(g: DepGraph) -> set[int]:
 
 
 def update_cpm(g: DepGraph, changed: DepNode):
-    """Re-propagate times after one node's duration grew, by worklist relaxation.
+    """Re-propagate times after one node's duration grew.
 
-    The caller has already set the changed node's own EF and LS, and the
-    node still finishes by its LF, so the makespan holds.  Forward, a
-    min-heap of node indices starts at the changed node; each popped node
-    raises its successors' ES/EF, and a successor joins the heap (once) only
-    when its ES rose.  Backward, a max-heap lowers predecessors' LF/LS the
-    same way.  Edges point to higher indices, so pops are monotone and every
-    node is final when popped: only nodes whose times move are visited, and
-    because durations only ever grow, the result equals a full CPM pass.
+    The caller has already set the changed node's own EF and LS; the node
+    must still finish by its LF, so the makespan holds.  A node that
+    finishes past its LF, or whose EF is not ES plus its duration or LS not
+    LF minus it, raises ``MalformedGraphError``.  The times are relaxed from
+    that one node as ``_relax`` does for a tier of stretches, so the result
+    equals a full CPM pass.
+    """
+    n = changed
+    if n.ef > n.lf or n.ef != n.es + n.duration or n.ls != n.lf - n.duration:
+        raise MalformedGraphError(
+            f"node {n.index} at {n.duration} dt (ES {n.es}, EF {n.ef}, LS {n.ls}) must finish "
+            f"by its LF {n.lf}, at ES plus its duration, and start at LF minus it"
+        )
+    _relax(g, {changed.index: changed.duration})
+
+
+def _relax(g: DepGraph, steps: dict[int, int | None]) -> list[int]:
+    """Try each node of ``steps``, keyed in index order, at its new duration,
+    and relax the CPM times that moves; returns the nodes that grew, in order.
+
+    Forward, a min-heap of node indices starts at the step nodes.  Each
+    popped node raises its successors' ES/EF, and a successor whose ES rose
+    joins the heap once (and ``steps`` at None, which marks it queued).
+    Edges point to higher indices, so a node's ES is final when it is
+    popped: a step node then takes its new duration when that still
+    finishes by its LF.  A node's LF depends only on its descendants, none
+    of which has moved yet, so each step is judged as if the lower-indexed
+    ones had been taken and propagated one at a time.  Backward, a max-heap
+    seeded by the nodes that grew lowers its predecessors' LF/LS the same
+    way.  Durations only grow, so the result equals a full CPM pass.
     """
     nodes, succs, preds = g.nodes, g.succs, g.preds
-    heap, queued = [changed.index], {changed.index}
+    heap = list(steps)
+    grown, back = [], []
     while heap:
-        u = heapq.heappop(heap)
-        ef = nodes[u].ef
+        u = heappop(heap)
+        n = nodes[u]
+        d = steps[u]
+        if d is not None and n.es + d <= n.lf:
+            n.duration = d
+            n.ef = n.es + d
+            n.ls = n.lf - d
+            grown.append(u)
+            back.append(-u)
+        ef = n.ef
         for v in succs[u]:
             nv = nodes[v]
             if ef > nv.es:
                 nv.es = ef
                 nv.ef = ef + nv.duration
-                if v not in queued:
-                    queued.add(v)
-                    heapq.heappush(heap, v)
-    heap, queued = [-changed.index], {changed.index}
+                if v not in steps:
+                    steps[v] = None
+                    heappush(heap, v)
+    back.reverse()  # negated indices, ascending: a heap that pops the highest index first
+    heap, queued = back, set(grown)
     while heap:
-        u = -heapq.heappop(heap)
+        u = -heappop(heap)
         ls = nodes[u].ls
         for p in preds[u]:
             np_ = nodes[p]
@@ -205,18 +251,22 @@ def update_cpm(g: DepGraph, changed: DepNode):
                 np_.ls = ls - np_.duration
                 if p not in queued:
                     queued.add(p)
-                    heapq.heappush(heap, -p)
+                    heappush(heap, -p)
+    return grown
 
 
 def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
     """Stretch off-critical-path gates into their float; the makespan is unchanged.
 
     ``float="total"`` (default): every node with slack and a longer allowed
-    duration is enqueued at priority rotation/duration.  A dequeued node steps
-    to the next duration on its menu when it still finishes by LF; it
-    re-enters the queue until it reaches the end of its menu.  Stretches
-    propagate, so successors may start later than their ES at minimum
-    durations.
+    duration is enqueued at priority rotation/duration.  The queue drains a
+    tier at a time, every entry at the top priority together: in index
+    order, each node steps to the next duration on its menu when it still
+    finishes by LF, and one relaxation propagates the whole tier.  A node
+    that stepped re-enters the queue, at a lower priority, until it reaches
+    the end of its menu.  The outcome is that of taking the entries one at
+    a time in (priority, index) order.  Stretches propagate, so successors
+    may start later than their ES at minimum durations.
 
     ``float="free"``: every node takes the longest allowed duration that
     finishes by its free-float limit, min(successor ES) or the makespan at a
@@ -238,37 +288,53 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
 
 
 def _stretch_into_total_float(g: DepGraph, s: GateSet):
+    nodes = g.nodes
     menus: dict[int, tuple[int, ...]] = {}
     queue: list[tuple[float, int]] = []
-    for n in g.nodes:
+    for n in nodes:
         if n.slack > 0:
             menu = s.durations_for(n.gate)
             if menu[-1] > n.duration:
                 menus[n.index] = menu
-                heapq.heappush(queue, (-n.rotation / n.duration if n.duration else 0.0, n.index))
+                queue.append((-n.rotation / n.duration if n.duration else 0.0, n.index))
+    heapify(queue)
     while queue:
-        _, idx = heapq.heappop(queue)
-        n, menu = g.nodes[idx], menus[idx]
-        d = menu[bisect_right(menu, n.duration)]
-        if n.es + d <= n.lf:
-            n.duration = d
-            n.ef = n.es + d
-            n.ls = n.lf - d
-            update_cpm(g, n)
-            if d < menu[-1]:
-                heapq.heappush(queue, (-n.rotation / d, idx))
+        # every entry at the top priority is one tier; a re-queued node's
+        # priority is strictly lower (its rotation is positive), so it
+        # joins a later tier
+        top, idx = heappop(queue)
+        steps = {}
+        while True:
+            n, menu = nodes[idx], menus[idx]
+            d = menu[bisect_right(menu, n.duration)]
+            if n.es + d <= n.lf:  # ES only rises in a tier: a step too long now stays too long
+                steps[idx] = d
+            if not queue or queue[0][0] != top:
+                break
+            idx = heappop(queue)[1]
+        if steps:
+            for idx in _relax(g, steps):
+                n = nodes[idx]
+                if n.duration < menus[idx][-1]:
+                    heappush(queue, (-n.rotation / n.duration, idx))
 
 
 def _stretch_into_free_float(g: DepGraph, s: GateSet):
+    nodes, succs = g.nodes, g.succs
     makespan = g.makespan
-    for n in g.nodes:
-        limit = min((g.nodes[v].es for v in g.succs[n.index]), default=makespan)
+    for n, outs in zip(nodes, succs):
+        limit = makespan
+        for v in outs:
+            es = nodes[v].es
+            if es < limit:
+                limit = es
         window = limit - n.es
         if window <= n.duration:
             continue
-        fits = [d for d in s.durations_for(n.gate) if n.duration < d <= window]
-        if fits:
-            n.duration = fits[-1]
+        menu = s.durations_for(n.gate)
+        i = bisect_right(menu, window)
+        if i and menu[i - 1] > n.duration:
+            n.duration = menu[i - 1]
             n.ef = n.es + n.duration
     _backward_sweep(g)
 

@@ -2,17 +2,19 @@
 
 The CPM oracle enumerates every source-to-node path by brute force (no
 memoization), so the forward/backward pass and the incremental update are
-checked against an independent computation.  The worklist ``update_cpm`` is
-also checked against a full-sweep oracle over the whole node order.
+checked against an independent computation.  Total float, which stretches
+a whole priority tier per relaxation, is checked against a reference that
+stretches one node at a time and re-propagates with a full sweep over the
+node order.
 """
 
 import hashlib
+import heapq
 import json
 import math
 import time
 from bisect import bisect_right
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit, schedule_fields_of
-from pulsesched import scheduler
 from pulsesched.bench import random_clifford_circuit
 from pulsesched.circuit import (
     PULSE_KINDS,
@@ -105,6 +106,31 @@ def sweep_update_cpm(g, changed):
             if nu.ls < np_.lf:
                 np_.lf = nu.ls
                 np_.ls = np_.lf - np_.duration
+
+
+def reference_total_float(g, s):
+    """Total float one stretch at a time: the queue loop as it was before
+    stretches were taken a priority tier at a time, re-propagating each
+    accepted stretch with the full-sweep oracle."""
+    menus: dict[int, tuple[int, ...]] = {}
+    queue: list[tuple[float, int]] = []
+    for n in g.nodes:
+        if n.slack > 0:
+            menu = s.durations_for(n.gate)
+            if menu[-1] > n.duration:
+                menus[n.index] = menu
+                heapq.heappush(queue, (-n.rotation / n.duration if n.duration else 0.0, n.index))
+    while queue:
+        _, idx = heapq.heappop(queue)
+        n, menu = g.nodes[idx], menus[idx]
+        d = menu[bisect_right(menu, n.duration)]
+        if n.es + d <= n.lf:
+            n.duration = d
+            n.ef = n.es + d
+            n.ls = n.lf - d
+            sweep_update_cpm(g, n)
+            if d < menu[-1]:
+                heapq.heappush(queue, (-n.rotation / d, idx))
 
 
 def node_times(g):
@@ -379,6 +405,36 @@ class TestUpdateCPM:
             assert node_times(g) == node_times(recomputed(g))
             done += 1
 
+    def test_stretch_past_lf_is_refused(self):
+        # node 0 (sx q0) has 64 dt of slack against three sx on q1; at 512 dt
+        # it would finish past its LF and push the makespan
+        gs = GateSet.ideal("static", 2)
+        c = lower(parse_circuit("sx q0\nsx q1\nsx q1\nsx q1\necr q0 q1"), gs)
+        g = minimum_duration_graph(c, gs)
+        before = node_times(g)
+        n = g.nodes[0]
+        n.duration = 512
+        n.ef = n.es + 512
+        n.ls = n.lf - 512
+        with pytest.raises(MalformedGraphError, match="must finish by its LF 96"):
+            update_cpm(g, n)
+        assert node_times(g)[1:] == before[1:]
+
+    @pytest.mark.parametrize("stale", ["ef", "ls"])
+    def test_stale_times_are_refused(self, stale):
+        # the stretch fits its 32 dt of slack, but one of the node's own
+        # times was left at its old value
+        g = build_graph(parse_circuit("sx q0\nsx q1\nsx q1\necr q0 q1"), {0: 32, 1: 32, 2: 32, 3: 64})
+        cpm(g)
+        n = g.nodes[0]
+        n.duration = 48
+        if stale != "ef":
+            n.ef = n.es + 48
+        if stale != "ls":
+            n.ls = n.lf - 48
+        with pytest.raises(MalformedGraphError, match="at ES plus its duration"):
+            update_cpm(g, n)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_qubits=st.integers(2, 8),
@@ -387,19 +443,39 @@ class TestUpdateCPM:
     )
     @settings(max_examples=10, deadline=None)
     def test_total_float_matches_sweep_oracle(self, seed, n_qubits, n_gates, mode):
-        # lowered circuits of about 50-2000 nodes: total float driven by the
-        # worklist and by the full sweep reach the same durations and times
+        # lowered circuits of about 50-2000 nodes: total float a priority
+        # tier at a time and one stretch at a time under the full-sweep
+        # oracle reach the same durations and times
         gs = GateSet.ideal(mode, n_qubits)
         c = lower(random_circuit(np.random.default_rng(seed), n_qubits, n_gates), gs)
-        runs = []
-        for propagate in (update_cpm, sweep_update_cpm):
-            g = build_graph(c, initial_durations(c, gs))
+        g, ref = minimum_duration_graph(c, gs), minimum_duration_graph(c, gs)
+        optimize_durations(g, gs)
+        reference_total_float(ref, gs)
+        assert node_times(g) == node_times(ref)
+        assert node_times(g) == node_times(recomputed(g))
+
+    def test_total_float_tiers_match_sweep_oracle_on_random_dags(self):
+        # durations on a short menu and two rotations a factor 2 apart make
+        # many nodes share one priority, e.g. (pi/4)/32 == (pi/2)/64
+        gs = fixed_gateset((32, 64, 96, 128, 192, 256))
+        rng = np.random.default_rng(57)
+        shared = 0
+        for _ in range(300):
+            g = random_dag_graph(rng, int(rng.integers(2, 30)))
+            for n in g.nodes:
+                n.duration = (32, 64, 96)[int(rng.integers(3))]
+                n.rotation = (HALF_PI / 2, HALF_PI)[int(rng.integers(2))]
             cpm(g)
-            with mock.patch.object(scheduler, "update_cpm", propagate):
-                optimize_durations(g, gs)
-            runs.append(node_times(g))
-        assert runs[0] == runs[1]
-        assert runs[0] == node_times(recomputed(g))
+            priorities = [n.rotation / n.duration for n in g.nodes if n.slack > 0]
+            shared += len(priorities) - len(set(priorities))
+            ref = recomputed(g)
+            for a, b in zip(ref.nodes, g.nodes):
+                a.rotation = b.rotation
+            optimize_durations(g, gs)
+            reference_total_float(ref, gs)
+            assert node_times(g) == node_times(ref)
+            assert node_times(g) == node_times(recomputed(g))
+        assert shared > 300
 
 
 class TestOptimizeDurations:
@@ -1051,6 +1127,29 @@ class TestRunFramework:
         doc = json.dumps(doc, indent=1)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "ff2b272a7f2187a4aecb80b32afa32a78eaee3cbec1c56f9ecd1d0681d8c4a2b"
+        )
+
+    def test_golden_dot_after_total_float(self):
+        # the same circuit's dependency graph after total float: the dot
+        # carries every node's ES/EF/LS/LF, which the schedule does not
+        c = random_circuit(np.random.default_rng(56), 5, 1000)
+        gs = GateSet.ideal("static", 5)
+        g, _ = run_framework(lower(c, gs), gs)
+        assert len(g.nodes) == 974
+        assert hashlib.sha256(graph_to_dot(g).encode()).hexdigest() == (
+            "96a75132140ca076a4895a54b55c6d2be9ebbff5d6114f3b2492da756c03bede"
+        )
+
+    def test_golden_dynamic_schedule_json(self):
+        # the same circuit on a dynamic gate set, waveforms left out
+        c = random_circuit(np.random.default_rng(56), 5, 1000)
+        gs = GateSet.ideal("dynamic", 5)
+        _, sch = run_framework(lower(c, gs), gs)
+        doc = sch.to_json()
+        del doc["waveforms"]
+        doc = json.dumps(doc, indent=1)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "aa66dc8170019011cc4b0ea3cb7f4107fea20c2a4da33b6ed56a3569ee2a7b5e"
         )
 
     def test_golden_schedule_json_with_waveforms(self):
