@@ -53,7 +53,7 @@ class NoiseConfigError(ConfigError):
 
 
 class MalformedGraphError(PulseschedError):
-    """Dependency graph violates its invariants (e.g. contains a cycle)."""
+    """Dependency graph violates its invariants (e.g. a node finishes past its LF)."""
 
 
 class ScheduleOverlapError(PulseschedError):

@@ -441,6 +441,8 @@ class GateSet:
     # runtime cache for implementations derived from the catalog (rx from
     # the Rabi table, the fixed ECR); never serialized
     _derived: dict[tuple, GateImpl] = field(default_factory=dict, repr=False)
+    # the static Sx menu within the bounds, derived from the fields above
+    _static_menu: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (STATIC, DYNAMIC):
@@ -464,6 +466,7 @@ class GateSet:
                 f"dynamic max_duration {self.max_duration} dt is below the shortest "
                 f"pulse, {MIN_DYNAMIC_DURATION} dt"
             )
+        self._static_menu = tuple(d for d in menu if self.min_duration <= d <= self.max_duration)
 
     # -- duration policy ----------------------------------------------------
 
@@ -489,7 +492,7 @@ class GateSet:
             return (0,)
         self._check_lowered(kind)
         if self.mode == STATIC:
-            out = tuple(d for d in self.static_durations if self.min_duration <= d <= self.max_duration)
+            out = self._static_menu
         else:
             scale = abs(angle) / HALF_PI
             if scale <= 0:

@@ -11,14 +11,16 @@ that both of its arms come from one graph: it places the FIXED schedule
 before stretching, and after free-float stretching ``stretched_schedule``
 derives the OPTIMIZED one from it, placing again only the nodes that grew.
 
-The dependency graph's node order is program order, and every edge points
-from an earlier node to a later one, so node order is its topological order:
-CPM sweeps nodes forward by index and back in reverse, with no sort.  Total
-float stretches the queued gates that share the top priority as one tier:
-one forward relaxation decides them in index order and one backward
-relaxation, seeded by the gates that grew, refreshes LF/LS.  Both pop from
-an index heap only the nodes whose times may move, so a tier costs about one
-visit per moved node instead of one per moved node per stretch.
+The dependency graph is one chain per qubit: each node, in program order,
+waits only for the node before it on each of its operands.  So a full pass
+needs no edge list: CPM's forward sweep keeps each qubit's finish time as
+it walks the nodes in order, and its backward sweep keeps each qubit's
+latest start as it walks them in reverse.  Total float stretches the queued
+gates that share the top priority as one tier: one forward relaxation
+decides them in index order and one backward relaxation, seeded by the
+gates that grew, refreshes LF.  Both follow the nodes' chain links and pop
+from an index heap only the nodes whose times may move, so a tier costs
+about one visit per moved node instead of one per moved node per stretch.
 
 All times are integer dt counts; comparisons are exact.  The optimizer
 stretches off-critical-path gates into idle slack without moving the overall
@@ -53,80 +55,92 @@ FREE_FLOAT = "free"
 
 @dataclass(slots=True)
 class DepNode:
-    """One scheduled physical operation with its CPM times (dt units)."""
+    """One scheduled physical operation, its chain links and its CPM times (dt).
+
+    ``prev`` and ``next`` align with ``gate.qubits``: the index of the node
+    before and after this one on each operand, -1 where there is none.  CPM
+    stores ES and LF; EF, LS and the slack follow from them and the duration,
+    so a stretch writes only ``duration``.
+    """
 
     index: int
     gate: circ.Gate
     duration: int
-    rotation: float
     es: int = 0
-    ef: int = 0
-    ls: int = 0
     lf: int = 0
+    prev: tuple[int, ...] = ()
+    next: tuple[int, ...] = ()
+
+    @property
+    def ef(self) -> int:
+        return self.es + self.duration
+
+    @property
+    def ls(self) -> int:
+        return self.lf - self.duration
 
     @property
     def slack(self) -> int:
-        return self.lf - self.ef
+        return self.lf - self.es - self.duration
 
 
 @dataclass
 class DepGraph:
-    """Activity-on-node DAG: one node per physical gate, edges follow qubit order.
+    """A circuit's dependency graph: one node per physical gate, one chain per qubit.
 
-    Invariant: one node per non-Rz gate of ``circuit``, in program order, and
-    every edge (u, v) has u < v, so index order is a topological order.
-    ``cpm`` rejects a back edge; ``create_schedule`` relies on the order.
+    Invariant: one node per non-Rz gate of ``circuit``, in program order, each
+    linked to the node before and after it on each operand.  Every link runs
+    forward along a chain, so index order is a topological order, and
+    ``create_schedule`` relies on it.
     """
 
     circuit: circ.Circuit
     nodes: list[DepNode] = field(default_factory=list)
-    succs: list[list[int]] = field(default_factory=list)
-    preds: list[list[int]] = field(default_factory=list)
+
+    @property
+    def succs(self) -> list[list[int]]:
+        """Each node's distinct successors, ascending (perfbench's tracer counts them)."""
+        return [sorted({v for v in n.next if v >= 0}) for n in self.nodes]
 
     def edges(self):
-        for u, outs in enumerate(self.succs):
-            for v in outs:
-                yield (u, v)
+        return ((u, v) for u, outs in enumerate(self.succs) for v in outs)
 
     @property
     def makespan(self) -> int:
-        return max((n.ef for n in self.nodes), default=0)
+        return max((n.es + n.duration for n in self.nodes), default=0)
 
 
 def build_graph(c: circ.Circuit, initial_durations) -> DepGraph:
-    """Wire each physical gate to the previous gate on every operand qubit.
+    """Link each physical gate to the previous gate on every operand qubit.
 
     ``initial_durations`` maps gate id to dt.  Virtual Rz gates stay out of
     the graph (they are zero-duration frame shifts); barriers become
-    zero-duration nodes so they still order their qubits.
+    zero-duration nodes so they still order their qubits.  One forward pass
+    sets each node's ``prev`` and fills its predecessors' ``next`` slots.
     """
-    g = DepGraph(circuit=c)
-    last: dict[int, int] = {}
+    nodes: list[DepNode] = []
+    last = [-1] * c.width
     for gate in c.gates:
         if gate.kind == circ.RZ:
             continue
         if gate.kind == circ.U3:
             raise MalformedGraphError("decompose u3 gates before scheduling")
-        idx = len(g.nodes)
-        duration = int(initial_durations[gate.id])
-        g.nodes.append(
-            DepNode(
-                index=idx,
-                gate=gate,
-                duration=duration,
-                rotation=circ.pulse_rotation(gate),
-            )
-        )
-        g.succs.append([])
-        g.preds.append([])
-        for q in gate.qubits:
-            if q in last:
-                u = last[q]
-                if idx not in g.succs[u]:
-                    g.succs[u].append(idx)
-                    g.preds[idx].append(u)
+        idx = len(nodes)
+        qs = gate.qubits
+        prev = (last[qs[0]],) if len(qs) == 1 else tuple([last[q] for q in qs])
+        for q, u in zip(qs, prev):
             last[q] = idx
-    return g
+            if u >= 0:
+                pn = nodes[u]
+                nx = pn.next
+                if len(nx) == 1:
+                    pn.next = (idx,)
+                elif pn.gate.qubits[0] == q:
+                    pn.next = (idx, nx[1])
+                else:
+                    pn.next = (nx[0], idx)
+        nodes.append(DepNode(idx, gate, int(initial_durations[gate.id]), 0, 0, prev, (-1,) * len(qs)))
+    return DepGraph(circuit=c, nodes=nodes)
 
 
 def initial_durations(c: circ.Circuit, s: GateSet) -> dict[int, int]:
@@ -141,40 +155,39 @@ def initial_durations(c: circ.Circuit, s: GateSet) -> dict[int, int]:
 def cpm(g: DepGraph) -> int:
     """Forward pass in node order, backward pass in reverse; returns the makespan.
 
-    ES is the largest predecessor EF (0 at sources); LF is the smallest
-    successor LS (makespan at sinks).  A back edge, the only way a cycle can
-    enter a graph in node order, raises ``MalformedGraphError``.
+    A node's ES is the latest finish so far on any of its qubits (0 at a
+    source); its LF is the earliest latest start of the next node on any of
+    its qubits (the makespan at a sink).  Each pass keeps one running time
+    per qubit and reads no links.
     """
-    _forward_sweep(g)
-    return _backward_sweep(g)
-
-
-def _forward_sweep(g: DepGraph):
-    nodes = g.nodes
-    for i, (n, ps) in enumerate(zip(nodes, g.preds)):
+    ready = [0] * g.circuit.width
+    for n in g.nodes:
+        qs = n.gate.qubits
         es = 0
-        for p in ps:
-            if p >= i:
-                raise MalformedGraphError(f"dependency graph has a back edge into node {i}")
-            ef = nodes[p].ef
-            if ef > es:
-                es = ef
+        for q in qs:
+            t = ready[q]
+            if t > es:
+                es = t
         n.es = es
-        n.ef = es + n.duration
+        ef = es + n.duration
+        for q in qs:
+            ready[q] = ef
+    return _backward_sweep(g, max(ready, default=0))
 
 
-def _backward_sweep(g: DepGraph) -> int:
-    nodes, succs = g.nodes, g.succs
-    makespan = g.makespan
-    for i in range(len(nodes) - 1, -1, -1):
-        n = nodes[i]
+def _backward_sweep(g: DepGraph, makespan: int) -> int:
+    due = [makespan] * g.circuit.width
+    for n in reversed(g.nodes):
+        qs = n.gate.qubits
         lf = makespan
-        for v in succs[i]:
-            ls = nodes[v].ls
-            if ls < lf:
-                lf = ls
+        for q in qs:
+            t = due[q]
+            if t < lf:
+                lf = t
         n.lf = lf
-        n.ls = lf - n.duration
+        ls = lf - n.duration
+        for q in qs:
+            due[q] = ls
     return makespan
 
 
@@ -184,20 +197,18 @@ def critical_path(g: DepGraph) -> set[int]:
 
 
 def update_cpm(g: DepGraph, changed: DepNode):
-    """Re-propagate times after one node's duration grew.
+    """Re-propagate ES and LF after one node's duration grew.
 
-    The caller has already set the changed node's own EF and LS; the node
-    must still finish by its LF, so the makespan holds.  A node that
-    finishes past its LF, or whose EF is not ES plus its duration or LS not
-    LF minus it, raises ``MalformedGraphError``.  The times are relaxed from
-    that one node as ``_relax`` does for a tier of stretches, so the result
-    equals a full CPM pass.
+    The caller has already set the changed node's new duration; the node
+    must still finish by its LF, so the makespan holds, or
+    ``MalformedGraphError`` is raised.  The times are relaxed from that one
+    node along its chains, as ``_relax`` does for a tier of stretches, so
+    the result equals a full CPM pass.
     """
     n = changed
-    if n.ef > n.lf or n.ef != n.es + n.duration or n.ls != n.lf - n.duration:
+    if n.es + n.duration > n.lf:
         raise MalformedGraphError(
-            f"node {n.index} at {n.duration} dt (ES {n.es}, EF {n.ef}, LS {n.ls}) must finish "
-            f"by its LF {n.lf}, at ES plus its duration, and start at LF minus it"
+            f"node {n.index} at {n.duration} dt from ES {n.es} must finish by its LF {n.lf}"
         )
     _relax(g, {changed.index: changed.duration})
 
@@ -207,17 +218,18 @@ def _relax(g: DepGraph, steps: dict[int, int | None]) -> list[int]:
     and relax the CPM times that moves; returns the nodes that grew, in order.
 
     Forward, a min-heap of node indices starts at the step nodes.  Each
-    popped node raises its successors' ES/EF, and a successor whose ES rose
-    joins the heap once (and ``steps`` at None, which marks it queued).
-    Edges point to higher indices, so a node's ES is final when it is
-    popped: a step node then takes its new duration when that still
-    finishes by its LF.  A node's LF depends only on its descendants, none
-    of which has moved yet, so each step is judged as if the lower-indexed
-    ones had been taken and propagated one at a time.  Backward, a max-heap
-    seeded by the nodes that grew lowers its predecessors' LF/LS the same
-    way.  Durations only grow, so the result equals a full CPM pass.
+    popped node raises the ES of the next node on each of its qubits, and a
+    node whose ES rose joins the heap once (and ``steps`` at None, which
+    marks it queued).  Links point to higher indices, so a node's ES is
+    final when it is popped: a step node then takes its new duration when
+    that still finishes by its LF.  A node's LF depends only on its
+    descendants, none of which has moved yet, so each step is judged as if
+    the lower-indexed ones had been taken and propagated one at a time.
+    Backward, a max-heap seeded by the nodes that grew lowers the LF of the
+    node before on each qubit the same way.  Durations only grow, so the
+    result equals a full CPM pass.
     """
-    nodes, succs, preds = g.nodes, g.succs, g.preds
+    nodes = g.nodes
     heap = list(steps)
     grown, back = [], []
     while heap:
@@ -226,29 +238,23 @@ def _relax(g: DepGraph, steps: dict[int, int | None]) -> list[int]:
         d = steps[u]
         if d is not None and n.es + d <= n.lf:
             n.duration = d
-            n.ef = n.es + d
-            n.ls = n.lf - d
             grown.append(u)
             back.append(-u)
-        ef = n.ef
-        for v in succs[u]:
-            nv = nodes[v]
-            if ef > nv.es:
-                nv.es = ef
-                nv.ef = ef + nv.duration
+        ef = n.es + n.duration
+        for v in n.next:
+            if v >= 0 and ef > nodes[v].es:
+                nodes[v].es = ef
                 if v not in steps:
                     steps[v] = None
                     heappush(heap, v)
     back.reverse()  # negated indices, ascending: a heap that pops the highest index first
     heap, queued = back, set(grown)
     while heap:
-        u = -heappop(heap)
-        ls = nodes[u].ls
-        for p in preds[u]:
-            np_ = nodes[p]
-            if ls < np_.lf:
-                np_.lf = ls
-                np_.ls = ls - np_.duration
+        n = nodes[-heappop(heap)]
+        ls = n.lf - n.duration
+        for p in n.prev:
+            if p >= 0 and ls < nodes[p].lf:
+                nodes[p].lf = ls
                 if p not in queued:
                     queued.add(p)
                     heappush(heap, -p)
@@ -271,7 +277,7 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
     ``float="free"``: every node takes the longest allowed duration that
     finishes by its free-float limit, min(successor ES) or the makespan at a
     sink.  No ES moves, so every gate starts when it would at minimum
-    durations; one final backward sweep refreshes LS/LF.
+    durations; one final backward sweep refreshes LF.
 
     Critical-path nodes keep their minimum durations under both policies.
     The graph must hold CPM times on entry; its makespan is asserted
@@ -289,14 +295,15 @@ def optimize_durations(g: DepGraph, s: GateSet, float: str = TOTAL_FLOAT):
 
 def _stretch_into_total_float(g: DepGraph, s: GateSet):
     nodes = g.nodes
-    menus: dict[int, tuple[int, ...]] = {}
+    menus: dict[int, tuple[tuple[int, ...], float]] = {}  # queued node -> (menu, rotation)
     queue: list[tuple[float, int]] = []
     for n in nodes:
         if n.slack > 0:
             menu = s.durations_for(n.gate)
             if menu[-1] > n.duration:
-                menus[n.index] = menu
-                queue.append((-n.rotation / n.duration if n.duration else 0.0, n.index))
+                rotation = circ.pulse_rotation(n.gate)
+                menus[n.index] = menu, rotation
+                queue.append((-rotation / n.duration if n.duration else 0.0, n.index))
     heapify(queue)
     while queue:
         # every entry at the top priority is one tier; a re-queued node's
@@ -305,7 +312,7 @@ def _stretch_into_total_float(g: DepGraph, s: GateSet):
         top, idx = heappop(queue)
         steps = {}
         while True:
-            n, menu = nodes[idx], menus[idx]
+            n, menu = nodes[idx], menus[idx][0]
             d = menu[bisect_right(menu, n.duration)]
             if n.es + d <= n.lf:  # ES only rises in a tier: a step too long now stays too long
                 steps[idx] = d
@@ -315,28 +322,31 @@ def _stretch_into_total_float(g: DepGraph, s: GateSet):
         if steps:
             for idx in _relax(g, steps):
                 n = nodes[idx]
-                if n.duration < menus[idx][-1]:
-                    heappush(queue, (-n.rotation / n.duration, idx))
+                menu, rotation = menus[idx]
+                if n.duration < menu[-1]:
+                    heappush(queue, (-rotation / n.duration, idx))
 
 
 def _stretch_into_free_float(g: DepGraph, s: GateSet):
-    nodes, succs = g.nodes, g.succs
     makespan = g.makespan
-    for n, outs in zip(nodes, succs):
+    next_es = [makespan] * g.circuit.width  # per qubit, the ES of the next node
+    for n in reversed(g.nodes):
+        qs = n.gate.qubits
+        es = n.es
         limit = makespan
-        for v in outs:
-            es = nodes[v].es
-            if es < limit:
-                limit = es
-        window = limit - n.es
+        for q in qs:
+            t = next_es[q]
+            if t < limit:
+                limit = t
+            next_es[q] = es
+        window = limit - es
         if window <= n.duration:
             continue
         menu = s.durations_for(n.gate)
         i = bisect_right(menu, window)
         if i and menu[i - 1] > n.duration:
             n.duration = menu[i - 1]
-            n.ef = n.es + n.duration
-    _backward_sweep(g)
+    _backward_sweep(g, makespan)
 
 
 def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
@@ -366,13 +376,14 @@ def create_schedule(g: DepGraph, s: GateSet) -> Schedule:
             pending_rz[q] = []
         if gate.kind == circ.MEASURE:
             measured.append(gate.qubits[0])
+        end = node.es + node.duration
         if gate.kind in (circ.MEASURE, circ.BARRIER):
             for q in gate.qubits:
-                last_end[q] = max(last_end[q], node.ef)
+                last_end[q] = max(last_end[q], end)
             continue
         placements.append(_place(node, s))
         for q in gate.qubits:
-            last_end[q] = node.ef
+            last_end[q] = end
 
     for q, rzs in pending_rz.items():
         frames += [FrameShift(q, last_end[q], rz.angles[0], rz.id) for rz in rzs]
@@ -413,35 +424,38 @@ def stretched_schedule(fixed: Schedule, g: DepGraph, s: GateSet) -> Schedule:
     A stretched pulse that ends its qubits' programs may grow up to the
     makespan, and the trailing virtual Rz pinned to its end move with it.
     That no early start moved is checked: a node whose ES differs from its
-    fixed placement's start (or, for a measure or barrier, from its
-    predecessors' fixed finishes), or whose gate is not that placement's,
-    raises ``MalformedGraphError``.  The result is a ``Schedule``, validated
-    in full.
+    fixed placement's start (or, for a measure or barrier, from its qubits'
+    fixed finishes so far), or whose gate is not that placement's, raises
+    ``MalformedGraphError``.  The result is a ``Schedule``, validated in
+    full.
     """
     if g.makespan != fixed.makespan or g.circuit.width != fixed.width:
         raise MalformedGraphError("the stretched graph's makespan or width differs from the fixed schedule's")
     placements: list[PulsePlacement] = []
-    fixed_ef = [0] * len(g.nodes)
-    trailing: dict[int, PulsePlacement] = {}  # qubit -> its last pulse, when that stretched
+    fixed_end = [0] * fixed.width  # per qubit, where its last node so far ends in the fixed schedule
+    last: list[PulsePlacement | None] = [None] * fixed.width  # per qubit, its last node if a stretched pulse
     old = iter(fixed.placements)
     for node in g.nodes:
-        i = node.index
+        qs = node.gate.qubits
+        grown = None
         if node.gate.kind in (circ.MEASURE, circ.BARRIER):  # never stretched: one duration each
-            if node.es != max((fixed_ef[p] for p in g.preds[i]), default=0):
-                raise MalformedGraphError(f"node {i} starts at {node.es}, not where it did before stretching")
-            fixed_ef[i] = node.ef
-            continue
-        p = next(old, None)
-        if p is None or p.start != node.es or p.seq != node.gate.id:
-            raise MalformedGraphError(f"node {i} at {node.es} is not the fixed schedule's placement {p}")
-        fixed_ef[i] = p.end
-        if p.duration != node.duration:
-            p = _place(node, s)
-            if not g.succs[i]:
-                trailing.update((q, p) for q in p.qubits)
-        placements.append(p)
+            if node.es != max(fixed_end[q] for q in qs):
+                raise MalformedGraphError(f"node {node.index} starts at {node.es}, not where it did before stretching")
+            end = node.es + node.duration
+        else:
+            p = next(old, None)
+            if p is None or p.start != node.es or p.seq != node.gate.id:
+                raise MalformedGraphError(f"node {node.index} at {node.es} is not the fixed schedule's placement {p}")
+            end = p.end
+            if p.duration != node.duration:
+                p = grown = _place(node, s)
+            placements.append(p)
+        for q in qs:
+            fixed_end[q] = end
+            last[q] = grown
     if next(old, None) is not None:
         raise MalformedGraphError("the fixed schedule has more placements than the graph has pulses")
+    trailing = {q: p for q, p in enumerate(last) if p is not None}
     frames = [
         replace(f, time=trailing[f.qubit].end)
         if f.qubit in trailing and f.seq > trailing[f.qubit].seq else f

@@ -68,7 +68,7 @@ from pulsesched.sim import (
     idle_channel,
 )
 
-from test_scheduler import brute_force_cpm, random_dag_graph
+from test_scheduler import brute_force_cpm, random_chain_graph
 
 
 @contextmanager
@@ -163,11 +163,11 @@ def test_criterion_1_latency_invariance():
 
 
 def test_criterion_2_cpm_oracle_equivalence():
-    with report(2, "CPM equals exhaustive longest-path enumeration on 500 DAGs"):
+    with report(2, "CPM equals exhaustive longest-path enumeration on 500 circuit graphs"):
         rng = np.random.default_rng(1002)
         start = time.perf_counter()
         for _ in range(500):
-            g = random_dag_graph(rng, int(rng.integers(1, 13)))
+            g = random_chain_graph(rng, int(rng.integers(1, 13)))
             cpm(g)
             es, ef, ls, lf = brute_force_cpm(g)
             crit = {i for i in range(len(g.nodes)) if es[i] == ls[i]}

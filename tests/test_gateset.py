@@ -73,6 +73,13 @@ class TestAllowedDurations:
         gs = GateSet.ideal("static", 1, min_duration=64, max_duration=512)
         assert gs.allowed_durations("sx") == (64, 120, 256, 512)
 
+    def test_replaced_bounds_clip_the_static_menu(self):
+        # rb --gateset with --min-dur/--max-dur replaces a loaded set's bounds;
+        # the menu is derived from them again, not kept from the original
+        gs = replace(GateSet.ideal("static", 2), min_duration=64, max_duration=256)
+        assert gs.allowed_durations("sx") == (64, 120, 256)
+        assert GateSet.from_json(gs.to_json()).allowed_durations("sx") == (64, 120, 256)
+
     def test_dynamic_quarter_turn(self):
         gs = GateSet.ideal("dynamic", 1, min_duration=32, max_duration=128)
         assert gs.allowed_durations("rx", HALF_PI) == tuple(range(32, 129, 8))

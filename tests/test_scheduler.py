@@ -1,11 +1,12 @@
 """Dependency graph, CPM, and time-optimization tests.
 
 The CPM oracle enumerates every source-to-node path by brute force (no
-memoization), so the forward/backward pass and the incremental update are
-checked against an independent computation.  Total float, which stretches
-a whole priority tier per relaxation, is checked against a reference that
-stretches one node at a time and re-propagates with a full sweep over the
-node order.
+memoization) over edges found by its own last-writer scan of the circuit,
+so the forward/backward pass and the incremental update are checked
+against a computation that shares neither the graph's links nor its
+per-qubit clocks.  Total float, which stretches a whole priority tier per
+relaxation, is checked against a reference that stretches one node at a
+time and re-propagates with a full sweep over the node order.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from pulsesched.circuit import (
     decompose_static,
     merge_virtual_z,
     parse_circuit,
+    pulse_rotation,
 )
 from pulsesched.errors import ConfigError, MalformedGraphError, ScheduleOverlapError
 from pulsesched.gateset import GateSet
@@ -38,8 +40,6 @@ from pulsesched.schedule import FrameShift, PulsePlacement, Schedule
 from pulsesched.scheduler import (
     FREE_FLOAT,
     TOTAL_FLOAT,
-    DepGraph,
-    DepNode,
     build_graph,
     cpm,
     create_schedule,
@@ -62,75 +62,88 @@ HALF_PI = math.pi / 2
 # brute-force oracle
 
 
-def _all_path_heads(g, idx):
+def oracle_edges(c):
+    """(preds, succs): each physical gate's predecessors and successors, as
+    ascending node indices, from a scan of the circuit that keeps the last
+    gate seen on each qubit."""
+    preds, last = [], {}
+    for gate in c.gates:
+        if gate.kind == "rz":
+            continue
+        preds.append(sorted({last[q] for q in gate.qubits if q in last}))
+        for q in gate.qubits:
+            last[q] = len(preds) - 1
+    succs = [[] for _ in preds]
+    for v, ps in enumerate(preds):
+        for u in ps:
+            succs[u].append(v)
+    return preds, succs
+
+
+def _all_path_heads(g, preds, idx):
     """Max total duration over all paths ending just before node idx (= ES)."""
     best = 0
-    for p in g.preds[idx]:
-        best = max(best, _all_path_heads(g, p) + g.nodes[p].duration)
+    for p in preds[idx]:
+        best = max(best, _all_path_heads(g, preds, p) + g.nodes[p].duration)
     return best
 
 
-def _all_path_tails(g, idx):
+def _all_path_tails(g, succs, idx):
     """Max total duration over all paths from idx to a sink, including idx."""
     best = g.nodes[idx].duration
-    for s in g.succs[idx]:
-        best = max(best, g.nodes[idx].duration + _all_path_tails(g, s))
+    for s in succs[idx]:
+        best = max(best, g.nodes[idx].duration + _all_path_tails(g, succs, s))
     return best
 
 
 def brute_force_cpm(g):
     """(es, ef, ls, lf) per node from exhaustive path enumeration."""
-    es = [_all_path_heads(g, i) for i in range(len(g.nodes))]
+    preds, succs = oracle_edges(g.circuit)
+    es = [_all_path_heads(g, preds, i) for i in range(len(g.nodes))]
     ef = [es[i] + g.nodes[i].duration for i in range(len(g.nodes))]
     makespan = max(ef, default=0)
-    ls = [makespan - _all_path_tails(g, i) for i in range(len(g.nodes))]
+    ls = [makespan - _all_path_tails(g, succs, i) for i in range(len(g.nodes))]
     lf = [ls[i] + g.nodes[i].duration for i in range(len(g.nodes))]
     return es, ef, ls, lf
 
 
-def sweep_update_cpm(g, changed):
+def sweep_update_cpm(g, changed, preds, succs):
     """Full-sweep oracle for update_cpm: relax every node after the changed
     one forward, then every node before it backward, in node order."""
-    nodes, succs, preds = g.nodes, g.succs, g.preds
+    nodes = g.nodes
     for u in range(changed.index, len(nodes)):
-        nu = nodes[u]
-        for s in succs[u]:
-            ns = nodes[s]
-            if nu.ef > ns.es:
-                ns.es = nu.ef
-                ns.ef = ns.es + ns.duration
+        ef = nodes[u].ef
+        for v in succs[u]:
+            nodes[v].es = max(nodes[v].es, ef)
     for u in range(changed.index, -1, -1):
-        nu = nodes[u]
+        ls = nodes[u].ls
         for p in preds[u]:
-            np_ = nodes[p]
-            if nu.ls < np_.lf:
-                np_.lf = nu.ls
-                np_.ls = np_.lf - np_.duration
+            nodes[p].lf = min(nodes[p].lf, ls)
 
 
 def reference_total_float(g, s):
     """Total float one stretch at a time: the queue loop as it was before
     stretches were taken a priority tier at a time, re-propagating each
     accepted stretch with the full-sweep oracle."""
-    menus: dict[int, tuple[int, ...]] = {}
+    preds, succs = oracle_edges(g.circuit)
+    menus: dict[int, tuple[tuple[int, ...], float]] = {}
     queue: list[tuple[float, int]] = []
     for n in g.nodes:
         if n.slack > 0:
             menu = s.durations_for(n.gate)
             if menu[-1] > n.duration:
-                menus[n.index] = menu
-                heapq.heappush(queue, (-n.rotation / n.duration if n.duration else 0.0, n.index))
+                rotation = pulse_rotation(n.gate)
+                menus[n.index] = menu, rotation
+                heapq.heappush(queue, (-rotation / n.duration if n.duration else 0.0, n.index))
     while queue:
         _, idx = heapq.heappop(queue)
-        n, menu = g.nodes[idx], menus[idx]
+        n, (menu, rotation) = g.nodes[idx], menus[idx]
         d = menu[bisect_right(menu, n.duration)]
         if n.es + d <= n.lf:
             n.duration = d
-            n.ef = n.es + d
-            n.ls = n.lf - d
-            sweep_update_cpm(g, n)
+            sweep_update_cpm(g, n, preds, succs)
             if d < menu[-1]:
-                heapq.heappush(queue, (-n.rotation / d, idx))
+                heapq.heappush(queue, (-rotation / d, idx))
 
 
 def node_times(g):
@@ -138,38 +151,35 @@ def node_times(g):
 
 
 def recomputed(g):
-    """A copy of g with the same durations and edges, after a fresh cpm."""
-    g2 = DepGraph(
-        circuit=g.circuit,
-        nodes=[DepNode(n.index, n.gate, n.duration, n.rotation) for n in g.nodes],
-        succs=[list(s) for s in g.succs],
-        preds=[list(p) for p in g.preds],
-    )
+    """The graph of g's circuit at g's durations, after a fresh cpm."""
+    g2 = build_graph(g.circuit, {n.gate.id: n.duration for n in g.nodes})
     cpm(g2)
     return g2
 
 
-def dag_graph(durations, edges):
-    """A DAG dressed as a DepGraph: one sx node per duration, the given edges."""
-    n_nodes = len(durations)
-    c = Circuit(
-        width=n_nodes,
-        gates=tuple(Gate(id=i, kind="sx", qubits=(i,)) for i in range(n_nodes)),
-    )
-    g = build_graph(c, dict(enumerate(durations)))
-    g.succs = [[] for _ in range(n_nodes)]
-    g.preds = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        g.succs[u].append(v)
-        g.preds[v].append(u)
-    return g
+def random_chain_circuit(rng, n_nodes, angles=None):
+    """``n_nodes`` physical gates on 1-6 qubits: one-qubit pulses, ECRs, and
+    one- and two-qubit barriers, so the chains fork and join.  The pulses
+    are Sx, or Rx at angles drawn from ``angles`` when it is given."""
+    width = int(rng.integers(1, 7))
+    gates = []
+    for i in range(n_nodes):
+        kind = ("pulse", "barrier", "ecr")[int(rng.integers(3 if width > 1 else 2))]
+        arity = 2 if kind == "ecr" or (kind == "barrier" and width > 1 and rng.integers(2)) else 1
+        qubits = tuple(int(q) for q in rng.choice(width, size=arity, replace=False))
+        if kind != "pulse":
+            gates.append(Gate(id=i, kind=kind, qubits=qubits))
+        elif angles is None:
+            gates.append(Gate(id=i, kind="sx", qubits=qubits))
+        else:
+            gates.append(Gate(id=i, kind="rx", qubits=qubits, angles=(angles[int(rng.integers(len(angles)))],)))
+    return Circuit(width=width, gates=tuple(gates))
 
 
-def random_dag_graph(rng, n_nodes, max_duration=40):
-    """Random DAG dressed as a DepGraph (edges always point forward)."""
-    durations = [int(rng.integers(1, max_duration)) for _ in range(n_nodes)]
-    edges = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes) if rng.random() < 0.25]
-    return dag_graph(durations, edges)
+def random_chain_graph(rng, n_nodes, max_duration=40):
+    """The graph of a ``random_chain_circuit``, each node at a duration drawn from [0, max_duration)."""
+    c = random_chain_circuit(rng, n_nodes)
+    return build_graph(c, {gate.id: int(rng.integers(max_duration)) for gate in c.gates})
 
 
 def next_on_menu(gs, gate, current):
@@ -233,20 +243,19 @@ class TestBuildGraph:
             c = random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(1, 40)))
             lowered = merge_virtual_z(decompose_static(c))
             g = build_graph(lowered, {gt.id: 10 for gt in lowered.gates if gt.kind != "rz"})
-            # independent last-writer scan over the physical gates
-            expected = set()
-            last = {}
-            node_ids = [gt.id for gt in lowered.gates if gt.kind != "rz"]
-            index_of = {gid: i for i, gid in enumerate(node_ids)}
-            for gt in lowered.gates:
-                if gt.kind == "rz":
-                    continue
-                for q in gt.qubits:
-                    if q in last:
-                        expected.add((index_of[last[q]], index_of[gt.id]))
-                    last[q] = gt.id
-            assert set(g.edges()) == expected
+            expected = {(u, v) for v, ps in enumerate(oracle_edges(lowered)[0]) for u in ps}
+            assert list(g.edges()) == sorted(expected)
             assert all(u < v for u, v in g.edges())
+
+    def test_repeated_pair_is_one_edge(self):
+        # the second ECR follows the first on both qubits, and the barrier
+        # the second on both: one edge each, wherever the tracer counts them
+        g = build_graph(parse_circuit("ecr q0 q1\necr q0 q1\nbarrier q1 q0\nsx q0"), {0: 1320, 1: 1320, 2: 0, 3: 32})
+        assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+        assert graph_to_dot(g).count("->") == 3
+        assert sum(len(s) for s in g.succs) == 3
+        assert [(n.prev, n.next) for n in g.nodes] == [
+            ((-1, -1), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (-1, 3)), ((2,), (-1,))]
 
     def test_rz_excluded_from_nodes(self):
         c = merge_virtual_z(decompose_static(parse_circuit("u3 q0 1.0,0.2,0.3\nsx q0")))
@@ -257,17 +266,6 @@ class TestBuildGraph:
         c = parse_circuit("u3 q0 1,2,3")
         with pytest.raises(MalformedGraphError):
             build_graph(c, {0: 64})
-
-
-class TestTopologicalOrder:
-    """Node order is the topological order; a back edge breaks it."""
-
-    def test_cycle_detected(self):
-        g = build_graph(parse_circuit("sx q0\nsx q0"), {0: 1, 1: 1})
-        g.succs[1].append(0)
-        g.preds[0].append(1)
-        with pytest.raises(MalformedGraphError):
-            cpm(g)
 
 
 class TestCPM:
@@ -294,7 +292,7 @@ class TestCPM:
     def test_random_dags_match_brute_force(self):
         rng = np.random.default_rng(44)
         for _ in range(120):
-            g = random_dag_graph(rng, int(rng.integers(1, 13)))
+            g = random_chain_graph(rng, int(rng.integers(1, 13)))
             cpm(g)
             es, ef, ls, lf = brute_force_cpm(g)
             for i, n in enumerate(g.nodes):
@@ -303,12 +301,13 @@ class TestCPM:
     def test_invariants_hold(self):
         rng = np.random.default_rng(45)
         for _ in range(50):
-            g = random_dag_graph(rng, 12)
-            cpm(g)
+            g = random_chain_graph(rng, 12)
+            makespan = cpm(g)
+            for v, ps in enumerate(oracle_edges(g.circuit)[0]):
+                for u in ps:
+                    assert g.nodes[u].ef <= g.nodes[v].es and g.nodes[u].lf <= g.nodes[v].ls
             for n in g.nodes:
-                assert n.ef == n.es + n.duration
-                assert n.lf == n.ls + n.duration
-                assert n.es <= n.ls and n.ef <= n.lf
+                assert 0 <= n.es <= n.ls and n.ef <= n.lf <= makespan
 
 
 class TestCriticalPath:
@@ -325,7 +324,7 @@ class TestCriticalPath:
     def test_matches_brute_force_membership(self):
         rng = np.random.default_rng(46)
         for _ in range(60):
-            g = random_dag_graph(rng, int(rng.integers(1, 13)))
+            g = random_chain_graph(rng, int(rng.integers(1, 13)))
             cpm(g)
             es, _, ls, _ = brute_force_cpm(g)
             expected = {i for i in range(len(g.nodes)) if es[i] == ls[i]}
@@ -334,16 +333,17 @@ class TestCriticalPath:
     def test_contains_source_to_sink_path(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
-            g = random_dag_graph(rng, int(rng.integers(2, 13)))
+            g = random_chain_graph(rng, int(rng.integers(2, 13)))
             cpm(g)
             crit = critical_path(g)
             assert crit
             makespan = g.makespan
+            preds, succs = oracle_edges(g.circuit)
             # walk a zero-slack chain from a critical source to the makespan
-            head = next(i for i in sorted(crit) if not g.preds[i])
+            head = next(i for i in sorted(crit) if not preds[i])
             node = head
             while g.nodes[node].ef != makespan:
-                node = next(s for s in g.succs[node] if s in crit and g.nodes[s].es == g.nodes[node].ef)
+                node = next(s for s in succs[node] if s in crit and g.nodes[s].es == g.nodes[node].ef)
             assert g.nodes[node].ef == makespan
 
 
@@ -353,8 +353,6 @@ class TestUpdateCPM:
         cpm(g)
         n = g.nodes[1]
         n.duration = 64
-        n.ef = n.es + 64
-        n.ls = n.lf - 64
         before = [(m.es, m.ef, m.ls, m.lf) for m in g.nodes]
         update_cpm(g, n)
         assert [(m.es, m.ef, m.ls, m.lf) for m in g.nodes] == before
@@ -364,8 +362,6 @@ class TestUpdateCPM:
         cpm(g)
         n = g.nodes[3]
         n.duration = 128
-        n.ef = n.es + 128
-        n.ls = n.lf - 128
         update_cpm(g, n)
         g2, _ = fig2_graph(fig2_circuit)
         g2.nodes[3].duration = 128
@@ -374,15 +370,16 @@ class TestUpdateCPM:
             assert (a.es, a.ef, a.ls, a.lf) == (b.es, b.ef, b.ls, b.lf)
 
     def test_node_raised_twice_is_final_when_popped(self):
-        # 0 reaches 3 directly and through 1 -> 2; the stretch raises 3 once
-        # from 0 and again from 2, and 4 must see the second raise (a FIFO
-        # worklist pops 3 between the two); node 5 is the critical path
-        g = dag_graph([10, 5, 5, 5, 5, 100], [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        # 0 reaches 3 directly on q1 and through 1 -> 2 on q0; the stretch
+        # raises 3 once from 0 and again from 2, and 4 must see the second
+        # raise (a FIFO worklist pops 3 between the two); node 5 is the
+        # critical path
+        c = parse_circuit("ecr q0 q1\nsx q0\nsx q0\necr q0 q1\nsx q0\nsx q2")
+        g = build_graph(c, dict(enumerate([10, 5, 5, 5, 5, 100])))
+        assert list(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)]
         cpm(g)
         n = g.nodes[0]
         n.duration += 20
-        n.ef = n.es + n.duration
-        n.ls = n.lf - n.duration
         update_cpm(g, n)
         assert (g.nodes[3].es, g.nodes[4].es) == (40, 45)
         assert node_times(g) == node_times(recomputed(g))
@@ -391,16 +388,13 @@ class TestUpdateCPM:
         rng = np.random.default_rng(48)
         done = 0
         while done < 1000:
-            g = random_dag_graph(rng, int(rng.integers(2, 13)))
+            g = random_chain_graph(rng, int(rng.integers(2, 13)))
             cpm(g)
             candidates = [n for n in g.nodes if n.slack > 0]
             if not candidates:
                 continue
             n = candidates[int(rng.integers(len(candidates)))]
-            extra = int(rng.integers(1, n.slack + 1))
-            n.duration += extra
-            n.ef = n.es + n.duration
-            n.ls = n.lf - n.duration
+            n.duration += int(rng.integers(1, n.slack + 1))
             update_cpm(g, n)
             assert node_times(g) == node_times(recomputed(g))
             done += 1
@@ -414,26 +408,9 @@ class TestUpdateCPM:
         before = node_times(g)
         n = g.nodes[0]
         n.duration = 512
-        n.ef = n.es + 512
-        n.ls = n.lf - 512
         with pytest.raises(MalformedGraphError, match="must finish by its LF 96"):
             update_cpm(g, n)
         assert node_times(g)[1:] == before[1:]
-
-    @pytest.mark.parametrize("stale", ["ef", "ls"])
-    def test_stale_times_are_refused(self, stale):
-        # the stretch fits its 32 dt of slack, but one of the node's own
-        # times was left at its old value
-        g = build_graph(parse_circuit("sx q0\nsx q1\nsx q1\necr q0 q1"), {0: 32, 1: 32, 2: 32, 3: 64})
-        cpm(g)
-        n = g.nodes[0]
-        n.duration = 48
-        if stale != "ef":
-            n.ef = n.es + 48
-        if stale != "ls":
-            n.ls = n.lf - 48
-        with pytest.raises(MalformedGraphError, match="at ES plus its duration"):
-            update_cpm(g, n)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -455,22 +432,20 @@ class TestUpdateCPM:
         assert node_times(g) == node_times(recomputed(g))
 
     def test_total_float_tiers_match_sweep_oracle_on_random_dags(self):
-        # durations on a short menu and two rotations a factor 2 apart make
-        # many nodes share one priority, e.g. (pi/4)/32 == (pi/2)/64
-        gs = fixed_gateset((32, 64, 96, 128, 192, 256))
+        # Rx at two angles a factor 2 apart, from durations 32, 64 and 96 on
+        # an 8-dt menu, make many nodes share one priority, e.g.
+        # (pi/4)/32 == (pi/2)/64; about a third of the nodes are Rx
+        gs = GateSet("dynamic", min_duration=32, max_duration=256, ecr_duration=64)
         rng = np.random.default_rng(57)
         shared = 0
         for _ in range(300):
-            g = random_dag_graph(rng, int(rng.integers(2, 30)))
-            for n in g.nodes:
-                n.duration = (32, 64, 96)[int(rng.integers(3))]
-                n.rotation = (HALF_PI / 2, HALF_PI)[int(rng.integers(2))]
+            c = random_chain_circuit(rng, int(rng.integers(2, 50)), angles=(HALF_PI / 2, HALF_PI))
+            durations = {gt.id: {"rx": (32, 64, 96)[int(rng.integers(3))], "ecr": 64}.get(gt.kind, 0) for gt in c.gates}
+            g = build_graph(c, durations)
             cpm(g)
-            priorities = [n.rotation / n.duration for n in g.nodes if n.slack > 0]
+            priorities = [pulse_rotation(n.gate) / n.duration for n in g.nodes if n.slack > 0 and n.gate.kind == "rx"]
             shared += len(priorities) - len(set(priorities))
             ref = recomputed(g)
-            for a, b in zip(ref.nodes, g.nodes):
-                a.rotation = b.rotation
             optimize_durations(g, gs)
             reference_total_float(ref, gs)
             assert node_times(g) == node_times(ref)
@@ -619,13 +594,14 @@ class TestFreeFloat:
             initial = [n.duration for n in g.nodes]
             crit_before = critical_path(g)
             optimize_durations(g, gs, float=FREE_FLOAT)
+            _, succs = oracle_edges(c)
             assert g.makespan == before
             assert [n.es for n in g.nodes] == starts
             for i in crit_before:
                 assert g.nodes[i].duration == initial[i]
             for n in g.nodes:
                 assert n.duration >= initial[n.index]
-                limit = min((g.nodes[v].es for v in g.succs[n.index]), default=before)
+                limit = min((g.nodes[v].es for v in succs[n.index]), default=before)
                 assert n.ef <= limit
                 nxt = next_on_menu(gs, n.gate, n.duration)
                 if nxt > n.duration:
@@ -634,6 +610,27 @@ class TestFreeFloat:
             times = [(n.es, n.ef, n.ls, n.lf) for n in g.nodes]
             cpm(g)
             assert [(n.es, n.ef, n.ls, n.lf) for n in g.nodes] == times
+
+    def test_random_graphs_fill_windows_to_the_earliest_next_start(self):
+        # drawn durations sit below the menus, ECRs' included, so a
+        # two-qubit node grows too, and only into the window left by the
+        # earlier of its two next nodes
+        gs = GateSet("static", static_durations=(32, 48, 64, 120), ecr_duration=24)
+        rng = np.random.default_rng(58)
+        grown = 0
+        for _ in range(300):
+            g = random_chain_graph(rng, int(rng.integers(2, 13)))
+            makespan = cpm(g)
+            before = [(n.es, n.duration) for n in g.nodes]
+            _, succs = oracle_edges(g.circuit)
+            optimize_durations(g, gs, float=FREE_FLOAT)
+            for n, (es, d0) in zip(g.nodes, before):
+                limit = min((before[v][0] for v in succs[n.index]), default=makespan)
+                fits = [d for d in gs.durations_for(n.gate) if d0 < d <= limit - es]
+                assert (n.es, n.duration) == (es, max(fits, default=d0))
+                grown += len(n.gate.qubits) == 2 and n.duration > d0
+            assert node_times(g) == node_times(recomputed(g))
+        assert grown > 20
 
     def test_unknown_policy_rejected(self, fig2_circuit):
         g, gs = fig2_graph(fig2_circuit)
