@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from . import circuit as circ
 from .errors import (
@@ -110,8 +109,11 @@ def fit_rabi(times_s, signal) -> RabiFit:
     Needs at least 8 samples covering one oscillation.  A flat signal yields
     a degenerate fit with omega = 0 rather than an error.  The FFT peak
     seeds omega, and ``curve_fit`` runs bounded with the model's analytic
-    Jacobian ``_rabi_jacobian``, not finite differences.
+    Jacobian ``_rabi_jacobian``, not finite differences.  ``curve_fit`` is
+    imported here, so only calibration loads ``scipy.optimize``.
     """
+    from scipy.optimize import curve_fit
+
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(signal, dtype=float)
     if len(t) < 8:
@@ -314,8 +316,10 @@ def fine_tune(
     three-level propagator's qubit-block rotation to |angle|.  That pulse
     is scored once by its average gate fidelity against the ideal rotation,
     with virtual-Z frame corrections taken for free (they cost nothing on
-    hardware), so the only residual error is leakage.
+    hardware), so the only residual error is leakage.  ``brentq`` is
+    imported here, so only calibration loads ``scipy.optimize``.
     """
+    from scipy.optimize import brentq
 
     def propagate(amp: float):
         w = synthesize(replace(impl.shape, amplitude=float(amp)))

@@ -103,7 +103,15 @@ class DepGraph:
         return [sorted({v for v in n.next if v >= 0}) for n in self.nodes]
 
     def edges(self):
-        return ((u, v) for u, outs in enumerate(self.succs) for v in outs)
+        """(node, successor) pairs, read off ``next``: each node's distinct
+        successors, ascending (a repeated ECR pair names one node twice)."""
+        for u, n in enumerate(self.nodes):
+            nx = n.next
+            lo, hi = (nx[0], -1) if len(nx) == 1 else (min(nx), max(nx))
+            if lo >= 0:
+                yield u, lo
+            if hi > lo:
+                yield u, hi
 
     @property
     def makespan(self) -> int:

@@ -12,7 +12,9 @@ same T1, pure dephasing on the 0-1 subspace at 1/Tphi = 1/T2 - 1/(2 T1)).
 That exponential has a closed form (amplitude and phase damping, Nielsen &
 Chuang section 8.3), and ``idle_channel`` writes it down with no ``expm``.
 ``dissipative_generator`` is the definition: the tests check the closed
-form against its ``expm``, and ``simulate_rabi`` exponentiates it.
+form against its ``expm``, and ``simulate_rabi`` exponentiates it.  The
+module's ``expm`` imports ``scipy.linalg.expm`` when it is called, so only
+the Rabi sweep loads ``scipy.linalg``; schedules simulate on numpy alone.
 
 Between pulses a qubit evolves under the bare anharmonicity alpha |2><2|
 (the undriven H_k) as well as decoherence, so leaked population keeps the
@@ -61,7 +63,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, NoiseConfigError, SimulationError, check_count, is_real
 from .pulses import DT_NS, ShapeSpec, Waveform, synthesize
@@ -749,6 +750,13 @@ class RabiData:
     amplitude: float
     times_s: np.ndarray
     p0: np.ndarray
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of ``m``, imported on the call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(m)
 
 
 def simulate_rabi(amplitudes, nm: NoiseModel, qubit: int = 0, window_dt: int | None = None) -> list[RabiData]:

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT
+import pulsesched
 from pulsesched import bench, gateset
 from pulsesched.cli import main
 from pulsesched.gateset import DEFAULT_STATIC_DURATIONS, GateSet
@@ -167,6 +171,41 @@ class TestScheduleDocument:
                 }
             else:
                 assert not out.exists()
+
+
+# runs in a fresh interpreter, since this one has scipy loaded already
+_SCIPY_PROBE = """
+import json, sys
+from pulsesched.cli import main
+
+folder, static, dynamic = sys.argv[1:]
+circuit = folder + "/c.qc"
+with open(circuit, "w") as fh:
+    fh.write("u3 q0 1.0,0.5,-0.25\\nrx q1 0.7\\nsx q0\\necr q0 q1\\nsxdg q1\\nbarrier q0 q1\\nmeasure q0\\nmeasure q1\\n")
+loaded = lambda: [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+codes = [
+    main(["schedule", circuit, "--gateset", gs, "--out", folder + "/s.json", *extra])
+    for gs in (static, dynamic)
+    for extra in ([], ["--no-optimize"], ["--dot", folder + "/g.dot"])
+]
+after_schedule = loaded()
+codes.append(main(["calibrate", "--mode", "static", "--qubits", "1", "--out", folder + "/cal.json"]))
+print(json.dumps([codes, after_schedule, loaded()]))
+"""
+
+
+def test_schedule_loads_no_scipy(ideal_gatesets, tmp_path):
+    # compiling needs numpy alone; calibration loads scipy's fitter, root
+    # solver and matrix exponential, which shows the probe sees them
+    src = str(Path(pulsesched.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), ideal_gatesets["static"], ideal_gatesets["dynamic"]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    codes, after_schedule, after_calibrate = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 7
+    assert after_schedule == []
+    assert after_calibrate == ["scipy.optimize", "scipy.linalg"]
 
 
 class TestCalibrateCommand:
